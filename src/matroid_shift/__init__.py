@@ -34,6 +34,7 @@ from .errors import (
     GuardError,
     InfeasibleError,
     InputError,
+    InternalError,
     OverflowGuardError,
 )
 from .intersection import (

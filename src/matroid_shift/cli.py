@@ -88,28 +88,17 @@ def _load_json_file(path: str):
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _load_profits(path: str) -> ProfitMatrix:
+def _load_table(path: str, what: str, cls):
+    """A {d, n, rows} file as a cls (ProfitMatrix or Matrix01) of the declared shape."""
     obj = _load_json_file(path)
     try:
-        d, n, rows = int(obj["d"]), int(obj["n"]), obj["rows"]
+        d, n, rows = int(obj["d"]), int(obj["n"]), [[int(x) for x in r] for r in obj["rows"]]
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad profits file {path}: {exc}") from exc
-    pm = ProfitMatrix([[int(x) for x in r] for r in rows])
-    if pm.d != d or pm.n != n:
-        raise InputError(f"profits file {path} declares {d}x{n} but lists {pm.d}x{pm.n}")
-    return pm
-
-
-def _load_matrix(path: str) -> Matrix01:
-    obj = _load_json_file(path)
-    try:
-        d, n, rows = int(obj["d"]), int(obj["n"]), obj["rows"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad matrix file {path}: {exc}") from exc
-    x = Matrix01([[int(v) for v in r] for r in rows])
-    if x.d != d or x.n != n:
-        raise InputError(f"matrix file {path} declares {d}x{n} but lists {x.d}x{x.n}")
-    return x
+        raise InputError(f"bad {what} file {path}: {exc}") from exc
+    table = cls(rows)
+    if table.d != d or table.n != n:
+        raise InputError(f"{what} file {path} declares {d}x{n} but lists {table.d}x{table.n}")
+    return table
 
 
 def parse_graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:
@@ -136,9 +125,12 @@ def parse_graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:
         if len(parts) != 3 or parts[0] != "e":
             raise InputError(f"{path}: malformed edge line {ln!r}")
         try:
-            edges.append((int(parts[1]), int(parts[2])))
+            u, v = int(parts[1]), int(parts[2])
         except ValueError as exc:
             raise InputError(f"{path}: malformed edge line {ln!r}") from exc
+        if not (1 <= u <= vertices and 1 <= v <= vertices):
+            raise InputError(f"{path}: edge {ln!r} has an endpoint outside 1..{vertices}")
+        edges.append((u, v))
     if len(edges) != num_edges:
         raise InputError(f"{path}: header promises {num_edges} edges, found {len(edges)}")
     return vertices, edges
@@ -217,6 +209,7 @@ def cmd_lexmin_trees(args) -> tuple[dict, int]:
 
     t0 = time.perf_counter()
     sol = solve_lexmin(m, args.n)
+    wall = (time.perf_counter() - t0) * 1000.0
     verification = "skipped"
     if args.verify:
         try:
@@ -224,7 +217,6 @@ def cmd_lexmin_trees(args) -> tuple[dict, int]:
             verification = "ok" if expect == sol.vuln else "mismatch"
         except GuardError as exc:
             print(f"verification skipped: {exc}", file=sys.stderr)
-    wall = (time.perf_counter() - t0) * 1000.0
 
     report = _report("lexmin-trees", digest, wall, verification,
                      n=args.n,
@@ -242,7 +234,7 @@ def cmd_lexmin_trees(args) -> tuple[dict, int]:
 
 def cmd_shifted(args) -> tuple[dict, int]:
     m = matroid_from_json(_load_json_file(args.matroid))
-    c = _load_profits(args.profits)
+    c = _load_table(args.profits, "profits", ProfitMatrix)
     if args.n is not None and args.n != c.n:
         raise InputError(f"--n {args.n} conflicts with profits file n={c.n}")
     n = c.n
@@ -252,6 +244,7 @@ def cmd_shifted(args) -> tuple[dict, int]:
 
     t0 = time.perf_counter()
     sol = solve_shifted(m, n, c, bases=args.bases)
+    wall = (time.perf_counter() - t0) * 1000.0
     verification = "skipped"
     if args.verify:
         try:
@@ -259,7 +252,6 @@ def cmd_shifted(args) -> tuple[dict, int]:
             verification = "ok" if expect == sol.value else "mismatch"
         except GuardError as exc:
             print(f"verification skipped: {exc}", file=sys.stderr)
-    wall = (time.perf_counter() - t0) * 1000.0
 
     report = _report("shifted", digest, wall, verification,
                      n=n,
@@ -277,7 +269,7 @@ def cmd_shifted(args) -> tuple[dict, int]:
 
 
 def cmd_intersect_value(args) -> tuple[dict, int]:
-    c = _load_profits(args.profits)
+    c = _load_table(args.profits, "profits", ProfitMatrix)
     if args.n is not None and args.n != c.n:
         raise InputError(f"--n {args.n} conflicts with profits file n={c.n}")
     n = c.n
@@ -325,7 +317,7 @@ def cmd_intersect_value(args) -> tuple[dict, int]:
 
 def cmd_fiber(args) -> tuple[dict, int]:
     m = matroid_from_json(_load_json_file(args.matroid))
-    x = _load_matrix(args.matrix)
+    x = _load_table(args.matrix, "matrix", Matrix01)
     if args.n is not None and args.n != x.n:
         raise InputError(f"--n {args.n} conflicts with matrix file n={x.n}")
     n = x.n

@@ -5,11 +5,11 @@ realized here:
 
 * the lift: d x n 0/1 matrices with at most one 1 per row whose column-sum
   vector is independent in S;
-* the n-fold union of any matroid T over E: subsets of E decomposable into n
-  T-independent parts, decided by the matroid-partition augmenting-path
-  algorithm, which also produces the decomposition;
+* the n-fold union of any matroid T over E: count vectors over E that are
+  sums of n T-independent sets (subsets are the 0/1 case), decided by the
+  matroid-partition augmenting-path algorithm, which also produces the parts;
 * the shuffle matroid: matrices equivalent to some column-wise selection of n
-  independent sets of S, realized as the n-union of the lift.
+  independent sets of S, decided by the n-union of S on the row sums.
 
 Matrices over [d] x [n] are flattened row-major: element (i, j) <-> i*n + j
 (0-based).  Every module in the package shares this convention.
@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import InputError, InternalError
 from .matroids import Matroid, Subset01, full_rank
 
 
@@ -125,11 +125,7 @@ class Decomposition:
 
 
 class LiftMatroid(Matroid):
-    """Matrices with at most one 1 per row and column-sum independent in base.
-
-    Ground set is [d] x [n] flattened; base-oracle answers are memoized per
-    row set, so repeated queries cost one dict lookup.
-    """
+    """Matrices over [d] x [n] with at most one 1 per row and column sum in base."""
 
     kind = "oracle_composite"
 
@@ -140,7 +136,6 @@ class LiftMatroid(Matroid):
         super().__init__(base.d * n)
         self.base = base
         self.n = n
-        self._base_cache: dict[frozenset, bool] = {}
 
     def _indep(self, elems: frozenset) -> bool:
         n = self.n
@@ -150,12 +145,7 @@ class LiftMatroid(Matroid):
             if i in used_rows:
                 return False  # a row sum of 2 is not a 0/1 vector
             used_rows.add(i)
-        key = frozenset(used_rows)
-        hit = self._base_cache.get(key)
-        if hit is None:
-            hit = self.base._indep(key)
-            self._base_cache[key] = hit
-        return hit
+        return self.base._indep(frozenset(used_rows))
 
     def is_independent_matrix(self, x: Matrix01) -> bool:
         if x.d != self.base.d or x.n != self.n:
@@ -164,17 +154,14 @@ class LiftMatroid(Matroid):
 
 
 class UnionMatroid(Matroid):
-    """n-fold union of a matroid: sets decomposable into n independent parts.
+    """n-fold union of a matroid, decided on count vectors.
 
-    Membership is decided by the matroid-partition algorithm: to add an
-    element, breadth-first search the exchange digraph (arc u -> v whenever
-    moving u into v's class after evicting v keeps that class independent) for
-    a shortest path from the new element to any class that can absorb one.
-    Decompositions of independent sets are memoized so that the greedy's
-    one-element-at-a-time query pattern costs a single augmentation per call.
-
-    Instances hold mutable caches: use one instance per solver run and do not
-    share it across threads.
+    decompose(r) finds n independent parts holding element i in exactly r[i]
+    of them; a plain set is the 0/1 case.  Each copy is added by matroid
+    partitioning (Knuth, 1973): a breadth-first search for a shortest path in
+    the exchange digraph, whose arcs lead from a copy to the members of the
+    circuit it closes in another part.  Results are memoized by count tuple,
+    so an instance is mutable: use one per solver run, on one thread.
     """
 
     kind = "oracle_composite"
@@ -186,115 +173,129 @@ class UnionMatroid(Matroid):
         super().__init__(part.d)
         self.part = part
         self.n = n
-        self._indep_cache: dict[frozenset, tuple] = {frozenset(): tuple(frozenset() for _ in range(n))}
+        self.cap = n * full_rank(part)  # no decomposable vector sums to more
+        zero = (0,) * part.d
+        self._indep_cache: dict[tuple, tuple] = {zero: tuple(frozenset() for _ in range(n))}
         self._dep_cache: set = set()
+        self._circuits: dict = {}  # (part, element) -> Matroid.circuit answer
 
     def _indep(self, elems: frozenset) -> bool:
-        return self.decompose(elems) is not None
+        return self.decompose([int(e in elems) for e in range(self.d)]) is not None
 
-    def decompose(self, elems: Iterable[int]) -> tuple | None:
-        """Parts as a tuple of n frozensets, or None if not decomposable."""
-        s = frozenset(elems)
-        hit = self._indep_cache.get(s)
+    def decompose(self, counts: Sequence[int]) -> tuple | None:
+        """n frozensets holding element i in exactly counts[i] of them, or None."""
+        r = tuple(counts)
+        hit = self._indep_cache.get(r)
         if hit is not None:
             return hit
-        if s in self._dep_cache:
+        if r in self._dep_cache:
             return None
-
-        start: tuple | None = None
-        missing = None
-        order = sorted(s, reverse=True)
-        for e in order:
-            t = s - {e}
-            if t in self._dep_cache:  # supersets of dependent sets are dependent
-                self._dep_cache.add(s)
-                return None
-            cached = self._indep_cache.get(t)
-            if cached is not None:
-                start, missing = cached, e
+        if len(r) != self.d or min(r) < 0:
+            raise InputError(f"count vector {list(r)} does not fit ground size {self.d}")
+        if sum(r) > self.cap:
+            return None
+        for i in range(self.d - 1, -1, -1):
+            if not r[i]:
+                continue
+            t = r[:i] + (r[i] - 1,) + r[i + 1:]
+            if t in self._dep_cache:  # r dominates a rejected vector
                 break
-        if start is None:
-            missing = order[0]
-            start = self.decompose(s - {missing})
-            if start is None:
-                self._dep_cache.add(s)
-                return None
-
-        parts = [set(p) for p in start]
-        if self._try_augment(parts, missing):
-            snap = tuple(frozenset(p) for p in parts)
-            self._check_partition(s, snap)
-            self._indep_cache[s] = snap
-            return snap
-        self._dep_cache.add(s)
+            start = self._indep_cache.get(t)
+            if start is not None:
+                parts = self._try_augment(start, i)
+                if parts is None:
+                    break
+                self._check_partition(r, parts)
+                self._indep_cache[r] = parts
+                return parts
+        else:
+            # Cold query: build r from zero one unit at a time, row by row.
+            # The loop above answers each step from the step before it, so
+            # these calls never reach this branch: no recursion builds up.
+            t = [0] * self.d
+            for i, c in enumerate(r):
+                for _ in range(c):
+                    t[i] += 1
+                    hit = self.decompose(t)
+                    if hit is None:
+                        self._dep_cache.add(r)
+                        return None
+            return hit
+        self._dep_cache.add(r)
         return None
 
-    def _try_augment(self, parts: list, e: int) -> bool:
-        color = {x: k for k, p in enumerate(parts) for x in p}
-        parent: dict[int, int | None] = {e: None}
-        queue = deque([e])
+    def _try_augment(self, parts: tuple, e: int) -> tuple | None:
+        # parts with one more copy of e, or None.  Nodes are copies (element,
+        # index of the part holding it); the new copy of e is in no part yet.
+        circuits = self._circuits
+        start = (e, None)
+        parent = {start: None}
+        queue = deque([start])
         while queue:
-            u = queue.popleft()
-            cu = color.get(u)
-            for k in range(self.n):
-                if k == cu:
+            node = queue.popleft()
+            x, cx = node
+            for k, p in enumerate(parts):
+                # A part holding x cannot take a copy; swapping parallel copies
+                # never shortens a path.
+                if x in p:
                     continue
-                if self.part._indep(frozenset(parts[k] | {u})):
-                    self._apply_path(parts, parent, color, u, k)
-                    return True
-            for v in sorted(color):
-                if v in parent:
-                    continue
-                k = color[v]
-                if k == cu:
-                    continue
-                if self.part._indep(frozenset((parts[k] - {v}) | {u})):
-                    parent[v] = u
-                    queue.append(v)
-        return False
+                members = circuits.get((p, x), False)
+                if members is False:
+                    members = circuits[p, x] = self.part.circuit(p, x)
+                if members is None:
+                    # node moves into part k, its parent into the part node
+                    # vacated, and so on back to the new copy.
+                    new = [set(q) for q in parts]
+                    while node is not None:
+                        x, cx = node
+                        new[k].add(x)
+                        if cx is not None:
+                            new[cx].remove(x)
+                        node, k = parent[node], cx
+                    return tuple(frozenset(q) for q in new)
+                for v in members:
+                    nxt = (v, k)
+                    if nxt not in parent:
+                        parent[nxt] = node
+                        queue.append(nxt)
+        return None
 
-    @staticmethod
-    def _apply_path(parts: list, parent: dict, color: dict, u: int | None, k: int) -> None:
-        # u moves into class k; its parent takes the class u vacated, and so on.
-        while u is not None:
-            cu = color.get(u)
-            parts[k].add(u)
-            if cu is not None:
-                parts[cu].remove(u)
-            u, k = parent[u], cu
-
-    def _check_partition(self, s: frozenset, parts: tuple) -> None:
-        union: set = set()
-        total = 0
+    def _check_partition(self, r: tuple, parts: tuple) -> None:
+        counts = [0] * self.d
         for p in parts:
-            total += len(p)
-            union |= p
-            assert self.part._indep(p), "augmentation broke a class"
-        assert total == len(union) == len(s) and union == set(s), "parts do not partition the set"
+            if not self.part._indep(p):
+                raise InternalError("augmentation left a dependent part")
+            for x in p:
+                counts[x] += 1
+        if tuple(counts) != r:
+            raise InternalError("part multiplicities differ from the requested counts")
 
 
 class ShuffleMatroid(Matroid):
     """The matroid of matrices row-equivalent to a column selection from S.
 
-    Equal, as a set system over [d] x [n], to the n-union of the lift of S;
-    that identity is what the oracle computes.  Like UnionMatroid, an
-    instance carries mutable caches: keep it on a single thread.
+    A 0/1 matrix is equivalent to exactly the matrices with its row sums, so
+    membership depends on the row-sum vector alone: x is a member iff its row
+    sums are a sum of n independent sets of S.  The n-union of S decides that
+    on counts.  Like UnionMatroid, an instance carries mutable caches: keep it
+    on a single thread.
     """
 
     kind = "oracle_composite"
 
     def __init__(self, base: Matroid, n: int):
-        n = int(n)
-        if n < 1:
-            raise InputError(f"copy count must be >= 1, got {n}")
-        super().__init__(base.d * n)
+        self.lift = LiftMatroid(base, n)  # validates n
+        super().__init__(self.lift.d)
         self.base = base
-        self.n = n
-        self.lift = LiftMatroid(base, n)
-        self.union = UnionMatroid(self.lift, n)
+        self.n = self.lift.n
+        self.union = UnionMatroid(base, self.n)
 
     def _indep(self, elems: frozenset) -> bool:
-        return self.union._indep(elems)
+        counts = [0] * self.base.d
+        n = self.n
+        for f in elems:
+            counts[f // n] += 1
+        return self.union.decompose(counts) is not None
 
     def is_independent_matrix(self, x: Matrix01) -> bool:
         self._check_matrix(x)
@@ -302,11 +303,19 @@ class ShuffleMatroid(Matroid):
 
     def decompose_matrix(self, x: Matrix01) -> Decomposition | None:
         self._check_matrix(x)
-        parts = self.union.decompose(x.flat_indices())
+        parts = self.union.decompose(x.row_sums())
         if parts is None:
             return None
+        # Part k takes, in each row it holds, one of the 1s of that row of x.
         d, n = self.base.d, self.n
-        return Decomposition([Matrix01.from_flat(d, n, p) for p in parts])
+        ones = [[j for j, v in enumerate(row) if v] for row in x.rows]
+        out = []
+        for p in parts:
+            cells = frozenset(i * n + ones[i].pop() for i in p)
+            if not self.lift._indep(cells):
+                raise InternalError("a decomposition part is not lift-independent")
+            out.append(Matrix01.from_flat(d, n, cells))
+        return Decomposition(out)
 
     def _check_matrix(self, x: Matrix01) -> None:
         if x.d != self.base.d or x.n != self.n:
@@ -322,7 +331,7 @@ def union_is_independent(part: Matroid, n: int, s: Subset01) -> tuple[bool, tupl
     """Membership in the n-union of part, with the decomposition on success."""
     if s.d != part.d:
         raise InputError(f"subset length {s.d} != ground size {part.d}")
-    parts = UnionMatroid(part, n).decompose(s.indices())
+    parts = UnionMatroid(part, n).decompose(s.bits)
     if parts is None:
         return False, None
     return True, tuple(Subset01.from_indices(part.d, p) for p in parts)

@@ -19,3 +19,7 @@ class InfeasibleError(ValueError):
 
 class GuardError(RuntimeError):
     """A brute-force enumeration would exceed its size guard."""
+
+
+class InternalError(RuntimeError):
+    """A solver invariant failed: the result would be wrong, so none is returned."""

@@ -83,6 +83,17 @@ class Matroid:
     def _indep(self, elems: frozenset) -> bool:
         raise NotImplementedError
 
+    def circuit(self, indep, e: int) -> tuple[int, ...] | None:
+        """Members of independent indep (e not in it) on the circuit of indep + e.
+
+        Ascending; None if indep + e is independent.  This fallback asks the
+        oracle once per member; families with a direct construction override it.
+        """
+        s = frozenset(indep)
+        if self._indep(s | {e}):
+            return None
+        return tuple(x for x in sorted(s) if self._indep((s - {x}) | {e}))
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(d={self.d})"
 
@@ -123,6 +134,24 @@ class GraphicMatroid(Matroid):
             parent[ru] = rv
         return True
 
+    def circuit(self, indep, e: int) -> tuple[int, ...] | None:
+        # e closes a circuit with the forest path between its endpoints.
+        u, v = self.edges[e]
+        adj: dict[int, list] = {}
+        for f in indep:
+            a, b = self.edges[f]
+            adj.setdefault(a, []).append((b, f))
+            adj.setdefault(b, []).append((a, f))
+        path = {u: ()}  # vertex -> forest edges on the way from u
+        stack = [u]
+        while stack and v not in path:
+            a = stack.pop()
+            for b, f in adj.get(a, ()):
+                if b not in path:
+                    path[b] = path[a] + (f,)
+                    stack.append(b)
+        return tuple(sorted(path[v])) if v in path else None
+
 
 class UniformMatroid(Matroid):
     """Every set of at most r elements is independent."""
@@ -138,6 +167,9 @@ class UniformMatroid(Matroid):
 
     def _indep(self, elems: frozenset) -> bool:
         return len(elems) <= self.r
+
+    def circuit(self, indep, e: int) -> tuple[int, ...] | None:
+        return None if len(indep) < self.r else tuple(sorted(indep))
 
 
 class PartitionMatroid(Matroid):
@@ -164,6 +196,11 @@ class PartitionMatroid(Matroid):
             if used[b] > self.capacities[b]:
                 return False
         return True
+
+    def circuit(self, indep, e: int) -> tuple[int, ...] | None:
+        b = self.blocks[e]
+        same = tuple(sorted(x for x in indep if self.blocks[x] == b))
+        return same if len(same) >= self.capacities[b] else None
 
 
 class LinearGf2Matroid(Matroid):
@@ -341,29 +378,28 @@ def matroid_from_json(obj: dict) -> Matroid:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad matroid description: {exc}") from exc
 
-    if kind == "graphic":
-        edges = [(int(u), int(v)) for u, v in params["edges"]]
-        if len(edges) != d:
-            raise InputError(f"graphic matroid lists {len(edges)} edges but d={d}")
-        return GraphicMatroid(int(params["vertices"]), edges)
-    if kind == "uniform":
-        return UniformMatroid(d, int(params["r"]))
-    if kind == "partition":
-        blocks = [int(b) - 1 for b in params["blocks"]]
-        if len(blocks) != d:
-            raise InputError(f"partition matroid lists {len(blocks)} blocks but d={d}")
-        return PartitionMatroid(blocks, [int(c) for c in params["capacities"]])
-    if kind == "linear_gf2":
-        columns = [[int(b) for b in col] for col in params["columns"]]
-        if len(columns) != d:
-            raise InputError(f"linear_gf2 matroid lists {len(columns)} columns but d={d}")
-        return LinearGf2Matroid(columns)
-    if kind == "transversal":
-        adjacency = [[int(a) - 1 for a in row] for row in params["adjacency"]]
-        if len(adjacency) != d:
-            raise InputError(f"transversal matroid lists {len(adjacency)} rows but d={d}")
-        return TransversalMatroid(adjacency, int(params["agents"]))
-    raise InputError(f"unknown matroid kind {kind!r}")
+    try:
+        if kind == "graphic":
+            m = GraphicMatroid(int(params["vertices"]), [(int(u), int(v)) for u, v in params["edges"]])
+        elif kind == "uniform":
+            m = UniformMatroid(d, int(params["r"]))
+        elif kind == "partition":
+            m = PartitionMatroid([int(b) - 1 for b in params["blocks"]],
+                                 [int(c) for c in params["capacities"]])
+        elif kind == "linear_gf2":
+            m = LinearGf2Matroid([[int(b) for b in col] for col in params["columns"]])
+        elif kind == "transversal":
+            m = TransversalMatroid([[int(a) - 1 for a in row] for row in params["adjacency"]],
+                                   int(params["agents"]))
+        else:
+            raise InputError(f"unknown matroid kind {kind!r}")
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"bad {kind} matroid parameters: {exc}") from exc
+    if m.d != d:
+        raise InputError(f"{kind} matroid lists {m.d} elements but d={d}")
+    return m
 
 
 def matroid_to_json(m: Matroid) -> dict:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .constructions import Decomposition, Matrix01, ShuffleMatroid
-from .errors import InfeasibleError, InputError, OverflowGuardError
+from .errors import InfeasibleError, InputError, InternalError, OverflowGuardError
 from .matroids import Matroid, full_rank, greedy_in_order
 
 PROFIT_GUARD = 2**61
@@ -211,9 +211,13 @@ def lexmin_order(d: int, n: int) -> list[int]:
 
 def lexmin_shuffle_basis(S: Matroid, n: int) -> Matrix01:
     """The basis of the shuffle matroid picked by the column-order greedy."""
-    sm = ShuffleMatroid(S, n)
-    chosen = greedy_in_order(sm, lexmin_order(S.d, n), [1] * (S.d * n), force_basis=True)
-    return Matrix01.from_flat(S.d, n, chosen)
+    return _lexmin_greedy(ShuffleMatroid(S, n))
+
+
+def _lexmin_greedy(sm: ShuffleMatroid) -> Matrix01:
+    d, n = sm.base.d, sm.n
+    chosen = greedy_in_order(sm, lexmin_order(d, n), [1] * (d * n), force_basis=True)
+    return Matrix01.from_flat(d, n, chosen)
 
 
 def solve_lexmin(S: Matroid, n: int) -> ShiftedSolution:
@@ -227,14 +231,16 @@ def solve_lexmin(S: Matroid, n: int) -> ShiftedSolution:
     if int(n) < 1:
         raise InputError(f"copy count must be >= 1, got {n}")
     n = int(n)
+    # The greedy's instance already holds the decomposition of its basis.
     sm = ShuffleMatroid(S, n)
-    chosen = greedy_in_order(sm, lexmin_order(S.d, n), [1] * (S.d * n), force_basis=True)
-    x = Matrix01.from_flat(S.d, n, chosen)
+    x = _lexmin_greedy(sm)
     dec = sm.decompose_matrix(x)
-    assert dec is not None, "greedy produced a dependent selection"
+    if dec is None:
+        raise InternalError("greedy produced a dependent selection")
     y = _finish_fiber(S, x, dec)
     r = full_rank(S)
-    assert all(y.column(k).size() == r for k in range(n)), "basis column of wrong size"
+    if any(y.column(k).size() != r for k in range(n)):
+        raise InternalError("a lexmin column is not a basis")
     return ShiftedSolution(y, None, vulnerability_vector(y))
 
 

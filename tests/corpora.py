@@ -40,8 +40,12 @@ def family_corpus(max_d: int = 4):
     return [m for m in out if m.d <= max_d]
 
 
-def random_matroid(rng: random.Random, dmax: int = 6):
-    kind = rng.choice(["graphic", "uniform", "partition", "linear_gf2", "transversal"])
+FAMILIES = ("graphic", "uniform", "partition", "linear_gf2", "transversal")
+
+
+def random_matroid(rng: random.Random, dmax: int = 6, kind: str | None = None):
+    """A random matroid of the given family, or of a random one."""
+    kind = kind or rng.choice(list(FAMILIES))
     d = rng.randint(1, dmax)
     if kind == "graphic":
         vertices = rng.randint(2, 5)

@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from matroid_shift import cli
 from matroid_shift.cli import main
 
 TRIANGLE_GRAPH = "p 3 3\ne 1 2\ne 2 3\ne 1 3\n"
@@ -83,6 +85,15 @@ def test_lexmin_trees_parse_error(files, capsys):
     assert report is None
 
 
+@pytest.mark.parametrize("text", ["p 2 1\ne 1 5\n", "p 2 1\ne 0 1\n"])
+def test_lexmin_trees_endpoint_out_of_range(files, capsys, text):
+    graph = files("bad.graph", text)
+    code, report, err = run_main(capsys, ["lexmin-trees", graph, "--n", "2"])
+    assert code == 3
+    assert report is None
+    assert "outside" in err
+
+
 def test_shifted_triangle(files, capsys):
     matroid = files("tri.json", TRIANGLE_MATROID)
     profits = files("c.json", {"d": 3, "n": 2, "rows": [[3, 0], [3, 0], [0, 0]]})
@@ -121,6 +132,51 @@ def test_shifted_overflow(files, capsys):
     code, _, err = run_main(capsys, ["shifted", matroid, profits])
     assert code == 5
     assert "overflow" in err
+
+
+@pytest.mark.parametrize("matroid, profit_rows", [
+    ({"kind": "graphic", "d": 3, "params": {"vertices": 3}}, [[1, 1]] * 3),
+    (TRIANGLE_MATROID, [[1, 1], 1, [1, 1]]),
+    ({"kind": "graphic", "d": 3, "params": {"vertices": 3, "edges": [[1, 2], None, [1, 3]]}},
+     [[1, 1]] * 3),
+    ({"kind": "uniform", "d": 3, "params": {"r": "x"}}, [[1, 1]] * 3),
+])
+def test_shifted_malformed_input_exits_3(files, capsys, matroid, profit_rows):
+    matroid = files("m.json", matroid)
+    profits = files("c.json", {"d": 3, "n": 2, "rows": profit_rows})
+    code, report, err = run_main(capsys, ["shifted", matroid, profits])
+    assert code == 3
+    assert report is None
+    assert "input error" in err
+
+
+def test_fiber_malformed_matrix_exits_3(files, capsys):
+    matroid = files("u21.json", U21)
+    matrix = files("x.json", {"d": 2, "n": 2, "rows": [[1, 0], None]})
+    code, _, err = run_main(capsys, ["fiber", matroid, matrix])
+    assert code == 3
+    assert "input error" in err
+
+
+@pytest.mark.parametrize("argv, brute", [
+    (["lexmin-trees", "@graph", "--n", "2", "--verify"], "brute_lexmin"),
+    (["shifted", "@matroid", "@profits", "--verify"], "brute_shifted"),
+])
+def test_wall_time_excludes_verification(files, capsys, monkeypatch, argv, brute):
+    paths = {"@graph": files("tri.graph", TRIANGLE_GRAPH),
+             "@matroid": files("tri.json", TRIANGLE_MATROID),
+             "@profits": files("c.json", {"d": 3, "n": 2, "rows": [[3, 0], [3, 0], [0, 0]]})}
+    original = getattr(cli, brute)
+
+    def slow_brute(*args):
+        time.sleep(0.5)
+        return original(*args)
+
+    monkeypatch.setattr(cli, brute, slow_brute)
+    code, report, _ = run_main(capsys, [paths.get(a, a) for a in argv])
+    assert code == 0
+    assert report["verification"] == "ok"
+    assert report["wall_time_ms"] < 500
 
 
 def test_intersect_value_two_matroids(files, capsys):

@@ -81,6 +81,12 @@ def assert_valid_parts(m, n, s, parts):
     assert tuple(combined) == s.bits, "parts do not sum to the set"
 
 
+def test_union_cold_query_above_recursion_limit():
+    # A cold decomposition of 1100 elements once recursed once per element.
+    ok, parts = union_is_independent(UniformMatroid(1100, 1100), 1, Subset01.full(1100))
+    assert ok and parts == (Subset01.full(1100),)
+
+
 def test_union_decomposition_invariants():
     rng = random.Random(8)
     for _ in range(40):

@@ -1,0 +1,55 @@
+"""Property tests over random matroids of every family, run by hypothesis."""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from matroid_shift import (
+    LiftMatroid,
+    Matrix01,
+    Matroid,
+    ShuffleMatroid,
+    brute_shuffle_membership,
+    enumerate_members,
+)
+from corpora import FAMILIES, random_matroid
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_shuffle_membership_and_decomposition(kind, seed, data):
+    m = random_matroid(random.Random(seed), dmax=5, kind=kind)
+    n = data.draw(st.integers(1, 3), label="n")
+    members = enumerate_members(m)
+    lift = LiftMatroid(m, n)
+    sm = ShuffleMatroid(m, n)  # shared by the queries, so they reuse its memo
+    cell_sets = st.sets(st.integers(0, m.d * n - 1))
+    for cells in data.draw(st.lists(cell_sets, min_size=1, max_size=6), label="queries"):
+        x = Matrix01.from_flat(m.d, n, cells)  # any cells, not only row prefixes
+        dec = sm.decompose_matrix(x)
+        assert (dec is not None) == brute_shuffle_membership(members, n, x)
+        assert sm.is_independent_matrix(x) == (dec is not None)
+        if dec is not None:
+            assert all(lift.is_independent_matrix(p) for p in dec.parts)
+            assert dec.total() == x
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_circuit_matches_oracle_fallback(kind, seed, data):
+    m = random_matroid(random.Random(seed), dmax=6, kind=kind)
+    order = data.draw(st.permutations(range(m.d)), label="order")
+    indep: frozenset = frozenset()
+    for e in order[:data.draw(st.integers(0, m.d), label="tries")]:
+        if m._indep(indep | {e}):
+            indep |= {e}
+    outside = [e for e in range(m.d) if e not in indep]
+    if not outside:
+        return
+    e = data.draw(st.sampled_from(outside), label="e")
+    assert m.circuit(indep, e) == Matroid.circuit(m, indep, e)

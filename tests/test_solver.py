@@ -157,6 +157,12 @@ def test_fiber_contract_random():
         assert all(m.is_independent(col) for col in y.columns())
 
 
+def test_fiber_cold_query_above_recursion_limit():
+    # A cold decomposition of 1100 cells once recursed once per cell.
+    x = Matrix01([[1]] * 1100)
+    assert solve_fiber(UniformMatroid(1100, 1100), 1, x) == x
+
+
 # --- shifted solver -----------------------------------------------------------
 
 def test_solve_shifted_triangle_example():
