@@ -74,6 +74,7 @@ from .solver import (
     solve_shifted,
     solve_shifted_small,
     solve_shuffling,
+    validate,
     vulnerability_vector,
 )
 

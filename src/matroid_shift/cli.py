@@ -6,7 +6,7 @@ only the JSON report; human-readable messages go to stderr.  Exit codes:
     0  success
     2  graph not connected (lexmin-trees)
     3  parse error or dimension mismatch
-    4  verification or recheck mismatch
+    4  verification, recheck or self-check mismatch
     5  overflow guard violation
     6  matroid kind outside the strongly-base-orderable families
     7  fiber input not in the shuffle set
@@ -27,25 +27,18 @@ from .errors import (
     GuardError,
     InfeasibleError,
     InputError,
+    InternalError,
     OverflowGuardError,
 )
 from .intersection import (
     BipartiteGraph,
     IntersectionInstance,
-    _shifted_intersection_witness,
     degree_matroids,
-    fiber_bipartite_matching,
+    shifted_value_intersection,
+    solve_shifted_bipartite_matching,
 )
-from .matroids import GraphicMatroid, Matroid, full_rank, matroid_from_json, matroid_to_json
-from .solver import (
-    ProfitMatrix,
-    equivalent,
-    shift,
-    solve_fiber,
-    solve_lexmin,
-    solve_shifted,
-    vulnerability_vector,
-)
+from .matroids import GraphicMatroid, full_rank, matroid_from_json, matroid_to_json
+from .solver import ProfitMatrix, ShiftedSolution, solve_fiber, solve_lexmin, solve_shifted, validate
 
 EXIT_OK = 0
 EXIT_DISCONNECTED = 2
@@ -152,48 +145,48 @@ def graph_is_connected(vertices: int, edges) -> bool:
     return len({find(v) for v in range(1, vertices + 1)}) == 1
 
 
-def _report(command: str, digest: str, wall_ms: float, verification: str, **fields) -> dict:
-    rep = {"schema": 1, "command": command, "input_digest": digest}
-    rep.update(fields)
-    rep["verification"] = verification
-    rep["wall_time_ms"] = round(wall_ms, 3)
-    return rep
+def _solution_fields(sol: ShiftedSolution) -> dict:
+    fields = {"n": sol.y.n, "value": sol.value, "vulnerability": list(sol.vuln),
+              "columns": _columns_1based(sol.y)}
+    if sol.value is None:  # lexmin: its profits are implicit
+        del fields["value"]
+    return fields
 
 
-def _recheck_lexmin(report: dict, m: Matroid, n: int) -> bool:
-    rep = json.loads(json.dumps(report))
-    y = _matrix_from_columns(m.d, n, rep["columns"])
-    r = full_rank(m)
-    cols_ok = all(
-        m.is_independent(y.column(k)) and y.column(k).size() == r for k in range(n)
-    )
-    return cols_ok and list(vulnerability_vector(y)) == rep["vulnerability"]
+def _run(args, command: str, inputs: dict, solve, fields, brute=None,
+         matroids=(), bases: bool = False, c: ProfitMatrix | None = None,
+         x: Matrix01 | None = None) -> tuple[dict, int]:
+    """Time solve(), report fields(solution), then run --verify and --recheck.
 
-
-def _recheck_shifted(report: dict, m: Matroid, c: ProfitMatrix, bases: bool) -> bool:
-    rep = json.loads(json.dumps(report))
-    y = _matrix_from_columns(m.d, c.n, rep["columns"])
-    cols_ok = all(m.is_independent(col) for col in y.columns())
-    if bases:
-        r = full_rank(m)
-        cols_ok = cols_ok and all(col.size() == r for col in y.columns())
-    return (cols_ok and c.shifted().dot(shift(y)) == rep["value"]
-            and list(vulnerability_vector(y)) == rep["vulnerability"])
-
-
-def _recheck_matching(report: dict, g: BipartiteGraph, c: ProfitMatrix) -> bool:
-    rep = json.loads(json.dumps(report))
-    m1, m2 = degree_matroids(g)
-    y = _matrix_from_columns(g.d, c.n, rep["columns"])
-    cols_ok = all(m1.is_independent(col) and m2.is_independent(col) for col in y.columns())
-    return cols_ok and c.shifted().dot(shift(y)) == rep["value"]
-
-
-def _recheck_fiber(report: dict, m: Matroid, x: Matrix01) -> bool:
-    rep = json.loads(json.dumps(report))
-    y = _matrix_from_columns(m.d, x.n, rep["columns"])
-    cols_ok = all(m.is_independent(col) for col in y.columns())
-    return cols_ok and equivalent(x, y)
+    brute() returns the report fields the brute-force optimum must match.
+    --recheck re-reads the report's columns from its JSON text and passes
+    them to validate: independent in every matroid (bases when bases is
+    set), the reported value under c shifted, the reported vulnerability,
+    and equivalence to x.
+    """
+    digest = _digest({"command": command, **inputs})
+    t0 = time.perf_counter()
+    sol = solve()
+    wall = (time.perf_counter() - t0) * 1000.0
+    report = {"schema": 1, "command": command, "input_digest": digest, **fields(sol),
+              "verification": "skipped"}
+    if brute is not None and args.verify:
+        try:
+            ok = all(report[k] == v for k, v in brute().items())
+            report["verification"] = "ok" if ok else "mismatch"
+        except GuardError as exc:
+            print(f"verification skipped: {exc}", file=sys.stderr)
+    report["wall_time_ms"] = round(wall, 3)
+    if report["verification"] == "mismatch":
+        print("verification mismatch against brute-force oracle", file=sys.stderr)
+        return report, EXIT_VERIFY
+    if args.recheck and matroids:
+        rep = json.loads(json.dumps(report))
+        y = _matrix_from_columns(matroids[0].d, rep["n"], rep["columns"])
+        validate(y, matroids, rank=full_rank(matroids[0]) if bases else None,
+                 cbar=c.shifted() if c else None, value=rep.get("value"),
+                 vuln=rep.get("vulnerability"), x=x)
+    return report, EXIT_OK
 
 
 def cmd_lexmin_trees(args) -> tuple[dict, int]:
@@ -204,115 +197,52 @@ def cmd_lexmin_trees(args) -> tuple[dict, int]:
     if args.n < 1:
         raise InputError(f"--n must be >= 1, got {args.n}")
     m = GraphicMatroid(vertices, edges)
-    digest = _digest({"command": "lexmin-trees", "vertices": vertices,
-                      "edges": edges, "n": args.n})
+    return _run(args, "lexmin-trees", {"vertices": vertices, "edges": edges, "n": args.n},
+                lambda: solve_lexmin(m, args.n), _solution_fields,
+                brute=lambda: {"vulnerability": list(
+                    brute_lexmin(enumerate_members(m, bases_only=True), args.n)[0])},
+                matroids=[m], bases=True)
 
-    t0 = time.perf_counter()
-    sol = solve_lexmin(m, args.n)
-    wall = (time.perf_counter() - t0) * 1000.0
-    verification = "skipped"
-    if args.verify:
-        try:
-            expect, _ = brute_lexmin(enumerate_members(m, bases_only=True), args.n)
-            verification = "ok" if expect == sol.vuln else "mismatch"
-        except GuardError as exc:
-            print(f"verification skipped: {exc}", file=sys.stderr)
 
-    report = _report("lexmin-trees", digest, wall, verification,
-                     n=args.n,
-                     vulnerability=list(sol.vuln),
-                     columns=_columns_1based(sol.y))
-    code = EXIT_OK
-    if verification == "mismatch":
-        print("verification mismatch against brute-force oracle", file=sys.stderr)
-        code = EXIT_VERIFY
-    if code == EXIT_OK and args.recheck and not _recheck_lexmin(report, m, args.n):
-        print("recheck failed: emitted solution does not re-validate", file=sys.stderr)
-        code = EXIT_VERIFY
-    return report, code
+def _profits(args) -> ProfitMatrix:
+    c = _load_table(args.profits, "profits", ProfitMatrix)
+    if args.n is not None and args.n != c.n:
+        raise InputError(f"--n {args.n} conflicts with profits file n={c.n}")
+    return c
 
 
 def cmd_shifted(args) -> tuple[dict, int]:
     m = matroid_from_json(_load_json_file(args.matroid))
-    c = _load_table(args.profits, "profits", ProfitMatrix)
-    if args.n is not None and args.n != c.n:
-        raise InputError(f"--n {args.n} conflicts with profits file n={c.n}")
-    n = c.n
-    digest = _digest({"command": "shifted", "matroid": matroid_to_json(m),
-                      "profits": [list(r) for r in c.rows], "n": n,
-                      "bases": bool(args.bases)})
-
-    t0 = time.perf_counter()
-    sol = solve_shifted(m, n, c, bases=args.bases)
-    wall = (time.perf_counter() - t0) * 1000.0
-    verification = "skipped"
-    if args.verify:
-        try:
-            expect, _ = brute_shifted(enumerate_members(m, bases_only=args.bases), n, c)
-            verification = "ok" if expect == sol.value else "mismatch"
-        except GuardError as exc:
-            print(f"verification skipped: {exc}", file=sys.stderr)
-
-    report = _report("shifted", digest, wall, verification,
-                     n=n,
-                     value=sol.value,
-                     vulnerability=list(sol.vuln),
-                     columns=_columns_1based(sol.y))
-    code = EXIT_OK
-    if verification == "mismatch":
-        print("verification mismatch against brute-force oracle", file=sys.stderr)
-        code = EXIT_VERIFY
-    if code == EXIT_OK and args.recheck and not _recheck_shifted(report, m, c, args.bases):
-        print("recheck failed: emitted solution does not re-validate", file=sys.stderr)
-        code = EXIT_VERIFY
-    return report, code
+    c = _profits(args)
+    inputs = {"matroid": matroid_to_json(m), "profits": [list(r) for r in c.rows], "n": c.n,
+              "bases": bool(args.bases)}
+    return _run(args, "shifted", inputs,
+                lambda: solve_shifted(m, c.n, c, bases=args.bases), _solution_fields,
+                brute=lambda: {"value": brute_shifted(
+                    enumerate_members(m, bases_only=args.bases), c.n, c)[0]},
+                matroids=[m], bases=args.bases, c=c)
 
 
 def cmd_intersect_value(args) -> tuple[dict, int]:
-    c = _load_table(args.profits, "profits", ProfitMatrix)
-    if args.n is not None and args.n != c.n:
-        raise InputError(f"--n {args.n} conflicts with profits file n={c.n}")
-    n = c.n
-
+    c = _profits(args)
+    inputs = {"profits": [list(r) for r in c.rows], "n": c.n}
     if args.bipartite:
         if args.matroids:
             raise InputError("--bipartite replaces the two matroid files")
         g = BipartiteGraph.from_json(_load_json_file(args.bipartite))
-        m1, m2 = degree_matroids(g)
-        digest = _digest({"command": "intersect-value",
-                          "bipartite": {"left": g.left, "right": g.right,
-                                        "edges": [list(e) for e in g.edges]},
-                          "profits": [list(r) for r in c.rows], "n": n})
-        t0 = time.perf_counter()
-        inst = IntersectionInstance(m1, m2, n, c)
-        value, x = _shifted_intersection_witness(inst)
-        y = fiber_bipartite_matching(g, n, x)
-        wall = (time.perf_counter() - t0) * 1000.0
-        report = _report("intersect-value", digest, wall, "skipped",
-                         n=n,
-                         value=value,
-                         vulnerability=list(vulnerability_vector(y)),
-                         columns=_columns_1based(y))
-        code = EXIT_OK
-        if args.recheck and not _recheck_matching(report, g, c):
-            print("recheck failed: emitted solution does not re-validate", file=sys.stderr)
-            code = EXIT_VERIFY
-        return report, code
+        inputs["bipartite"] = {"left": g.left, "right": g.right,
+                               "edges": [list(e) for e in g.edges]}
+        return _run(args, "intersect-value", inputs,
+                    lambda: solve_shifted_bipartite_matching(g, c.n, c), _solution_fields,
+                    matroids=degree_matroids(g), c=c)
 
     if len(args.matroids) != 2:
         raise InputError("intersect-value needs two matroid files (or --bipartite)")
-    m1 = matroid_from_json(_load_json_file(args.matroids[0]))
-    m2 = matroid_from_json(_load_json_file(args.matroids[1]))
-    digest = _digest({"command": "intersect-value",
-                      "m1": matroid_to_json(m1), "m2": matroid_to_json(m2),
-                      "profits": [list(r) for r in c.rows], "n": n})
-    t0 = time.perf_counter()
-    inst = IntersectionInstance(m1, m2, n, c)
-    value, _ = _shifted_intersection_witness(inst)
-    wall = (time.perf_counter() - t0) * 1000.0
-    report = _report("intersect-value", digest, wall, "skipped",
-                     n=n, value=value)
-    return report, EXIT_OK
+    m1, m2 = (matroid_from_json(_load_json_file(f)) for f in args.matroids)
+    inputs.update(m1=matroid_to_json(m1), m2=matroid_to_json(m2))
+    return _run(args, "intersect-value", inputs,
+                lambda: shifted_value_intersection(IntersectionInstance(m1, m2, c.n, c)),
+                lambda value: {"n": c.n, "value": value})
 
 
 def cmd_fiber(args) -> tuple[dict, int]:
@@ -320,24 +250,14 @@ def cmd_fiber(args) -> tuple[dict, int]:
     x = _load_table(args.matrix, "matrix", Matrix01)
     if args.n is not None and args.n != x.n:
         raise InputError(f"--n {args.n} conflicts with matrix file n={x.n}")
-    n = x.n
-    digest = _digest({"command": "fiber", "matroid": matroid_to_json(m),
-                      "matrix": [list(r) for r in x.rows], "n": n})
-
-    t0 = time.perf_counter()
-    y = solve_fiber(m, n, x)
-    wall = (time.perf_counter() - t0) * 1000.0
-    print(f"row sums: input {list(x.row_sums())} | output {list(y.row_sums())}",
+    inputs = {"matroid": matroid_to_json(m), "matrix": [list(r) for r in x.rows], "n": x.n}
+    report, code = _run(args, "fiber", inputs, lambda: solve_fiber(m, x.n, x),
+                        lambda y: {"n": x.n, "columns": _columns_1based(y),
+                                   "row_sums_input": list(x.row_sums()),
+                                   "row_sums_output": list(y.row_sums())},
+                        matroids=[m], x=x)
+    print(f"row sums: input {report['row_sums_input']} | output {report['row_sums_output']}",
           file=sys.stderr)
-    report = _report("fiber", digest, wall, "skipped",
-                     n=n,
-                     columns=_columns_1based(y),
-                     row_sums_input=list(x.row_sums()),
-                     row_sums_output=list(y.row_sums()))
-    code = EXIT_OK
-    if args.recheck and not _recheck_fiber(report, m, x):
-        print("recheck failed: emitted solution does not re-validate", file=sys.stderr)
-        code = EXIT_VERIFY
     return report, code
 
 
@@ -354,8 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="cross-check against the brute-force oracle")
         p.add_argument("--recheck", action="store_true",
                        help="re-parse the emitted report and re-validate it")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized corpora (reserved; solvers are deterministic)")
 
     p = sub.add_parser("lexmin-trees", help="n lexicographically minimal spanning trees")
     p.add_argument("graph", help="graph file: 'p V E' header then 'e u v' lines")
@@ -402,6 +320,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_KIND, str(exc))
     except InfeasibleError as exc:
         return _fail(EXIT_FIBER, f"not in shuffle set: {exc}")
+    except InternalError as exc:
+        return _fail(EXIT_VERIFY, f"self-check failed: {exc}")
     except InputError as exc:
         return _fail(EXIT_PARSE, f"input error: {exc}")
     except GuardError as exc:

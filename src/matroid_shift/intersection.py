@@ -14,9 +14,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from .constructions import Matrix01, ShuffleMatroid
-from .errors import DisallowedKindError, InfeasibleError, InputError
+from .errors import DisallowedKindError, InfeasibleError, InputError, InternalError
 from .matroids import Matroid, PartitionMatroid, Subset01, check_weight_guard
-from .solver import ProfitMatrix, ShiftedSolution, _flat_weights, _solution_from, equivalent
+from .solver import ProfitMatrix, ShiftedSolution, _flat_weights, validate, vulnerability_vector
 
 SBO_KINDS = ("uniform", "partition", "transversal")
 
@@ -105,7 +105,8 @@ def weighted_matroid_intersection_max(m1: Matroid, m2: Matroid, w: Sequence[int]
         if path is None:
             break
         cur = cur.symmetric_difference(path)
-        assert m1._indep(cur) and m2._indep(cur), "augmentation left the intersection"
+        if not (m1._indep(cur) and m2._indep(cur)):
+            raise InternalError("augmentation left the intersection")
         weight = sum(w[e] for e in cur)
         if weight > best_weight:
             best_weight, best_set = weight, cur
@@ -232,6 +233,8 @@ def fiber_bipartite_matching(g: BipartiteGraph, n: int, x: Matrix01) -> Matrix01
         a, b = fu[0], fv[0]
         # Swap colors a/b along the alternating path starting at v; bipartite
         # parity keeps the path away from u, freeing a at both endpoints.
+        # Consecutive path edges share a vertex, so every old entry is
+        # removed before any new one is written.
         path = []
         node, col = v, a
         while col in colored.get(node, {}):
@@ -241,22 +244,17 @@ def fiber_bipartite_matching(g: BipartiteGraph, n: int, x: Matrix01) -> Matrix01
             node = n2 if node == n1 else n1
             col = b if col == a else a
         for q in path:
-            old = color_of[q]
-            new = b if old == a else a
-            color_of[q] = new
             for nd in endpoints[q]:
-                del colored[nd][old]
-                colored[nd][new] = q
-        assert a in free_colors(u) and a in free_colors(v), "path swap failed to free a color"
+                del colored[nd][color_of[q]]
+        for q in path:
+            assign(q, b if color_of[q] == a else a)
         assign(pos, a)
 
     rows = [[0] * n for _ in range(g.d)]
     for pos, e in enumerate(copies):
-        k = color_of[pos]
-        assert rows[e][k] == 0, "parallel copies share a color"
-        rows[e][k] = 1
+        rows[e][color_of[pos]] = 1
     y = Matrix01(rows)
-    assert equivalent(x, y), "coloring changed the row sums"
+    validate(y, degree_matroids(g), x=x)
     return y
 
 
@@ -269,8 +267,5 @@ def solve_shifted_bipartite_matching(g: BipartiteGraph, n: int, c: ProfitMatrix)
     inst = IntersectionInstance(*degree_matroids(g), n, c)
     value, x = _shifted_intersection_witness(inst)
     y = fiber_bipartite_matching(g, n, x)
-    sol = _solution_from(inst.c.shifted(), y)
-    assert sol.value == value, "fiber changed the objective value"
-    assert all(inst.m1.is_independent(col) and inst.m2.is_independent(col) for col in y.columns()), \
-        "a recovered column is not a matching"
-    return sol
+    validate(y, (), cbar=c.shifted(), value=value)
+    return ShiftedSolution(y, value, vulnerability_vector(y))

@@ -323,7 +323,7 @@ def full_rank(m: Matroid) -> int:
 def check_weight_guard(values: Iterable[int]) -> None:
     total = 0
     for v in values:
-        if not isinstance(v, int):
+        if not isinstance(v, int) or isinstance(v, bool):
             raise InputError(f"weights must be integers, got {v!r}")
         total += abs(v)
     if total > WEIGHT_GUARD:

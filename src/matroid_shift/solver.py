@@ -19,9 +19,7 @@ from typing import Iterable, Sequence
 
 from .constructions import Decomposition, Matrix01, ShuffleMatroid
 from .errors import InfeasibleError, InputError, InternalError, OverflowGuardError
-from .matroids import Matroid, full_rank, greedy_in_order
-
-PROFIT_GUARD = 2**61
+from .matroids import WEIGHT_GUARD, Matroid, check_weight_guard, full_rank, greedy_in_order
 
 
 class ProfitMatrix:
@@ -33,17 +31,9 @@ class ProfitMatrix:
         rows = tuple(tuple(r) for r in rows)
         if not rows or not rows[0]:
             raise InputError("profit matrix needs at least one row and one column")
-        n = len(rows[0])
-        total = 0
-        for r in rows:
-            if len(r) != n:
-                raise InputError("profit rows have unequal lengths")
-            for x in r:
-                if not isinstance(x, int) or isinstance(x, bool):
-                    raise InputError(f"profit entries must be integers, got {x!r}")
-                total += abs(x)
-        if total > PROFIT_GUARD:
-            raise OverflowGuardError(f"summed |profits| {total} exceeds guard {PROFIT_GUARD}")
+        if any(len(r) != len(rows[0]) for r in rows):
+            raise InputError("profit rows have unequal lengths")
+        check_weight_guard(x for r in rows for x in r)
         self.rows = rows
 
     @property
@@ -106,6 +96,30 @@ def vulnerability_vector(x: Matrix01) -> tuple[int, ...]:
     return tuple(sum(1 for s in sums if s >= k) for k in range(1, x.n + 1))
 
 
+def validate(y: Matrix01, matroids: Sequence[Matroid], *, rank: int | None = None,
+             cbar: ProfitMatrix | None = None, value: int | None = None,
+             vuln: Sequence[int] | None = None, x: Matrix01 | None = None) -> None:
+    """Raise InternalError unless y is the solution it claims to be.
+
+    Every column must be independent in every matroid, and of size rank when
+    rank is given (a basis).  When given, value must equal cbar . shift(y),
+    vuln the vulnerability vector of y, and x must be equivalent to y.
+    """
+    for j, col in enumerate(y.columns(), start=1):
+        for m in matroids:
+            if not m.is_independent(col):
+                raise InternalError(f"column {j} is not independent in the {m.kind} matroid")
+        if rank is not None and col.size() != rank:
+            raise InternalError(f"column {j} has {col.size()} elements, a basis has {rank}")
+    if value is not None and cbar.dot(shift(y)) != value:
+        raise InternalError(f"the columns are worth {cbar.dot(shift(y))}, not {value}")
+    if vuln is not None and vulnerability_vector(y) != tuple(vuln):
+        raise InternalError(f"the vulnerability vector is {list(vulnerability_vector(y))}, "
+                            f"not {list(vuln)}")
+    if x is not None and not equivalent(x, y):
+        raise InternalError("the columns are not equivalent to the selected matrix")
+
+
 def lex_less(f: Sequence[int], g: Sequence[int]) -> bool:
     """True iff f is strictly better: at the highest differing index, f is smaller.
 
@@ -143,9 +157,12 @@ def _columns_from_parts(dec: Decomposition) -> Matrix01:
     return Matrix01(rows)
 
 
-def _solution_from(cbar: ProfitMatrix, y: Matrix01) -> ShiftedSolution:
-    # value is recomputed from y alone as a self-check against solver bugs.
-    return ShiftedSolution(y, cbar.dot(shift(y)), vulnerability_vector(y))
+def _witness(sm: ShuffleMatroid, x: Matrix01) -> Matrix01:
+    # The greedy's instance already holds the decomposition of its selection.
+    dec = sm.decompose_matrix(x)
+    if dec is None:
+        raise InternalError("greedy produced a dependent selection")
+    return _columns_from_parts(dec)
 
 
 def solve_shuffling(S: Matroid, n: int, cbar: ProfitMatrix, bases: bool = False) -> Matrix01:
@@ -172,13 +189,8 @@ def solve_fiber(S: Matroid, n: int, x: Matrix01) -> Matrix01:
     dec = ShuffleMatroid(S, n).decompose_matrix(x)
     if dec is None:
         raise InfeasibleError("matrix is not in the shuffle set")
-    return _finish_fiber(S, x, dec)
-
-
-def _finish_fiber(S: Matroid, x: Matrix01, dec: Decomposition) -> Matrix01:
     y = _columns_from_parts(dec)
-    assert equivalent(x, y), "fiber output not equivalent to input"
-    assert all(S.is_independent(y.column(k)) for k in range(y.n)), "fiber column not independent"
+    validate(y, [S], x=x)
     return y
 
 
@@ -193,15 +205,10 @@ def solve_shifted(S: Matroid, n: int, c: ProfitMatrix, bases: bool = False) -> S
     cbar = c.shifted()
     sm = ShuffleMatroid(S, n)
     x = _greedy_shuffle(sm, cbar, bases)
-    dec = sm.decompose_matrix(x)
-    assert dec is not None, "greedy produced a dependent selection"
-    y = _finish_fiber(S, x, dec)
-    sol = _solution_from(cbar, y)
-    assert sol.value == cbar.dot(x), "objective mismatch between selection and witness"
-    if bases:
-        r = full_rank(S)
-        assert all(y.column(k).size() == r for k in range(n)), "basis column of wrong size"
-    return sol
+    y = _witness(sm, x)
+    value = cbar.dot(x)
+    validate(y, [S], rank=full_rank(S) if bases else None, cbar=cbar, value=value, x=x)
+    return ShiftedSolution(y, value, vulnerability_vector(y))
 
 
 def lexmin_order(d: int, n: int) -> list[int]:
@@ -231,16 +238,10 @@ def solve_lexmin(S: Matroid, n: int) -> ShiftedSolution:
     if int(n) < 1:
         raise InputError(f"copy count must be >= 1, got {n}")
     n = int(n)
-    # The greedy's instance already holds the decomposition of its basis.
     sm = ShuffleMatroid(S, n)
     x = _lexmin_greedy(sm)
-    dec = sm.decompose_matrix(x)
-    if dec is None:
-        raise InternalError("greedy produced a dependent selection")
-    y = _finish_fiber(S, x, dec)
-    r = full_rank(S)
-    if any(y.column(k).size() != r for k in range(n)):
-        raise InternalError("a lexmin column is not a basis")
+    y = _witness(sm, x)
+    validate(y, [S], rank=full_rank(S), x=x)
     return ShiftedSolution(y, None, vulnerability_vector(y))
 
 
@@ -265,7 +266,7 @@ def solve_shifted_small(vectors: Sequence[Sequence[int]], n: int, c: ProfitMatri
         raise InputError(f"profit matrix has {c.n} columns, expected {n}")
     biggest = max((abs(v) for z in members for v in z), default=0)
     total_abs = sum(abs(x) for r in c.rows for x in r)
-    if total_abs * max(1, biggest) > PROFIT_GUARD:
+    if total_abs * max(1, biggest) > WEIGHT_GUARD:
         raise OverflowGuardError("profits times vector magnitudes exceed the exact guard")
 
     cbar = c.shifted()

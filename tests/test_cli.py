@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from matroid_shift import cli
+from matroid_shift import Matrix01, cli, solver
 from matroid_shift.cli import main
 
 TRIANGLE_GRAPH = "p 3 3\ne 1 2\ne 2 3\ne 1 3\n"
@@ -227,6 +227,50 @@ def test_fiber_infeasible(files, capsys):
     assert "not in shuffle set" in err
 
 
+CHECKED_ARGV = {
+    "lexmin-trees": (["lexmin-trees", "@graph", "--n", "2"], {"@graph": TRIANGLE_GRAPH}),
+    "shifted": (["shifted", "@matroid", "@profits", "--bases"],
+                {"@matroid": TRIANGLE_MATROID,
+                 "@profits": {"d": 3, "n": 2, "rows": [[3, 0], [3, 0], [0, 0]]}}),
+    "bipartite": (["intersect-value", "--bipartite", "@graph", "@profits"],
+                  {"@graph": K22_GRAPH, "@profits": {"d": 4, "n": 2, "rows": [[1, 1]] * 4}}),
+    "fiber": (["fiber", "@matroid", "@matrix"],
+              {"@matroid": U21, "@matrix": {"d": 2, "n": 2, "rows": [[1, 0], [1, 0]]}}),
+}
+
+
+def checked_argv(files, command):
+    argv, inputs = CHECKED_ARGV[command]
+    paths = {a: files(a[1:] + ".in", content) for a, content in inputs.items()}
+    return [paths.get(a, a) for a in argv]
+
+
+@pytest.mark.parametrize("command", ["lexmin-trees", "shifted", "fiber"])
+def test_corrupt_witness_exits_4(files, capsys, monkeypatch, command):
+    original = solver._columns_from_parts
+
+    def corrupt(dec):
+        y = original(dec)
+        return Matrix01([[1 - v for v in y.rows[0]], *y.rows[1:]])
+
+    monkeypatch.setattr(solver, "_columns_from_parts", corrupt)
+    code, report, err = run_main(capsys, checked_argv(files, command))
+    assert code == 4
+    assert report is None
+    assert "self-check failed" in err
+
+
+@pytest.mark.parametrize("command", sorted(CHECKED_ARGV))
+def test_recheck_catches_a_corrupt_report(files, capsys, monkeypatch, command):
+    original = cli._columns_1based
+    monkeypatch.setattr(cli, "_columns_1based",
+                        lambda y: [list(range(1, y.d + 1))] + original(y)[1:])
+    code, report, err = run_main(capsys, checked_argv(files, command) + ["--recheck"])
+    assert code == 4
+    assert report is None
+    assert "self-check failed" in err
+
+
 def test_stdout_is_pure_json(files, capsys):
     graph = files("tri.graph", TRIANGLE_GRAPH)
     code = main(["lexmin-trees", graph, "--n", "2", "--verify"])
@@ -238,7 +282,7 @@ def test_stdout_is_pure_json(files, capsys):
 def test_reports_are_deterministic(files, capsys):
     graph = files("tri.graph", TRIANGLE_GRAPH)
     _, rep1, _ = run_main(capsys, ["lexmin-trees", graph, "--n", "2"])
-    _, rep2, _ = run_main(capsys, ["lexmin-trees", graph, "--n", "2", "--seed", "7"])
+    _, rep2, _ = run_main(capsys, ["lexmin-trees", graph, "--n", "2"])
     for rep in (rep1, rep2):
         rep.pop("wall_time_ms")
     assert rep1 == rep2

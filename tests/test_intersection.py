@@ -193,6 +193,30 @@ def test_fiber_bipartite_random():
                    for col in y.columns())
 
 
+def test_fiber_bipartite_random_multigraphs():
+    """Seeded 8x8 multigraphs, 32 edges, n = 3, max degree <= n: consecutive
+    edges of a colour-swap path share a vertex, which an edge-by-edge swap of
+    the colour table got wrong (KeyError or columns that are not matchings)."""
+    rng = random.Random(0)
+    n = 3
+    for _ in range(300):
+        g = BipartiteGraph(8, 8, [(rng.randint(1, 8), rng.randint(1, 8)) for _ in range(32)])
+        degree = {}
+        rows = []
+        for l, r in g.edges:
+            mult = rng.randint(0, n - max(degree.get(l, 0), degree.get(-r, 0)))
+            degree[l] = degree.get(l, 0) + mult
+            degree[-r] = degree.get(-r, 0) + mult
+            row = [1] * mult + [0] * (n - mult)
+            rng.shuffle(row)
+            rows.append(row)
+        x = Matrix01(rows)
+        y = fiber_bipartite_matching(g, n, x)
+        m1, m2 = degree_matroids(g)
+        assert equivalent(x, y)
+        assert all(m1.is_independent(col) and m2.is_independent(col) for col in y.columns())
+
+
 def test_solve_shifted_bipartite_examples():
     # value 2 is forced; the witness may be {e1},{e2} or an equal-value tie
     sol = solve_shifted_bipartite_matching(PATH_ABC, 2, ProfitMatrix([[1, 1], [1, 1]]))
