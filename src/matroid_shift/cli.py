@@ -180,7 +180,7 @@ def _run(args, command: str, inputs: dict, solve, fields, brute=None,
     if report["verification"] == "mismatch":
         print("verification mismatch against brute-force oracle", file=sys.stderr)
         return report, EXIT_VERIFY
-    if args.recheck and matroids:
+    if args.recheck:
         rep = json.loads(json.dumps(report))
         y = _matrix_from_columns(matroids[0].d, rep["n"], rep["columns"])
         validate(y, matroids, rank=full_rank(matroids[0]) if bases else None,
@@ -238,6 +238,8 @@ def cmd_intersect_value(args) -> tuple[dict, int]:
 
     if len(args.matroids) != 2:
         raise InputError("intersect-value needs two matroid files (or --bipartite)")
+    if args.recheck:
+        raise InputError("--recheck needs --bipartite: only it reports columns to recheck")
     m1, m2 = (matroid_from_json(_load_json_file(f)) for f in args.matroids)
     inputs.update(m1=matroid_to_json(m1), m2=matroid_to_json(m2))
     return _run(args, "intersect-value", inputs,

@@ -160,8 +160,8 @@ class UnionMatroid(Matroid):
     of them; a plain set is the 0/1 case.  Each copy is added by matroid
     partitioning (Knuth, 1973): a breadth-first search for a shortest path in
     the exchange digraph, whose arcs lead from a copy to the members of the
-    circuit it closes in another part.  Results are memoized by count tuple,
-    so an instance is mutable: use one per solver run, on one thread.
+    circuit it closes in another part.  decompose memoizes by count tuple (grow
+    does not), so an instance is mutable: use one per run, on one thread.
     """
 
     kind = "oracle_composite"
@@ -223,6 +223,25 @@ class UnionMatroid(Matroid):
             return hit
         self._dep_cache.add(r)
         return None
+
+    def grow(self, elements: Iterable[int]) -> tuple[list[int], tuple]:
+        """Add a copy of each element in turn where it fits; return (counts, parts).
+
+        A refused element is never retried: the counts only grow.
+        """
+        counts, refused = [0] * self.d, set()
+        parts = tuple(frozenset() for _ in range(self.n))
+        for e in elements:
+            grown = None if e in refused else self._try_augment(parts, e)
+            if grown is None:
+                refused.add(e)
+                continue
+            counts[e] += 1
+            self._check_partition(tuple(counts), grown)
+            parts = grown
+            if sum(counts) == self.cap:
+                break
+        return counts, parts
 
     def _try_augment(self, parts: tuple, e: int) -> tuple | None:
         # parts with one more copy of e, or None.  Nodes are copies (element,

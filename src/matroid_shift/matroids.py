@@ -11,6 +11,7 @@ Elements are 0-based internally; JSON files use 1-based indices throughout.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, OverflowGuardError
@@ -265,20 +266,30 @@ class TransversalMatroid(Matroid):
 
     def _indep(self, elems: frozenset) -> bool:
         match: dict[int, int] = {}  # agent -> element
-
-        def augment(e: int, seen: set) -> bool:
-            for a in self.adjacency[e]:
-                if a in seen:
-                    continue
-                seen.add(a)
-                if a not in match or augment(match[a], seen):
-                    match[a] = e
-                    return True
-            return False
-
+        agent_of: dict[int, int] = {}  # element -> agent
         for e in sorted(elems):
-            if not augment(e, set()):
+            # Breadth-first search for a free agent; reached[a] is the element
+            # a was reached from.  No recursion, so long paths cannot overflow.
+            reached: dict[int, int] = {}
+            queue = deque([e])
+            free = None
+            while queue and free is None:
+                x = queue.popleft()
+                for a in self.adjacency[x]:
+                    if a not in reached:
+                        reached[a] = x
+                        if a not in match:
+                            free = a
+                            break
+                        queue.append(match[a])
+            if free is None:
                 return False
+            a = free  # flip the path back to e
+            while a is not None:
+                x = reached[a]
+                previous = agent_of.get(x)
+                match[a], agent_of[x] = x, a
+                a = previous
         return True
 
 

@@ -2,8 +2,8 @@
 
 A d x n profit matrix c is row-sorted ("shifted") to cbar; the shifted
 optimum max{cbar . xbar : every column of x independent} is found by running
-the greedy algorithm over the shuffle matroid and then recovering a
-column-feasible witness from the union decomposition.  Lexicographically
+the greedy algorithm over the shuffle matroid on row counts; the n parts it
+grows by matroid partitioning are a column-feasible witness.  Lexicographically
 minimal bases fall out of the same machinery with an implicit profit matrix
 that is constant within each column and strictly decreasing from column to
 column: the induced greedy order is simply "column 1 first, then column 2,
@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .constructions import Decomposition, Matrix01, ShuffleMatroid
+from .constructions import Matrix01, UnionMatroid
 from .errors import InfeasibleError, InputError, InternalError, OverflowGuardError
-from .matroids import WEIGHT_GUARD, Matroid, check_weight_guard, full_rank, greedy_in_order
+from .matroids import WEIGHT_GUARD, Matroid, check_weight_guard, full_rank
 
 
 class ProfitMatrix:
@@ -138,31 +138,24 @@ def _flat_weights(cbar: ProfitMatrix) -> list[int]:
     return [c for row in cbar.rows for c in row]
 
 
-def _greedy_shuffle(sm: ShuffleMatroid, cbar: ProfitMatrix, bases: bool) -> Matrix01:
-    d, n = cbar.d, cbar.n
-    w = _flat_weights(cbar)
-    # Ties among equal weights break by (column, row) ascending.
-    order = sorted(range(d * n), key=lambda f: (-w[f], f % n, f // n))
-    chosen = greedy_in_order(sm, order, w, force_basis=bases)
-    return Matrix01.from_flat(d, n, chosen)
+def _profit_order(cbar: ProfitMatrix, bases: bool) -> list[int]:
+    # Cells by profit, ties by (column, row); without bases, positive ones only.
+    w, n = _flat_weights(cbar), cbar.n
+    order = sorted(range(len(w)), key=lambda f: (-w[f], f % n, f // n))
+    return [f for f in order if bases or w[f] > 0]
 
 
-def _columns_from_parts(dec: Decomposition) -> Matrix01:
-    # Part k has at most one 1 per row; its column sum becomes column k of y.
-    d = dec.parts[0].d
-    rows = [[0] * len(dec.parts) for _ in range(d)]
-    for k, p in enumerate(dec.parts):
-        for i, s in enumerate(p.row_sums()):
-            rows[i][k] = s
-    return Matrix01(rows)
+def _columns_from_parts(d: int, parts) -> Matrix01:
+    return Matrix01([[int(i in p) for p in parts] for i in range(d)])
 
 
-def _witness(sm: ShuffleMatroid, x: Matrix01) -> Matrix01:
-    # The greedy's instance already holds the decomposition of its selection.
-    dec = sm.decompose_matrix(x)
-    if dec is None:
-        raise InternalError("greedy produced a dependent selection")
-    return _columns_from_parts(dec)
+def _greedy(S: Matroid, n: int, order: Sequence[int]) -> tuple[Matrix01, Matrix01]:
+    # (x, y) of the shuffle greedy in a cell order that takes each row left to
+    # right: a refused row never fits again, so x is the row prefix of counts.
+    union = UnionMatroid(S, n)  # validates n
+    counts, parts = union.grow(f // union.n for f in order)
+    x = Matrix01([[int(j < c) for j in range(union.n)] for c in counts])
+    return x, _columns_from_parts(S.d, parts)
 
 
 def solve_shuffling(S: Matroid, n: int, cbar: ProfitMatrix, bases: bool = False) -> Matrix01:
@@ -175,21 +168,21 @@ def solve_shuffling(S: Matroid, n: int, cbar: ProfitMatrix, bases: bool = False)
     _check_dims(S, n, cbar)
     if not cbar.row_nonincreasing():
         raise InputError("profit rows must be nonincreasing; shift the matrix first")
-    return _greedy_shuffle(ShuffleMatroid(S, n), cbar, bases)
+    return _greedy(S, n, _profit_order(cbar, bases))[0]
 
 
 def solve_fiber(S: Matroid, n: int, x: Matrix01) -> Matrix01:
     """Find y with every column independent in S and y ~ x, or fail.
 
-    Decomposes x into lift-independent parts; the column sums of the parts,
-    one per copy, are the columns of y.
+    Splits the row sums of x into n independent parts, which are the
+    columns of y.
     """
     if x.d != S.d or x.n != n:
         raise InputError(f"matrix is {x.d}x{x.n}, expected {S.d}x{n}")
-    dec = ShuffleMatroid(S, n).decompose_matrix(x)
-    if dec is None:
+    parts = UnionMatroid(S, n).decompose(x.row_sums())
+    if parts is None:
         raise InfeasibleError("matrix is not in the shuffle set")
-    y = _columns_from_parts(dec)
+    y = _columns_from_parts(S.d, parts)
     validate(y, [S], x=x)
     return y
 
@@ -197,15 +190,12 @@ def solve_fiber(S: Matroid, n: int, x: Matrix01) -> Matrix01:
 def solve_shifted(S: Matroid, n: int, c: ProfitMatrix, bases: bool = False) -> ShiftedSolution:
     """Shifted optimization over independent-set (or basis) columns of S.
 
-    Shifts c, greedily maximizes over the shuffle matroid, then recovers a
-    column-feasible witness from the same oracle instance (the greedy already
-    built the decomposition incrementally, so the recovery is free).
+    Shifts c and greedily maximizes over the shuffle matroid; the parts the
+    greedy grows are a column-feasible witness.
     """
     _check_dims(S, n, c)
     cbar = c.shifted()
-    sm = ShuffleMatroid(S, n)
-    x = _greedy_shuffle(sm, cbar, bases)
-    y = _witness(sm, x)
+    x, y = _greedy(S, n, _profit_order(cbar, bases))
     value = cbar.dot(x)
     validate(y, [S], rank=full_rank(S) if bases else None, cbar=cbar, value=value, x=x)
     return ShiftedSolution(y, value, vulnerability_vector(y))
@@ -218,13 +208,7 @@ def lexmin_order(d: int, n: int) -> list[int]:
 
 def lexmin_shuffle_basis(S: Matroid, n: int) -> Matrix01:
     """The basis of the shuffle matroid picked by the column-order greedy."""
-    return _lexmin_greedy(ShuffleMatroid(S, n))
-
-
-def _lexmin_greedy(sm: ShuffleMatroid) -> Matrix01:
-    d, n = sm.base.d, sm.n
-    chosen = greedy_in_order(sm, lexmin_order(d, n), [1] * (d * n), force_basis=True)
-    return Matrix01.from_flat(d, n, chosen)
+    return _greedy(S, n, lexmin_order(S.d, int(n)))[0]
 
 
 def solve_lexmin(S: Matroid, n: int) -> ShiftedSolution:
@@ -235,12 +219,8 @@ def solve_lexmin(S: Matroid, n: int) -> ShiftedSolution:
     so on.  No big-integer profits are built: the reduction's weights only
     matter through the greedy order, which is column-major.
     """
-    if int(n) < 1:
-        raise InputError(f"copy count must be >= 1, got {n}")
     n = int(n)
-    sm = ShuffleMatroid(S, n)
-    x = _lexmin_greedy(sm)
-    y = _witness(sm, x)
+    x, y = _greedy(S, n, lexmin_order(S.d, n))
     validate(y, [S], rank=full_rank(S), x=x)
     return ShiftedSolution(y, None, vulnerability_vector(y))
 

@@ -150,6 +150,20 @@ def test_shifted_malformed_input_exits_3(files, capsys, matroid, profit_rows):
     assert "input error" in err
 
 
+def test_shifted_transversal_long_augmenting_path(files, capsys):
+    # Element e (1-based) may use agents e and e + 1, the last one only agent
+    # 1.  The matching of all 1500 elements needs an augmenting path through
+    # every element; the recursive matching once ended in a RecursionError.
+    d = 1500
+    adjacency = [[e, e + 1] for e in range(1, d)] + [[1]]
+    matroid = files("t.json", {"kind": "transversal", "d": d,
+                               "params": {"agents": d, "adjacency": adjacency}})
+    profits = files("c.json", {"d": d, "n": 1, "rows": [[1]] * d})
+    code, report, _ = run_main(capsys, ["shifted", matroid, profits])
+    assert code == 0
+    assert report["value"] == d
+
+
 def test_fiber_malformed_matrix_exits_3(files, capsys):
     matroid = files("u21.json", U21)
     matrix = files("x.json", {"d": 2, "n": 2, "rows": [[1, 0], None]})
@@ -189,6 +203,16 @@ def test_intersect_value_two_matroids(files, capsys):
     assert code == 0
     assert report["value"] == 2
     assert "columns" not in report
+
+
+def test_intersect_value_two_matroids_rejects_recheck(files, capsys):
+    part = files("m.json", {"kind": "partition", "d": 2,
+                            "params": {"blocks": [1, 2], "capacities": [1, 1]}})
+    profits = files("c.json", {"d": 2, "n": 2, "rows": [[1, 1], [1, 1]]})
+    code, report, err = run_main(capsys, ["intersect-value", part, part, profits, "--recheck"])
+    assert code == 3
+    assert report is None
+    assert "--bipartite" in err
 
 
 def test_intersect_value_rejects_graphic(files, capsys):
@@ -249,8 +273,8 @@ def checked_argv(files, command):
 def test_corrupt_witness_exits_4(files, capsys, monkeypatch, command):
     original = solver._columns_from_parts
 
-    def corrupt(dec):
-        y = original(dec)
+    def corrupt(*args):
+        y = original(*args)
         return Matrix01([[1 - v for v in y.rows[0]], *y.rows[1:]])
 
     monkeypatch.setattr(solver, "_columns_from_parts", corrupt)

@@ -65,6 +65,18 @@ def test_axioms_larger_instances():
         assert_matroid_axioms(m)
 
 
+def test_transversal_long_augmenting_path():
+    # Element i may use agents i and i + 1, the last one only agent 0: adding
+    # it moves every other element one agent up, a path of 1500 steps that
+    # once recursed once per step.
+    d = 1500
+    adjacency = [[i, i + 1] for i in range(d - 1)] + [[0]]
+    m = TransversalMatroid(adjacency, d)
+    assert m._indep(frozenset(range(d)))
+    # One more element on agent 0 makes the whole set dependent.
+    assert not TransversalMatroid(adjacency + [[0]], d)._indep(frozenset(range(d + 1)))
+
+
 def test_graphic_triangle_examples():
     assert is_independent(TRIANGLE, Subset01([1, 1, 0]))
     assert not is_independent(TRIANGLE, Subset01([1, 1, 1]))

@@ -9,10 +9,13 @@ from matroid_shift import (
     LiftMatroid,
     Matrix01,
     Matroid,
+    ProfitMatrix,
     ShuffleMatroid,
     brute_shuffle_membership,
     enumerate_members,
+    solve_shuffling,
 )
+from matroid_shift.matroids import greedy_in_order
 from corpora import FAMILIES, random_matroid
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -53,3 +56,21 @@ def test_circuit_matches_oracle_fallback(kind, seed, data):
         return
     e = data.draw(st.sampled_from(outside), label="e")
     assert m.circuit(indep, e) == Matroid.circuit(m, indep, e)
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_count_greedy_equals_cell_greedy(kind, seed, data):
+    # solve_shuffling grows row counts; the reference runs the greedy over
+    # the cells of the shuffle matroid in the same (-w, column, row) order.
+    m = random_matroid(random.Random(seed), dmax=6, kind=kind)
+    n = data.draw(st.integers(1, 3), label="n")
+    bases = data.draw(st.booleans(), label="bases")
+    rows = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                              min_size=m.d, max_size=m.d), label="profits")
+    cbar = ProfitMatrix(sorted(r, reverse=True) for r in rows)
+    w = [c for r in cbar.rows for c in r]
+    order = sorted(range(m.d * n), key=lambda f: (-w[f], f % n, f // n))
+    cells = greedy_in_order(ShuffleMatroid(m, n), order, w, force_basis=bases)
+    assert solve_shuffling(m, n, cbar, bases) == Matrix01.from_flat(m.d, n, cells)
