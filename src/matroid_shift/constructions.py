@@ -205,7 +205,7 @@ class UnionMatroid(Matroid):
                 parts = self._try_augment(start, i)
                 if parts is None:
                     break
-                self._check_partition(r, parts)
+                self._check_partition(r, parts, start)
                 self._indep_cache[r] = parts
                 return parts
         else:
@@ -237,15 +237,22 @@ class UnionMatroid(Matroid):
                 refused.add(e)
                 continue
             counts[e] += 1
-            self._check_partition(tuple(counts), grown)
+            self._check_partition(tuple(counts), grown, parts)
             parts = grown
             if sum(counts) == self.cap:
                 break
         return counts, parts
 
     def _try_augment(self, parts: tuple, e: int) -> tuple | None:
-        # parts with one more copy of e, or None.  Nodes are copies (element,
-        # index of the part holding it); the new copy of e is in no part yet.
+        """parts with one more copy of e, or None; unchanged parts are reused."""
+        return self._search(parts, e)[0]
+
+    def _search(self, parts: tuple, e: int) -> tuple[tuple | None, dict]:
+        # Breadth-first search from a new copy of e, which is in no part yet.
+        # Nodes are copies (element, index of the part holding it).  Returns
+        # (grown parts, None), or (None, parent map of every copy reached):
+        # when no path exists, the elements reached are the circuit that the
+        # new copy closes in the union.
         circuits = self._circuits
         start = (e, None)
         parent = {start: None}
@@ -264,25 +271,27 @@ class UnionMatroid(Matroid):
                 if members is None:
                     # node moves into part k, its parent into the part node
                     # vacated, and so on back to the new copy.
-                    new = [set(q) for q in parts]
+                    new: dict[int, set] = {}
                     while node is not None:
                         x, cx = node
-                        new[k].add(x)
+                        new.setdefault(k, set(parts[k])).add(x)
                         if cx is not None:
-                            new[cx].remove(x)
+                            new.setdefault(cx, set(parts[cx])).remove(x)
                         node, k = parent[node], cx
-                    return tuple(frozenset(q) for q in new)
+                    return tuple(frozenset(new[k]) if k in new else p
+                                 for k, p in enumerate(parts)), None
                 for v in members:
                     nxt = (v, k)
                     if nxt not in parent:
                         parent[nxt] = node
                         queue.append(nxt)
-        return None
+        return None, parent
 
-    def _check_partition(self, r: tuple, parts: tuple) -> None:
+    def _check_partition(self, r: tuple, parts: tuple, before: tuple) -> None:
+        # Parts reused from before were checked when they were built.
         counts = [0] * self.d
-        for p in parts:
-            if not self.part._indep(p):
+        for p, q in zip(parts, before):
+            if p is not q and not self.part._indep(p):
                 raise InternalError("augmentation left a dependent part")
             for x in p:
                 counts[x] += 1
@@ -308,6 +317,7 @@ class ShuffleMatroid(Matroid):
         self.base = base
         self.n = self.lift.n
         self.union = UnionMatroid(base, self.n)
+        self._reached: tuple = (None, None, {})  # counts, their parts, row -> rows
 
     def _indep(self, elems: frozenset) -> bool:
         counts = [0] * self.base.d
@@ -315,6 +325,28 @@ class ShuffleMatroid(Matroid):
         for f in elems:
             counts[f // n] += 1
         return self.union.decompose(counts) is not None
+
+    def circuit(self, indep, e: int) -> tuple[int, ...] | None:
+        # Cells of a row are parallel, so the circuit is made of whole rows:
+        # the rows that the failed search for one more copy of e's row
+        # reaches.  The rows are kept per row of e until the counts change.
+        indep, n = frozenset(indep), self.n
+        counts = [0] * self.base.d
+        for f in indep:
+            counts[f // n] += 1
+        key = tuple(counts)
+        if self._reached[0] != key:
+            parts = self.union.decompose(key)
+            if parts is None:
+                raise InputError("circuit needs an independent set")
+            self._reached = (key, parts, {})
+        _, parts, memo = self._reached
+        i = e // n
+        rows = memo.get(i, False)
+        if rows is False:
+            grown, reached = self.union._search(parts, i)
+            rows = memo[i] = None if grown is not None else {x for x, _ in reached}
+        return None if rows is None else tuple(sorted(f for f in indep if f // n in rows))
 
     def is_independent_matrix(self, x: Matrix01) -> bool:
         self._check_matrix(x)

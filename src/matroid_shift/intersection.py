@@ -4,9 +4,12 @@ For two matroids from the uniform/partition/transversal families (all
 gammoids, hence strongly base orderable), the shuffle matroids of the two
 factors intersect exactly in the shuffle set of the intersection, so the
 shifted OPTIMAL VALUE is a weighted matroid intersection over the two shuffle
-oracles.  Recovering a feasible witness is open in general; it is provided
-here for matchings in bipartite graphs, where an n-edge-coloring of the
-row-sum multigraph splits the optimal matrix into n matchings.
+oracles.  Its exchange arcs come from circuits, one Matroid.circuit query
+per outside element and matroid; ShuffleMatroid answers those with one
+search of the union's exchange graph per row.  Recovering a feasible witness
+is open in general; it is provided here for matchings in bipartite graphs,
+where an n-edge-coloring of the row-sum multigraph splits the optimal matrix
+into n matchings.
 """
 
 from __future__ import annotations
@@ -117,21 +120,18 @@ def _augmenting_path(m1: Matroid, m2: Matroid, cur: frozenset, w: Sequence[int])
     d = m1.d
     outside = [e for e in range(d) if e not in cur]
     inside = sorted(cur)
-    sources = [y for y in outside if m1._indep(cur | {y})]
+    # Arcs: x->y when cur - x + y stays m1-independent, y->x when it stays
+    # m2-independent.  That holds for every x when cur + y is independent
+    # (y is then a source, or a sink) and otherwise for the x on the circuit
+    # that y closes in cur.
+    c1 = {y: m1.circuit(cur, y) for y in outside}
+    sources = [y for y in outside if c1[y] is None]
     if not sources:
         return None
-    sinks = {y for y in outside if m2._indep(cur | {y})}
-
-    # Arcs: x->y when the swap keeps m1-independence, y->x when it keeps m2's.
-    arcs: list[tuple[int, int]] = []
-    for x in inside:
-        base = cur - {x}
-        for y in outside:
-            swapped = base | {y}
-            if m1._indep(swapped):
-                arcs.append((x, y))
-            if m2._indep(swapped):
-                arcs.append((y, x))
+    c2 = {y: m2.circuit(cur, y) for y in outside}
+    sinks = {y for y in outside if c2[y] is None}
+    arcs = [(x, y) for y in outside for x in (inside if c1[y] is None else c1[y])]
+    arcs += [(y, x) for y in outside for x in (inside if c2[y] is None else c2[y])]
     arcs.sort()
 
     def cost(v: int) -> int:

@@ -7,10 +7,12 @@ import pytest
 from matroid_shift import (
     GraphicMatroid,
     InputError,
+    InternalError,
     LiftMatroid,
     Matrix01,
     ShuffleMatroid,
     Subset01,
+    UnionMatroid,
     UniformMatroid,
     brute_shuffle_membership,
     enumerate_members,
@@ -87,6 +89,27 @@ def test_union_cold_query_above_recursion_limit():
     assert ok and parts == (Subset01.full(1100),)
 
 
+def test_union_augment_reuses_unchanged_parts():
+    u = UnionMatroid(UniformMatroid(4, 2), 3)
+    parts = u.decompose([1, 1, 0, 0])
+    grown = u.decompose([1, 1, 1, 0])
+    assert sum(p is q for p, q in zip(parts, grown)) == 2
+
+
+class NoCircuits(UniformMatroid):
+    """A broken oracle whose circuit never reports a dependent set."""
+
+    def circuit(self, indep, e):
+        return None
+
+
+def test_union_rejects_a_dependent_part():
+    with pytest.raises(InternalError, match="dependent part"):
+        UnionMatroid(NoCircuits(3, 1), 2).grow([0, 1])
+    with pytest.raises(InternalError, match="dependent part"):
+        UnionMatroid(NoCircuits(3, 1), 2).decompose([1, 1, 0])
+
+
 def test_union_decomposition_invariants():
     rng = random.Random(8)
     for _ in range(40):
@@ -120,6 +143,11 @@ def test_shuffle_examples():
     assert not shuffle_is_independent(u21, 2, Matrix01([[1, 1], [1, 1]]))[0]
     ok0, _ = shuffle_is_independent(u21, 2, Matrix01.zero(2, 2))
     assert ok0
+    sm = ShuffleMatroid(u21, 2)
+    assert sm.circuit({0}, 2) is None
+    assert sm.circuit({0, 2}, 1) == (0, 2)  # cell 1 shares cell 0's row
+    with pytest.raises(InputError):
+        sm.circuit({0, 1, 2}, 3)
 
 
 def test_shuffle_decomposition_parts_are_lift_independent():

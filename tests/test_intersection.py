@@ -15,6 +15,7 @@ from matroid_shift import (
     Matrix01,
     OracleMatroid,
     ProfitMatrix,
+    ShuffleMatroid,
     UniformMatroid,
     brute_shifted,
     common_members,
@@ -67,6 +68,20 @@ def test_wmi_matches_bruteforce():
         assert sum(w[i] for i in got.indices()) == brute_common_max(m1, m2, w)
 
 
+def test_wmi_matches_bruteforce_on_matchings():
+    # Matchings need exchanges: one heavy edge can block two lighter ones.
+    m1, m2 = degree_matroids(BipartiteGraph(2, 2, [(1, 1), (2, 1), (2, 2)]))
+    assert weighted_matroid_intersection_max(m1, m2, [2, 3, 2]).indices() == (0, 2)
+    rng = random.Random(6)
+    for _ in range(60):
+        left, right = rng.randint(2, 4), rng.randint(2, 4)
+        edges = [(rng.randint(1, left), rng.randint(1, right)) for _ in range(rng.randint(3, 8))]
+        m1, m2 = degree_matroids(BipartiteGraph(left, right, edges))
+        w = [rng.randint(-2, 9) for _ in edges]
+        got = weighted_matroid_intersection_max(m1, m2, w)
+        assert sum(w[i] for i in got.indices()) == brute_common_max(m1, m2, w)
+
+
 def test_wmi_with_uniform_vs_graphic_oracles():
     # the routine is oracle-generic even though the shifted API restricts kinds
     rng = random.Random(1)
@@ -79,6 +94,20 @@ def test_wmi_with_uniform_vs_graphic_oracles():
         w = [rng.randint(-4, 4) for _ in range(3)]
         got = weighted_matroid_intersection_max(tri, u, w)
         assert sum(w[i] for i in got.indices()) == brute_common_max(tri, u, w)
+
+
+def test_wmi_over_shuffle_circuits_matches_per_swap_arcs():
+    # OracleMatroid wrappers take their arcs from the per-swap fallback
+    # circuit, so equal sets pin the tie-breaking, not only the value.
+    rng = random.Random(5)
+    for _ in range(40):
+        d = rng.randint(2, 4)
+        n = rng.randint(1, 3)
+        m1, m2 = random_sbo_matroid(rng, d), random_sbo_matroid(rng, d)
+        w = [rng.randint(-3, 6) for _ in range(d * n)]
+        got = weighted_matroid_intersection_max(ShuffleMatroid(m1, n), ShuffleMatroid(m2, n), w)
+        oracles = [OracleMatroid(d * n, ShuffleMatroid(m, n)._indep) for m in (m1, m2)]
+        assert got == weighted_matroid_intersection_max(*oracles, w)
 
 
 def test_intersection_instance_rejects_kinds():

@@ -61,6 +61,25 @@ def test_circuit_matches_oracle_fallback(kind, seed, data):
 @pytest.mark.parametrize("kind", FAMILIES)
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_shuffle_circuit_matches_oracle_fallback(kind, seed, data):
+    # The circuit from one union search equals the one the oracle finds cell
+    # by cell, on any independent cells, not only row prefixes.
+    m = random_matroid(random.Random(seed), dmax=5, kind=kind)
+    n = data.draw(st.integers(1, 3), label="n")
+    sm = ShuffleMatroid(m, n)
+    order = data.draw(st.permutations(range(m.d * n)), label="order")
+    indep: frozenset = frozenset()
+    for f in order[:data.draw(st.integers(0, m.d * n), label="tries")]:
+        if sm._indep(indep | {f}):
+            indep |= {f}
+    for e in range(m.d * n):
+        if e not in indep:
+            assert sm.circuit(indep, e) == Matroid.circuit(sm, indep, e)
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_count_greedy_equals_cell_greedy(kind, seed, data):
     # solve_shuffling grows row counts; the reference runs the greedy over
     # the cells of the shuffle matroid in the same (-w, column, row) order.
