@@ -85,9 +85,12 @@ def _load_table(path: str, what: str, cls):
     """A {d, n, rows} file as a cls (ProfitMatrix or Matrix01) of the declared shape."""
     obj = _load_json_file(path)
     try:
-        d, n, rows = int(obj["d"]), int(obj["n"]), [[int(x) for x in r] for r in obj["rows"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        d, n, rows = obj["d"], obj["n"], [list(r) for r in obj["rows"]]
+    except (KeyError, TypeError) as exc:
         raise InputError(f"bad {what} file {path}: {exc}") from exc
+    for v in (d, n, *(x for r in rows for x in r)):
+        if type(v) is not int:  # a float, bool or string is rejected, never rounded
+            raise InputError(f"{what} file {path} holds the non-integer {v!r}")
     table = cls(rows)
     if table.d != d or table.n != n:
         raise InputError(f"{what} file {path} declares {d}x{n} but lists {table.d}x{table.n}")

@@ -88,7 +88,11 @@ class Matroid:
         """Members of independent indep (e not in it) on the circuit of indep + e.
 
         Ascending; None if indep + e is independent.  This fallback asks the
-        oracle once per member; families with a direct construction override it.
+        oracle once per member, |indep| + 1 calls in all.  Every concrete
+        family overrides it with a direct construction (a forest path, a
+        block, an alternating search over one matching, a reduction over one
+        echelon basis), so only OracleMatroid and the derived matroids that
+        have no construction of their own fall back to it.
         """
         s = frozenset(indep)
         if self._indep(s | {e}):
@@ -205,7 +209,14 @@ class PartitionMatroid(Matroid):
 
 
 class LinearGf2Matroid(Matroid):
-    """Columns of a 0/1 matrix; independence is linear independence over GF(2)."""
+    """Columns of a 0/1 matrix; independence is linear independence over GF(2).
+
+    Both the oracle and the circuit run on one echelon basis of the set,
+    whose reduced rows remember which members sum to them.  The circuit of
+    indep + e is then e's column reduced over that basis: a nonzero
+    remainder means indep + e is independent, and otherwise the members
+    that the reduction used are the circuit.
+    """
 
     kind = "linear_gf2"
 
@@ -228,19 +239,38 @@ class LinearGf2Matroid(Matroid):
         self._masks = tuple(masks)
 
     def _indep(self, elems: frozenset) -> bool:
-        basis: dict[int, int] = {}  # leading bit -> reduced column
+        return self._echelon(elems) is not None
+
+    def circuit(self, indep, e: int) -> tuple[int, ...] | None:
+        basis = self._echelon(indep)
+        if basis is None:
+            raise InputError("circuit needs an independent set")
+        v, used = self._masks[e], 0
+        while v:
+            row = basis.get(v.bit_length() - 1)
+            if row is None:
+                return None
+            v ^= row[0]
+            used ^= row[1]
+        return tuple(x for x in sorted(indep) if used >> x & 1)
+
+    def _echelon(self, elems) -> dict | None:
+        # Leading bit -> (reduced column, bitmask of the members summing to
+        # it); None if the members are dependent.
+        basis: dict[int, tuple[int, int]] = {}
         for e in sorted(elems):
-            v = self._masks[e]
+            v, used = self._masks[e], 1 << e
             while v:
                 lead = v.bit_length() - 1
                 row = basis.get(lead)
                 if row is None:
-                    basis[lead] = v
+                    basis[lead] = (v, used)
                     break
-                v ^= row
+                v ^= row[0]
+                used ^= row[1]
             if not v:
-                return False
-        return True
+                return None
+        return basis
 
 
 class TransversalMatroid(Matroid):
@@ -248,7 +278,11 @@ class TransversalMatroid(Matroid):
 
     Element i may be represented by any agent in adjacency[i] (0-based agent
     ids).  Independence is tested by augmenting-path bipartite matching,
-    recomputed per query.
+    recomputed per query.  The circuit of indep + e takes one matching of
+    indep and one alternating search from e: a free agent reached means
+    indep + e is independent, and otherwise the elements reached are the
+    circuit, since together with e they have too few agents (Hall's
+    condition) and each of them can hand its agent down the path to e.
     """
 
     kind = "transversal"
@@ -265,32 +299,48 @@ class TransversalMatroid(Matroid):
         self.adjacency = tuple(tuple(sorted(set(int(a) for a in row))) for row in adjacency)
 
     def _indep(self, elems: frozenset) -> bool:
+        return self._matching(elems) is not None
+
+    def circuit(self, indep, e: int) -> tuple[int, ...] | None:
+        match = self._matching(indep)
+        if match is None:
+            raise InputError("circuit needs an independent set")
+        reached, free = self._alternating_search(match, e)
+        if free is not None:
+            return None
+        return tuple(sorted(match[a] for a in reached))
+
+    def _matching(self, elems) -> dict | None:
+        """Agent -> element, matching every member; None if there is none."""
         match: dict[int, int] = {}  # agent -> element
         agent_of: dict[int, int] = {}  # element -> agent
         for e in sorted(elems):
-            # Breadth-first search for a free agent; reached[a] is the element
-            # a was reached from.  No recursion, so long paths cannot overflow.
-            reached: dict[int, int] = {}
-            queue = deque([e])
-            free = None
-            while queue and free is None:
-                x = queue.popleft()
-                for a in self.adjacency[x]:
-                    if a not in reached:
-                        reached[a] = x
-                        if a not in match:
-                            free = a
-                            break
-                        queue.append(match[a])
+            reached, free = self._alternating_search(match, e)
             if free is None:
-                return False
+                return None
             a = free  # flip the path back to e
             while a is not None:
                 x = reached[a]
                 previous = agent_of.get(x)
                 match[a], agent_of[x] = x, a
                 a = previous
-        return True
+        return match
+
+    def _alternating_search(self, match: dict, e: int) -> tuple[dict, int | None]:
+        # Breadth-first search from the unmatched e for a free agent; returns
+        # (agent -> element it was reached from, the free agent or None).  No
+        # recursion, so long paths cannot overflow.
+        reached: dict[int, int] = {}
+        queue = deque([e])
+        while queue:
+            x = queue.popleft()
+            for a in self.adjacency[x]:
+                if a not in reached:
+                    reached[a] = x
+                    if a not in match:
+                        return reached, a
+                    queue.append(match[a])
+        return reached, None
 
 
 class OracleMatroid(Matroid):

@@ -172,6 +172,34 @@ def test_fiber_malformed_matrix_exits_3(files, capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("value", [2.9, True, "7"])
+def test_shifted_rejects_non_integer_profits(files, capsys, value):
+    # int() once read these as 2, 1 and 7 and reported a value with exit 0.
+    matroid = files("u21.json", U21)
+    profits = files("c.json", {"d": 2, "n": 1, "rows": [[value], [1]]})
+    code, report, err = run_main(capsys, ["shifted", matroid, profits])
+    assert (code, report) == (3, None)
+    assert "input error" in err
+
+
+@pytest.mark.parametrize("value", [1.9, True, "1"])
+def test_fiber_rejects_non_integer_matrix(files, capsys, value):
+    matroid = files("u21.json", U21)
+    matrix = files("x.json", {"d": 2, "n": 1, "rows": [[value], [0]]})
+    code, report, err = run_main(capsys, ["fiber", matroid, matrix])
+    assert (code, report) == (3, None)
+    assert "input error" in err
+
+
+@pytest.mark.parametrize("shape", [{"d": 2.0, "n": 1}, {"d": 2, "n": True}, {"d": "2", "n": 1}])
+def test_tables_reject_non_integer_shape(files, capsys, shape):
+    matroid = files("u21.json", U21)
+    profits = files("c.json", {**shape, "rows": [[1], [1]]})
+    code, report, err = run_main(capsys, ["shifted", matroid, profits])
+    assert (code, report) == (3, None)
+    assert "input error" in err
+
+
 @pytest.mark.parametrize("argv, brute", [
     (["lexmin-trees", "@graph", "--n", "2", "--verify"], "brute_lexmin"),
     (["shifted", "@matroid", "@profits", "--verify"], "brute_shifted"),

@@ -8,6 +8,8 @@ from matroid_shift import (
     GraphicMatroid,
     InputError,
     LinearGf2Matroid,
+    Matroid,
+    OracleMatroid,
     OverflowGuardError,
     PartitionMatroid,
     Subset01,
@@ -75,6 +77,28 @@ def test_transversal_long_augmenting_path():
     assert m._indep(frozenset(range(d)))
     # One more element on agent 0 makes the whole set dependent.
     assert not TransversalMatroid(adjacency + [[0]], d)._indep(frozenset(range(d + 1)))
+
+
+def test_transversal_circuit_on_long_chain():
+    # The matching of the chain gives element i agent i + 1 and the last
+    # element agent 0.  A new element on agent d - 1 starts an alternating
+    # search through all d elements, and each of them can hand its agent
+    # down the path, so the circuit is the whole chain.
+    d = 1500
+    adjacency = [[i, i + 1] for i in range(d - 1)] + [[0]]
+    m = TransversalMatroid(adjacency + [[d - 1]], d)
+    assert m.circuit(frozenset(range(d)), d) == tuple(range(d))
+    # On an agent of its own, it closes no circuit.
+    assert TransversalMatroid(adjacency + [[d]], d + 1).circuit(frozenset(range(d)), d) is None
+
+
+def test_every_family_builds_its_own_circuit():
+    # The Matroid.circuit fallback asks the oracle |indep| + 1 times; no
+    # family that a solver reaches may fall back to it.
+    families = {cls for cls in Matroid.__subclasses__() if cls.__module__ == Matroid.__module__}
+    assert families == {GraphicMatroid, UniformMatroid, PartitionMatroid, LinearGf2Matroid,
+                        TransversalMatroid, OracleMatroid}
+    assert {cls for cls in families if "circuit" not in vars(cls)} == {OracleMatroid}
 
 
 def test_graphic_triangle_examples():

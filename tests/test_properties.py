@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matroid_shift import (
+    InputError,
     LiftMatroid,
+    LinearGf2Matroid,
     Matrix01,
     Matroid,
     ProfitMatrix,
     ShuffleMatroid,
+    TransversalMatroid,
     brute_shuffle_membership,
     enumerate_members,
     solve_shuffling,
@@ -56,6 +59,40 @@ def test_circuit_matches_oracle_fallback(kind, seed, data):
         return
     e = data.draw(st.sampled_from(outside), label="e")
     assert m.circuit(indep, e) == Matroid.circuit(m, indep, e)
+
+
+def wide_matroid(rng: random.Random, kind: str):
+    # Up to 14 elements with rank up to about 8, so that circuits can be long.
+    d = rng.randint(1, 14)
+    if kind == "linear_gf2":
+        nrows = rng.randint(1, 8)
+        return LinearGf2Matroid([[rng.randint(0, 1) for _ in range(nrows)] for _ in range(d)])
+    agents = rng.randint(1, 8)
+    return TransversalMatroid([rng.sample(range(agents), rng.randint(0, min(3, agents)))
+                               for _ in range(d)], agents)
+
+
+@pytest.mark.parametrize("kind", ["linear_gf2", "transversal"])
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_direct_circuit_matches_oracle_fallback_on_wide_matroids(kind, seed, data):
+    # One matching (transversal) or one echelon basis (GF(2)) per circuit
+    # must give the circuit that the oracle finds with |indep| + 1 calls.
+    m = wide_matroid(random.Random(seed), kind)
+    order = data.draw(st.permutations(range(m.d)), label="order")
+    indep: frozenset = frozenset()
+    for e in order:
+        if m._indep(indep | {e}):
+            indep |= {e}
+    indep -= set(data.draw(st.lists(st.sampled_from(order)), label="dropped"))
+    for e in sorted(set(range(m.d)) - indep):
+        circuit = m.circuit(indep, e)
+        assert circuit == Matroid.circuit(m, indep, e)
+        # A dependent indep is refused, not answered.
+        outside = set(range(m.d)) - indep - {e}
+        if circuit is not None and outside:
+            with pytest.raises(InputError):
+                m.circuit(indep | {e}, min(outside))
 
 
 @pytest.mark.parametrize("kind", FAMILIES)
