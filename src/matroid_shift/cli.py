@@ -37,7 +37,7 @@ from .intersection import (
     shifted_value_intersection,
     solve_shifted_bipartite_matching,
 )
-from .matroids import GraphicMatroid, full_rank, matroid_from_json, matroid_to_json
+from .matroids import GraphicMatroid, full_rank, json_int, matroid_from_json, matroid_to_json
 from .solver import ProfitMatrix, ShiftedSolution, solve_fiber, solve_lexmin, solve_shifted, validate
 
 EXIT_OK = 0
@@ -89,8 +89,7 @@ def _load_table(path: str, what: str, cls):
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad {what} file {path}: {exc}") from exc
     for v in (d, n, *(x for r in rows for x in r)):
-        if type(v) is not int:  # a float, bool or string is rejected, never rounded
-            raise InputError(f"{what} file {path} holds the non-integer {v!r}")
+        json_int(v)
     table = cls(rows)
     if table.d != d or table.n != n:
         raise InputError(f"{what} file {path} declares {d}x{n} but lists {table.d}x{table.n}")

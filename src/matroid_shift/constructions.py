@@ -317,7 +317,7 @@ class ShuffleMatroid(Matroid):
         self.base = base
         self.n = self.lift.n
         self.union = UnionMatroid(base, self.n)
-        self._reached: tuple = (None, None, {})  # counts, their parts, row -> rows
+        self._reached: tuple = (None, None, {})  # indep, its parts, row -> circuit cells
 
     def _indep(self, elems: frozenset) -> bool:
         counts = [0] * self.base.d
@@ -329,24 +329,25 @@ class ShuffleMatroid(Matroid):
     def circuit(self, indep, e: int) -> tuple[int, ...] | None:
         # Cells of a row are parallel, so the circuit is made of whole rows:
         # the rows that the failed search for one more copy of e's row
-        # reaches.  The rows are kept per row of e until the counts change.
+        # reaches.  The answer is kept per row of e for as long as the calls
+        # pass the same frozenset object, as one intersection stage does.
         indep, n = frozenset(indep), self.n
-        counts = [0] * self.base.d
-        for f in indep:
-            counts[f // n] += 1
-        key = tuple(counts)
-        if self._reached[0] != key:
-            parts = self.union.decompose(key)
+        if self._reached[0] is not indep:
+            counts = [0] * self.base.d
+            for f in indep:
+                counts[f // n] += 1
+            parts = self.union.decompose(counts)
             if parts is None:
                 raise InputError("circuit needs an independent set")
-            self._reached = (key, parts, {})
+            self._reached = (indep, parts, {})
         _, parts, memo = self._reached
         i = e // n
-        rows = memo.get(i, False)
-        if rows is False:
+        cells = memo.get(i, False)
+        if cells is False:
             grown, reached = self.union._search(parts, i)
-            rows = memo[i] = None if grown is not None else {x for x, _ in reached}
-        return None if rows is None else tuple(sorted(f for f in indep if f // n in rows))
+            rows = set() if grown else {x for x, _ in reached}
+            cells = memo[i] = None if grown else tuple(sorted(f for f in indep if f // n in rows))
+        return cells
 
     def is_independent_matrix(self, x: Matrix01) -> bool:
         self._check_matrix(x)

@@ -6,19 +6,22 @@ factors intersect exactly in the shuffle set of the intersection, so the
 shifted OPTIMAL VALUE is a weighted matroid intersection over the two shuffle
 oracles.  Its exchange arcs come from circuits, one Matroid.circuit query
 per outside element and matroid; ShuffleMatroid answers those with one
-search of the union's exchange graph per row.  Recovering a feasible witness
-is open in general; it is provided here for matchings in bipartite graphs,
-where an n-edge-coloring of the row-sum multigraph splits the optimal matrix
-into n matchings.
+search of the union's exchange graph per row.  Each stage labels the nodes
+with (cost, hops) by one Bellman-Ford pass, then walks tight arcs to the
+lexicographically smallest cheapest path.  Recovering a feasible witness is
+open in general; it is provided here for matchings in bipartite graphs, where
+an n-edge-coloring of the row-sum multigraph splits the optimal matrix into n
+matchings.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Sequence
 
 from .constructions import Matrix01, ShuffleMatroid
 from .errors import DisallowedKindError, InfeasibleError, InputError, InternalError
-from .matroids import Matroid, PartitionMatroid, Subset01, check_weight_guard
+from .matroids import Matroid, PartitionMatroid, Subset01, check_weight_guard, json_int
 from .solver import ProfitMatrix, ShiftedSolution, _flat_weights, validate, vulnerability_vector
 
 SBO_KINDS = ("uniform", "partition", "transversal")
@@ -48,8 +51,8 @@ class BipartiteGraph:
     @classmethod
     def from_json(cls, obj: dict) -> "BipartiteGraph":
         try:
-            return cls(int(obj["left"]), int(obj["right"]),
-                       [(int(l), int(r)) for l, r in obj["edges"]])
+            return cls(json_int(obj["left"]), json_int(obj["right"]),
+                       [(json_int(l), json_int(r)) for l, r in obj["edges"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad bipartite graph description: {exc}") from exc
 
@@ -92,7 +95,9 @@ def weighted_matroid_intersection_max(m1: Matroid, m2: Matroid, w: Sequence[int]
     Per cardinality stage, augments along a cheapest source-to-sink path of
     the exchange digraph (cost = weight given up minus weight gained), ties
     broken by fewest arcs then lexicographically smallest path, which keeps
-    the current set extreme and the search free of negative cycles.  The best
+    the current set extreme and the search free of negative cycles (Frank,
+    1981).  So every node on a cheapest path is tight, and the path is found
+    by a walk along tight arcs instead of by comparing whole paths.  The best
     weight over all stages, including the empty set at 0, is returned.
     """
     if m1.d != m2.d:
@@ -117,51 +122,62 @@ def weighted_matroid_intersection_max(m1: Matroid, m2: Matroid, w: Sequence[int]
 
 
 def _augmenting_path(m1: Matroid, m2: Matroid, cur: frozenset, w: Sequence[int]) -> frozenset | None:
-    d = m1.d
-    outside = [e for e in range(d) if e not in cur]
+    outside = [e for e in range(m1.d) if e not in cur]
     inside = sorted(cur)
     # Arcs: x->y when cur - x + y stays m1-independent, y->x when it stays
     # m2-independent.  That holds for every x when cur + y is independent
     # (y is then a source, or a sink) and otherwise for the x on the circuit
-    # that y closes in cur.
+    # that y closes in cur.  Circuits are ascending and outside is visited
+    # in order, so every successor list is ascending.
     c1 = {y: m1.circuit(cur, y) for y in outside}
     sources = [y for y in outside if c1[y] is None]
     if not sources:
         return None
     c2 = {y: m2.circuit(cur, y) for y in outside}
-    sinks = {y for y in outside if c2[y] is None}
-    arcs = [(x, y) for y in outside for x in (inside if c1[y] is None else c1[y])]
-    arcs += [(y, x) for y in outside for x in (inside if c2[y] is None else c2[y])]
-    arcs.sort()
+    sinks = [y for y in outside if c2[y] is None]
+    succ: dict[int, Sequence[int]] = {x: [] for x in inside}
+    for y in outside:
+        for x in inside if c1[y] is None else c1[y]:
+            succ[x].append(y)
+        succ[y] = inside if c2[y] is None else c2[y]
+    cost = [w[v] if v in cur else -w[v] for v in range(m1.d)]
 
-    def cost(v: int) -> int:
-        return w[v] if v in cur else -w[v]
-
-    # Label-correcting search on (cost, hops, path); path tuples make the
-    # order total, so the outcome is deterministic.  Recorded paths are kept
-    # simple, so labels live in a finite set and the loop terminates.
-    dist: dict[int, tuple] = {}
-    for y in sorted(sources):
-        dist[y] = (cost(y), 1, (y,))
-    changed = True
-    while changed:
-        changed = False
-        for u, v in arcs:
-            du = dist.get(u)
-            if du is None or v in du[2]:
-                continue
-            cand = (du[0] + cost(v), du[1] + 1, du[2] + (v,))
+    # FIFO Bellman-Ford on (cost, hops) labels.  An extreme cur leaves no
+    # negative cycle, so a label with more hops than there are nodes is a bug.
+    dist = {y: (cost[y], 1) for y in sources}
+    queue, queued = deque(sources), set(sources)
+    while queue:
+        u = queue.popleft()
+        queued.discard(u)
+        cu, hu = dist[u]
+        if hu > len(succ):
+            raise InternalError("negative cycle in the exchange graph")
+        for v in succ[u]:
+            cand = (cu + cost[v], hu + 1)
             if v not in dist or cand < dist[v]:
                 dist[v] = cand
-                changed = True
-
-    best = None
-    for y in sorted(sinks):
-        if y in dist and (best is None or dist[y] < best):
-            best = dist[y]
+                if v not in queued:
+                    queue.append(v)
+                    queued.add(v)
+    best = min((dist[y] for y in sinks if y in dist), default=None)
     if best is None:
         return None
-    return frozenset(best[2])
+
+    # Tight arcs raise hops by one, so they form a DAG.  Mark the nodes that
+    # reach an optimal sink along tight arcs, then walk from the smallest
+    # tight source through the smallest good successor: every prefix of the
+    # lexicographically smallest optimal path is itself smallest.
+    def tight(u: int, v: int) -> bool:
+        return dist.get(v) == (dist[u][0] + cost[v], dist[u][1] + 1)
+
+    good = {y for y in sinks if dist.get(y) == best}
+    for u in sorted((u for u in dist if dist[u][1] < best[1]), key=lambda u: -dist[u][1]):
+        if any(v in good and tight(u, v) for v in succ[u]):
+            good.add(u)
+    path = [min(y for y in sources if y in good and dist[y] == (cost[y], 1))]
+    while dist[path[-1]] != best:
+        path.append(next(v for v in succ[path[-1]] if v in good and tight(path[-1], v)))
+    return frozenset(path)
 
 
 def _shifted_intersection_witness(inst: IntersectionInstance) -> tuple[int, Matrix01]:

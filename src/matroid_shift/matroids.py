@@ -429,29 +429,37 @@ def greedy_max(m: Matroid, w: Sequence[int], force_basis: bool = False) -> Subse
 # Schema: {"kind": "...", "d": int, "params": {...}} with 1-based indices in
 # files (edges, blocks, agents); see README for the per-kind params.
 
+def json_int(v) -> int:
+    """v itself if it is an int: a float, bool or string is rejected, never rounded."""
+    if type(v) is not int:
+        raise InputError(f"expected an integer, got {v!r}")
+    return v
+
+
 def matroid_from_json(obj: dict) -> Matroid:
     if not isinstance(obj, dict):
         raise InputError("matroid description must be a JSON object")
     try:
         kind = obj["kind"]
-        d = int(obj["d"])
+        d = json_int(obj["d"])
         params = obj["params"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise InputError(f"bad matroid description: {exc}") from exc
 
     try:
         if kind == "graphic":
-            m = GraphicMatroid(int(params["vertices"]), [(int(u), int(v)) for u, v in params["edges"]])
+            m = GraphicMatroid(json_int(params["vertices"]),
+                               [(json_int(u), json_int(v)) for u, v in params["edges"]])
         elif kind == "uniform":
-            m = UniformMatroid(d, int(params["r"]))
+            m = UniformMatroid(d, json_int(params["r"]))
         elif kind == "partition":
-            m = PartitionMatroid([int(b) - 1 for b in params["blocks"]],
-                                 [int(c) for c in params["capacities"]])
+            m = PartitionMatroid([json_int(b) - 1 for b in params["blocks"]],
+                                 [json_int(c) for c in params["capacities"]])
         elif kind == "linear_gf2":
-            m = LinearGf2Matroid([[int(b) for b in col] for col in params["columns"]])
+            m = LinearGf2Matroid([[json_int(b) for b in col] for col in params["columns"]])
         elif kind == "transversal":
-            m = TransversalMatroid([[int(a) - 1 for a in row] for row in params["adjacency"]],
-                                   int(params["agents"]))
+            m = TransversalMatroid([[json_int(a) - 1 for a in row] for row in params["adjacency"]],
+                                   json_int(params["agents"]))
         else:
             raise InputError(f"unknown matroid kind {kind!r}")
     except InputError:

@@ -200,6 +200,31 @@ def test_tables_reject_non_integer_shape(files, capsys, shape):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("matroid", [
+    {"kind": "uniform", "d": 2, "params": {"r": 1.9}},
+    {"kind": "uniform", "d": 2, "params": {"r": True}},
+    {"kind": "uniform", "d": 2, "params": {"r": "1"}},
+    {"kind": "uniform", "d": "2", "params": {"r": 1}},
+    {"kind": "graphic", "d": 2, "params": {"vertices": 3, "edges": [[1, 2.5], [2, 3]]}},
+    {"kind": "partition", "d": 2, "params": {"blocks": [1, 1], "capacities": [1.5]}},
+], ids=["r-float", "r-bool", "r-string", "d-string", "edge-float", "capacity-float"])
+def test_matroid_files_reject_non_integers(files, capsys, matroid):
+    # int() once read each of these as a valid matroid and exited 0.
+    matroid = files("m.json", matroid)
+    profits = files("c.json", {"d": 2, "n": 1, "rows": [[5], [3]]})
+    code, report, err = run_main(capsys, ["shifted", matroid, profits])
+    assert (code, report) == (3, None)
+    assert "input error" in err
+
+
+def test_bipartite_file_rejects_non_integers(files, capsys):
+    graph = files("g.json", {**K22_GRAPH, "left": 2.7})
+    profits = files("c.json", {"d": 4, "n": 2, "rows": [[1, 1]] * 4})
+    code, report, err = run_main(capsys, ["intersect-value", "--bipartite", graph, profits])
+    assert (code, report) == (3, None)
+    assert "input error" in err
+
+
 @pytest.mark.parametrize("argv, brute", [
     (["lexmin-trees", "@graph", "--n", "2", "--verify"], "brute_lexmin"),
     (["shifted", "@matroid", "@profits", "--verify"], "brute_shifted"),

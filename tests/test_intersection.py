@@ -2,8 +2,10 @@
 the bipartite-matching fiber."""
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroid_shift import (
     BipartiteGraph,
@@ -14,6 +16,7 @@ from matroid_shift import (
     IntersectionInstance,
     Matrix01,
     OracleMatroid,
+    PartitionMatroid,
     ProfitMatrix,
     ShuffleMatroid,
     UniformMatroid,
@@ -27,6 +30,7 @@ from matroid_shift import (
     solve_shifted_bipartite_matching,
     weighted_matroid_intersection_max,
 )
+from matroid_shift import intersection
 from corpora import random_sbo_matroid
 
 K22 = BipartiteGraph(2, 2, [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -108,6 +112,97 @@ def test_wmi_over_shuffle_circuits_matches_per_swap_arcs():
         got = weighted_matroid_intersection_max(ShuffleMatroid(m1, n), ShuffleMatroid(m2, n), w)
         oracles = [OracleMatroid(d * n, ShuffleMatroid(m, n)._indep) for m in (m1, m2)]
         assert got == weighted_matroid_intersection_max(*oracles, w)
+
+
+def reference_augmenting_path(m1, m2, cur, w):
+    """The label-correcting search that the tight-arc walk replaced.
+
+    It carries whole path tuples in its labels, so the least (cost, hops,
+    path) label is the lexicographically smallest optimal path by definition.
+    """
+    d = m1.d
+    outside = [e for e in range(d) if e not in cur]
+    inside = sorted(cur)
+    # Arcs: x->y when cur - x + y stays m1-independent, y->x when it stays
+    # m2-independent.  That holds for every x when cur + y is independent
+    # (y is then a source, or a sink) and otherwise for the x on the circuit
+    # that y closes in cur.
+    c1 = {y: m1.circuit(cur, y) for y in outside}
+    sources = [y for y in outside if c1[y] is None]
+    if not sources:
+        return None
+    c2 = {y: m2.circuit(cur, y) for y in outside}
+    sinks = {y for y in outside if c2[y] is None}
+    arcs = [(x, y) for y in outside for x in (inside if c1[y] is None else c1[y])]
+    arcs += [(y, x) for y in outside for x in (inside if c2[y] is None else c2[y])]
+    arcs.sort()
+
+    def cost(v: int) -> int:
+        return w[v] if v in cur else -w[v]
+
+    # Label-correcting search on (cost, hops, path); path tuples make the
+    # order total, so the outcome is deterministic.  Recorded paths are kept
+    # simple, so labels live in a finite set and the loop terminates.
+    dist: dict[int, tuple] = {}
+    for y in sorted(sources):
+        dist[y] = (cost(y), 1, (y,))
+    changed = True
+    while changed:
+        changed = False
+        for u, v in arcs:
+            du = dist.get(u)
+            if du is None or v in du[2]:
+                continue
+            cand = (du[0] + cost(v), du[1] + 1, du[2] + (v,))
+            if v not in dist or cand < dist[v]:
+                dist[v] = cand
+                changed = True
+
+    best = None
+    for y in sorted(sinks):
+        if y in dist and (best is None or dist[y] < best):
+            best = dist[y]
+    if best is None:
+        return None
+    return frozenset(best[2])
+
+
+def random_partition_matroid(rng, d):
+    # Positive capacities on few blocks block the greedy choice more often,
+    # so more stages need a path of three or five arcs, where ties matter.
+    nb = rng.randint(2, 4)
+    return PartitionMatroid([rng.randrange(nb) for _ in range(d)],
+                            [rng.randint(1, 2) for _ in range(nb)])
+
+
+@pytest.mark.parametrize("family", ["sbo", "partition"])
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_tight_arc_search_matches_reference(family, seed):
+    # Every stage of the intersection must pick the set that the reference
+    # picks from the same cur, not only reach the same optimal weight.
+    rng = random.Random(seed)
+    if family == "sbo":
+        d, draw = rng.randint(1, 5), random_sbo_matroid
+    else:
+        d, draw = rng.randint(1, 8), random_partition_matroid
+    n = rng.randint(1, 3)
+    m1, m2 = ShuffleMatroid(draw(rng, d), n), ShuffleMatroid(draw(rng, d), n)
+    w = [rng.randint(-3, 6) for _ in range(d * n)]
+    if rng.random() < 0.5:  # equal weights along a row: parallel cells tie
+        w = [w[f - f % n] for f in range(d * n)]
+    search = intersection._augmenting_path
+    stages = []
+
+    def both(m1, m2, cur, w):
+        got = search(m1, m2, cur, w)
+        assert got == reference_augmenting_path(m1, m2, cur, w), sorted(cur)
+        stages.append(got)
+        return got
+
+    with mock.patch.object(intersection, "_augmenting_path", both):
+        weighted_matroid_intersection_max(m1, m2, w)
+    assert stages[-1] is None
 
 
 def test_intersection_instance_rejects_kinds():
@@ -277,3 +372,56 @@ def test_solve_shifted_bipartite_matches_bruteforce():
         m1, m2 = degree_matroids(g)
         expect, _ = brute_shifted(common_members(m1, m2), n, c)
         assert sol.value == expect
+
+
+def test_bipartite_12x12_pins_value_and_columns():
+    # 70 distinct edges of the 12x12 grid of vertex pairs and profits in
+    # -3..9, drawn from random.Random(0).  The columns were recorded from
+    # the label-correcting search, so they pin its tie-breaking at a scale
+    # where stages need long augmenting paths.
+    rng = random.Random(0)
+    edges = rng.sample([(l, r) for l in range(1, 13) for r in range(1, 13)], 70)
+    c = ProfitMatrix([[rng.randint(-3, 9) for _ in range(4)] for _ in range(70)])
+    sol = solve_shifted_bipartite_matching(BipartiteGraph(12, 12, edges), 4, c)
+    assert sol.value == 359
+    assert [col.indices() for col in sol.y.columns()] == [
+        (0, 2, 9, 12, 21, 24, 29, 37, 42, 52, 54, 68),
+        (8, 13, 21, 24, 25, 33, 43, 48, 56, 58, 59, 69),
+        (8, 19, 26, 36, 39, 46, 47, 51, 60, 64, 66, 69),
+        (22, 23, 26, 39, 40, 41, 47, 49, 51, 53, 60, 62),
+    ]
+
+
+def flow_matching_value(left, right, edges, rows, n):
+    """Shifted optimum over n matchings, as a min-cost flow.
+
+    By Koenig's theorem the candidates are multigraphs of maximum degree
+    <= n; edge e used m times earns the top m entries of its profit row, so
+    each edge becomes n unit arcs priced by its sorted profits.
+    """
+    nx = pytest.importorskip("networkx")
+    g = nx.DiGraph()
+    supply = n * left
+    g.add_node("s", demand=-supply)
+    g.add_node("t", demand=supply)
+    g.add_edge("s", "t", capacity=supply, weight=0)
+    for v in range(1, left + 1):
+        g.add_edge("s", ("L", v), capacity=n, weight=0)
+    for v in range(1, right + 1):
+        g.add_edge(("R", v), "t", capacity=n, weight=0)
+    for e, ((l, r), row) in enumerate(zip(edges, rows)):
+        for j, c in enumerate(sorted(row, reverse=True)):
+            g.add_edge(("L", l), ("e", e, j), capacity=1, weight=-c)
+            g.add_edge(("e", e, j), ("R", r), capacity=1, weight=0)
+    return -nx.min_cost_flow_cost(g)
+
+
+def test_shifted_value_intersection_matches_min_cost_flow():
+    rng = random.Random(16)
+    for _ in range(30):
+        left, right, n = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 3)
+        edges = [(rng.randint(1, left), rng.randint(1, right)) for _ in range(rng.randint(1, 12))]
+        rows = [[rng.randint(-5, 9) for _ in range(n)] for _ in edges]
+        g = BipartiteGraph(left, right, edges)
+        inst = IntersectionInstance(*degree_matroids(g), n, ProfitMatrix(rows))
+        assert shifted_value_intersection(inst) == flow_matching_value(left, right, edges, rows, n)
