@@ -17,15 +17,10 @@ from .bruteforce import (
     enumerate_members,
 )
 from .constructions import (
-    Decomposition,
     LiftMatroid,
     Matrix01,
     ShuffleMatroid,
     UnionMatroid,
-    flat_index,
-    lift_is_independent,
-    shuffle_is_independent,
-    unflat_index,
     union_is_independent,
     union_rank_check,
 )
@@ -57,7 +52,6 @@ from .matroids import (
     UniformMatroid,
     full_rank,
     greedy_max,
-    is_independent,
     matroid_from_json,
     matroid_to_json,
     rank,

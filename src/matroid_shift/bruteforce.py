@@ -3,12 +3,11 @@
 Everything here answers by definition: list the members of a set system by
 filtering the power set through the independence oracle, then scan all
 multisets of n members.  Size guards are hard errors, never silent
-truncation; the MATROID_SHIFT_GUARD environment variable overrides the caps.
+truncation.
 """
 
 from __future__ import annotations
 
-import os
 from math import comb
 from typing import Sequence
 
@@ -19,17 +18,6 @@ from .solver import ProfitMatrix
 
 POWERSET_GUARD = 2**20
 MULTISET_GUARD = 10**7
-GUARD_ENV = "MATROID_SHIFT_GUARD"
-
-
-def _cap(default: int) -> int:
-    raw = os.environ.get(GUARD_ENV)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"{GUARD_ENV} must be an integer, got {raw!r}") from exc
 
 
 class ExplicitSetSystem:
@@ -53,9 +41,8 @@ class ExplicitSetSystem:
 
 def enumerate_members(m: Matroid, bases_only: bool = False) -> ExplicitSetSystem:
     """All independent sets of m (or only the bases), by power-set filtering."""
-    cap = _cap(POWERSET_GUARD)
-    if 2**m.d > cap:
-        raise GuardError(f"2^{m.d} subsets exceed the enumeration guard {cap}")
+    if 2**m.d > POWERSET_GUARD:
+        raise GuardError(f"2^{m.d} subsets exceed the enumeration guard {POWERSET_GUARD}")
     members = []
     for mask in range(1 << m.d):
         elems = frozenset(i for i in range(m.d) if mask >> i & 1)
@@ -68,11 +55,10 @@ def enumerate_members(m: Matroid, bases_only: bool = False) -> ExplicitSetSystem
 
 
 def _check_multiset_guard(count: int, n: int) -> None:
-    cap = _cap(MULTISET_GUARD)
-    if comb(count + n - 1, n) > cap:
+    if comb(count + n - 1, n) > MULTISET_GUARD:
         raise GuardError(
             f"{comb(count + n - 1, n)} multisets of {n} from {count} members "
-            f"exceed the enumeration guard {cap}"
+            f"exceed the enumeration guard {MULTISET_GUARD}"
         )
 
 

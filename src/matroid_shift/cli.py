@@ -132,7 +132,9 @@ def parse_graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:
 
 
 def graph_is_connected(vertices: int, edges) -> bool:
-    if vertices < 1:
+    # Fewer than vertices - 1 edges cannot connect the graph; checking that
+    # first keeps the union-find below as large as the edge list.
+    if vertices < 1 or len(edges) < vertices - 1:
         return False
     parent = list(range(vertices + 1))
 

@@ -6,8 +6,9 @@ realized here:
 * the lift: d x n 0/1 matrices with at most one 1 per row whose column-sum
   vector is independent in S;
 * the n-fold union of any matroid T over E: count vectors over E that are
-  sums of n T-independent sets (subsets are the 0/1 case), decided by the
-  matroid-partition augmenting-path algorithm, which also produces the parts;
+  sums of n T-independent sets (subsets are the 0/1 case), decided by adding
+  one copy at a time along matroid-partition augmenting paths, which also
+  produces the parts;
 * the shuffle matroid: matrices equivalent to some column-wise selection of n
   independent sets of S, decided by the n-union of S on the row sums.
 
@@ -94,36 +95,6 @@ class Matrix01:
         return f"Matrix01({[list(r) for r in self.rows]})"
 
 
-def flat_index(i: int, j: int, n: int) -> int:
-    """Row-major flattening of matrix position (i, j), all 0-based."""
-    return i * n + j
-
-
-def unflat_index(f: int, n: int) -> tuple[int, int]:
-    return divmod(f, n)
-
-
-class Decomposition:
-    """Parts x_1..x_n of a matrix, pairwise support-disjoint, summing to it."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: Sequence[Matrix01]):
-        self.parts = tuple(parts)
-
-    def total(self) -> Matrix01:
-        d, n = self.parts[0].d, self.parts[0].n
-        rows = [[0] * n for _ in range(d)]
-        for p in self.parts:
-            for i, r in enumerate(p.rows):
-                for j, x in enumerate(r):
-                    rows[i][j] += x
-        return Matrix01(rows)  # raises if supports overlap
-
-    def __repr__(self) -> str:
-        return f"Decomposition({len(self.parts)} parts)"
-
-
 class LiftMatroid(Matroid):
     """Matrices over [d] x [n] with at most one 1 per row and column sum in base."""
 
@@ -156,12 +127,14 @@ class LiftMatroid(Matroid):
 class UnionMatroid(Matroid):
     """n-fold union of a matroid, decided on count vectors.
 
+    grow(elements) adds one copy of each element in turn where it fits, and
     decompose(r) finds n independent parts holding element i in exactly r[i]
     of them; a plain set is the 0/1 case.  Each copy is added by matroid
     partitioning (Knuth, 1973): a breadth-first search for a shortest path in
     the exchange digraph, whose arcs lead from a copy to the members of the
-    circuit it closes in another part.  decompose memoizes by count tuple (grow
-    does not), so an instance is mutable: use one per run, on one thread.
+    circuit it closes in another part.  decompose grows r from the last vector
+    it accepted and memoizes its answers by count tuple (grow keeps nothing),
+    so an instance is mutable: use one per run, on one thread.
     """
 
     kind = "oracle_composite"
@@ -174,9 +147,10 @@ class UnionMatroid(Matroid):
         self.part = part
         self.n = n
         self.cap = n * full_rank(part)  # no decomposable vector sums to more
-        zero = (0,) * part.d
-        self._indep_cache: dict[tuple, tuple] = {zero: tuple(frozenset() for _ in range(n))}
+        zero, empty = (0,) * part.d, tuple(frozenset() for _ in range(n))
+        self._indep_cache: dict[tuple, tuple] = {zero: empty}
         self._dep_cache: set = set()
+        self._last = (zero, empty)  # the last vector decompose accepted, and its parts
         self._circuits: dict = {}  # (part, element) -> Matroid.circuit answer
 
     def _indep(self, elems: frozenset) -> bool:
@@ -194,43 +168,43 @@ class UnionMatroid(Matroid):
             raise InputError(f"count vector {list(r)} does not fit ground size {self.d}")
         if sum(r) > self.cap:
             return None
-        for i in range(self.d - 1, -1, -1):
-            if not r[i]:
-                continue
-            t = r[:i] + (r[i] - 1,) + r[i + 1:]
-            if t in self._dep_cache:  # r dominates a rejected vector
-                break
-            start = self._indep_cache.get(t)
-            if start is not None:
-                parts = self._try_augment(start, i)
-                if parts is None:
-                    break
-                self._check_partition(r, parts, start)
-                self._indep_cache[r] = parts
-                return parts
-        else:
-            # Cold query: build r from zero one unit at a time, row by row.
-            # The loop above answers each step from the step before it, so
-            # these calls never reach this branch: no recursion builds up.
-            t = [0] * self.d
-            for i, c in enumerate(r):
-                for _ in range(c):
-                    t[i] += 1
-                    hit = self.decompose(t)
-                    if hit is None:
-                        self._dep_cache.add(r)
-                        return None
-            return hit
-        self._dep_cache.add(r)
-        return None
+        # Start from the last answer less the copies r does not hold, and
+        # grow the copies it lacks.  Each copy finds an augmenting path
+        # exactly when the counts stay decomposable, so r is reached exactly
+        # when it decomposes.
+        last, parts = self._last
+        excess = {i: c - t for i, (c, t) in enumerate(zip(last, r)) if c > t}
+        if excess:
+            trimmed = []
+            for p in parts:
+                drop = set()
+                for x in p:
+                    if excess.get(x):
+                        excess[x] -= 1
+                        drop.add(x)
+                trimmed.append(p - drop if drop else p)
+            parts = tuple(trimmed)
+        missing = [i for i, (c, t) in enumerate(zip(last, r)) for _ in range(t - c)]
+        got, parts = self.grow(missing, parts)
+        if tuple(got) != r:
+            self._dep_cache.add(r)
+            return None
+        self._indep_cache[r] = parts
+        self._last = (r, parts)
+        return parts
 
-    def grow(self, elements: Iterable[int]) -> tuple[list[int], tuple]:
+    def grow(self, elements: Iterable[int], parts: tuple | None = None) -> tuple[list[int], tuple]:
         """Add a copy of each element in turn where it fits; return (counts, parts).
 
-        A refused element is never retried: the counts only grow.
+        Growth starts from parts, n independent sets (default: n empty
+        ones).  A refused element is never retried: the counts only grow.
         """
+        if parts is None:
+            parts = tuple(frozenset() for _ in range(self.n))
         counts, refused = [0] * self.d, set()
-        parts = tuple(frozenset() for _ in range(self.n))
+        for p in parts:
+            for x in p:
+                counts[x] += 1
         for e in elements:
             grown = None if e in refused else self._try_augment(parts, e)
             if grown is None:
@@ -353,7 +327,8 @@ class ShuffleMatroid(Matroid):
         self._check_matrix(x)
         return self._indep(x.flat_indices())
 
-    def decompose_matrix(self, x: Matrix01) -> Decomposition | None:
+    def decompose_matrix(self, x: Matrix01) -> tuple[Matrix01, ...] | None:
+        """n lift-independent parts with disjoint supports summing to x, or None."""
         self._check_matrix(x)
         parts = self.union.decompose(x.row_sums())
         if parts is None:
@@ -367,16 +342,11 @@ class ShuffleMatroid(Matroid):
             if not self.lift._indep(cells):
                 raise InternalError("a decomposition part is not lift-independent")
             out.append(Matrix01.from_flat(d, n, cells))
-        return Decomposition(out)
+        return tuple(out)
 
     def _check_matrix(self, x: Matrix01) -> None:
         if x.d != self.base.d or x.n != self.n:
             raise InputError(f"matrix is {x.d}x{x.n}, expected {self.base.d}x{self.n}")
-
-
-def lift_is_independent(base: Matroid, n: int, x: Matrix01) -> bool:
-    """True iff x has at most one 1 per row and its column sum lies in base."""
-    return LiftMatroid(base, n).is_independent_matrix(x)
 
 
 def union_is_independent(part: Matroid, n: int, s: Subset01) -> tuple[bool, tuple[Subset01, ...] | None]:
@@ -387,12 +357,6 @@ def union_is_independent(part: Matroid, n: int, s: Subset01) -> tuple[bool, tupl
     if parts is None:
         return False, None
     return True, tuple(Subset01.from_indices(part.d, p) for p in parts)
-
-
-def shuffle_is_independent(base: Matroid, n: int, x: Matrix01) -> tuple[bool, Decomposition | None]:
-    """Membership oracle for the shuffle matroid, with a lift decomposition."""
-    dec = ShuffleMatroid(base, n).decompose_matrix(x)
-    return (dec is not None), dec
 
 
 def union_rank_check(base: Matroid, n: int) -> tuple[int, int]:

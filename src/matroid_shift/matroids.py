@@ -121,9 +121,16 @@ class GraphicMatroid(Matroid):
             if not (1 <= u <= self.vertices and 1 <= v <= self.vertices):
                 raise InputError(f"edge ({u},{v}) has an endpoint outside 1..{self.vertices}")
         self.edges = tuple((int(u), int(v)) for u, v in edges)
+        # The oracle's union-find runs over the vertices that edges touch,
+        # numbered 0.. in order of appearance, so its memory follows the
+        # edges and not the declared vertex count.
+        label: dict[int, int] = {}
+        self._ends = tuple((label.setdefault(u, len(label)), label.setdefault(v, len(label)))
+                           for u, v in self.edges)
+        self._touched = len(label)
 
     def _indep(self, elems: frozenset) -> bool:
-        parent = list(range(self.vertices + 1))
+        parent = list(range(self._touched))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -132,7 +139,7 @@ class GraphicMatroid(Matroid):
             return x
 
         for e in elems:
-            u, v = self.edges[e]
+            u, v = self._ends[e]
             ru, rv = find(u), find(v)
             if ru == rv:
                 return False
@@ -358,11 +365,6 @@ class OracleMatroid(Matroid):
 
     def _indep(self, elems: frozenset) -> bool:
         return bool(self._fn(frozenset(elems)))
-
-
-def is_independent(m: Matroid, s: Subset01) -> bool:
-    """Oracle call on an explicit 0/1 subset."""
-    return m.is_independent(s)
 
 
 def rank(m: Matroid, s: Subset01) -> int:

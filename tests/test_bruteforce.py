@@ -20,7 +20,7 @@ from matroid_shift import (
     enumerate_members,
     greedy_max,
 )
-from matroid_shift.bruteforce import GUARD_ENV, evaluate_shifted
+from matroid_shift.bruteforce import evaluate_shifted
 from corpora import K4, TRIANGLE, random_matroid
 
 
@@ -103,14 +103,3 @@ def test_guards_are_hard_errors():
     cube = ExplicitSetSystem(3, list(itertools.product((0, 1), repeat=3)))
     with pytest.raises(GuardError):
         brute_shifted(cube, 30, ProfitMatrix([[0] * 30] * 3))
-
-
-def test_guard_env_override(monkeypatch):
-    monkeypatch.setenv(GUARD_ENV, "4")
-    with pytest.raises(GuardError):
-        enumerate_members(UniformMatroid(3, 1))
-    monkeypatch.setenv(GUARD_ENV, "1000000")
-    assert len(enumerate_members(UniformMatroid(3, 1))) == 4
-    monkeypatch.setenv(GUARD_ENV, "banana")
-    with pytest.raises(InputError):
-        enumerate_members(UniformMatroid(3, 1))

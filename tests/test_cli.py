@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -76,6 +77,36 @@ def test_lexmin_trees_disconnected(files, capsys):
     assert code == 2
     assert report is None
     assert "not connected" in err
+
+
+def peak_alloc_mb(fn):
+    """(fn(), the most memory in MB that Python held at once while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_lexmin_trees_memory_follows_edges(files, capsys):
+    # Too few edges to connect three million declared vertices: exit 2
+    # without a union-find over all of them (about 100 MB).
+    graph = files("sparse.graph", "p 3000000 0\n")
+    code, peak = peak_alloc_mb(lambda: main(["lexmin-trees", graph, "--n", "1"]))
+    assert code == 2 and "not connected" in capsys.readouterr().err
+    assert peak < 5
+
+
+def test_shifted_graphic_memory_follows_edges(files, capsys):
+    # A triangle declared with two million vertices: the oracle's union-find
+    # covers the three it touches, and the answer is the triangle's.
+    big = {**TRIANGLE_MATROID, "params": {**TRIANGLE_MATROID["params"], "vertices": 2_000_000}}
+    profits = files("c.json", {"d": 3, "n": 2, "rows": [[3, 0], [3, 0], [0, 0]]})
+    argv = ["shifted", files("big.json", big), profits, "--bases", "--verify", "--recheck"]
+    code, peak = peak_alloc_mb(lambda: main(argv))
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["value"] == 6 and report["verification"] == "ok"
+    assert peak < 5
 
 
 def test_lexmin_trees_parse_error(files, capsys):

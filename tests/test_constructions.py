@@ -18,11 +18,7 @@ from matroid_shift import (
     UniformMatroid,
     brute_shuffle_membership,
     enumerate_members,
-    flat_index,
     full_rank,
-    lift_is_independent,
-    shuffle_is_independent,
-    unflat_index,
     union_is_independent,
     union_rank_check,
     weighted_matroid_intersection_max,
@@ -34,8 +30,6 @@ from test_matroids import assert_matroid_axioms
 
 def test_flattening_convention():
     # row-major: (i, j) <-> i*n + j
-    assert flat_index(2, 1, 3) == 7
-    assert unflat_index(7, 3) == (2, 1)
     x = Matrix01([[0, 1], [1, 0], [0, 0]])
     assert x.flat_indices() == frozenset({1, 2})
     assert Matrix01.from_flat(3, 2, [1, 2]) == x
@@ -51,10 +45,10 @@ def test_matrix01_validation():
 
 
 def test_lift_examples():
-    u21 = UniformMatroid(2, 1)
-    assert lift_is_independent(u21, 2, Matrix01([[1, 0], [0, 0]]))
-    assert not lift_is_independent(u21, 2, Matrix01([[1, 0], [0, 1]]))
-    assert not lift_is_independent(u21, 2, Matrix01([[1, 1], [0, 0]]))
+    lift = LiftMatroid(UniformMatroid(2, 1), 2)
+    assert lift.is_independent_matrix(Matrix01([[1, 0], [0, 0]]))
+    assert not lift.is_independent_matrix(Matrix01([[1, 0], [0, 1]]))
+    assert not lift.is_independent_matrix(Matrix01([[1, 1], [0, 0]]))
 
 
 def test_lift_oracle_satisfies_axioms():
@@ -141,13 +135,10 @@ def test_union_monotone():
 
 
 def test_shuffle_examples():
-    u21 = UniformMatroid(2, 1)
-    ok, dec = shuffle_is_independent(u21, 2, Matrix01([[1, 0], [0, 1]]))
-    assert ok and dec is not None
-    assert not shuffle_is_independent(u21, 2, Matrix01([[1, 1], [1, 1]]))[0]
-    ok0, _ = shuffle_is_independent(u21, 2, Matrix01.zero(2, 2))
-    assert ok0
-    sm = ShuffleMatroid(u21, 2)
+    sm = ShuffleMatroid(UniformMatroid(2, 1), 2)
+    assert sm.decompose_matrix(Matrix01([[1, 0], [0, 1]])) is not None
+    assert sm.decompose_matrix(Matrix01([[1, 1], [1, 1]])) is None
+    assert sm.decompose_matrix(Matrix01.zero(2, 2)) is not None
     assert sm.circuit({0}, 2) is None
     assert sm.circuit({0, 2}, 1) == (0, 2)  # cell 1 shares cell 0's row
     with pytest.raises(InputError):
@@ -207,20 +198,25 @@ def test_shuffle_circuit_follows_its_argument():
                 sm.circuit(a | {outside[0]}, outside[1])
 
 
+def assert_lift_decomposition(m, n, x, parts):
+    # n lift-independent parts whose supports are disjoint and cover x.
+    assert len(parts) == n
+    lift = LiftMatroid(m, n)
+    assert all(lift.is_independent_matrix(p) for p in parts)
+    cells = [p.flat_indices() for p in parts]
+    assert sum(map(len, cells)) == len(x.flat_indices())
+    assert frozenset().union(*cells) == x.flat_indices()
+
+
 def test_shuffle_decomposition_parts_are_lift_independent():
     rng = random.Random(10)
     for _ in range(30):
         m = random_matroid(rng, dmax=4)
         n = rng.randint(1, 3)
         x = Matrix01([[rng.randint(0, 1) for _ in range(n)] for _ in range(m.d)])
-        ok, dec = shuffle_is_independent(m, n, x)
-        if not ok:
-            continue
-        lift = LiftMatroid(m, n)
-        total = dec.total()
-        assert total == x
-        for p in dec.parts:
-            assert lift.is_independent_matrix(p)
+        parts = ShuffleMatroid(m, n).decompose_matrix(x)
+        if parts is not None:
+            assert_lift_decomposition(m, n, x, parts)
 
 
 def test_shuffle_agrees_with_bruteforce_definition():
@@ -239,7 +235,7 @@ def test_shuffle_agrees_with_bruteforce_definition():
         n = rng.randint(1, 3)
         sysm = enumerate_members(m)
         x = Matrix01([[rng.randint(0, 1) for _ in range(n)] for _ in range(m.d)])
-        ok, _ = shuffle_is_independent(m, n, x)
+        ok = ShuffleMatroid(m, n).decompose_matrix(x) is not None
         assert ok == brute_shuffle_membership(sysm, n, x)
 
 
@@ -260,6 +256,6 @@ def test_union_rank_check_examples():
 
 def test_lift_dimension_mismatch():
     with pytest.raises(InputError):
-        lift_is_independent(UniformMatroid(2, 1), 2, Matrix01([[1, 0, 0], [0, 0, 0]]))
+        LiftMatroid(UniformMatroid(2, 1), 2).is_independent_matrix(Matrix01([[1, 0, 0], [0, 0, 0]]))
     with pytest.raises(InputError):
         union_is_independent(TRIANGLE, 2, Subset01([1, 0]))

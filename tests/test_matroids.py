@@ -17,7 +17,6 @@ from matroid_shift import (
     UniformMatroid,
     full_rank,
     greedy_max,
-    is_independent,
     matroid_from_json,
     matroid_to_json,
     rank,
@@ -102,14 +101,14 @@ def test_every_family_builds_its_own_circuit():
 
 
 def test_graphic_triangle_examples():
-    assert is_independent(TRIANGLE, Subset01([1, 1, 0]))
-    assert not is_independent(TRIANGLE, Subset01([1, 1, 1]))
+    assert TRIANGLE.is_independent(Subset01([1, 1, 0]))
+    assert not TRIANGLE.is_independent(Subset01([1, 1, 1]))
     assert rank(TRIANGLE, Subset01([1, 1, 1])) == 2
 
 
 def test_uniform_examples():
     u = UniformMatroid(4, 2)
-    assert not is_independent(u, Subset01([1, 1, 1, 0]))
+    assert not u.is_independent(Subset01([1, 1, 1, 0]))
     assert rank(u, Subset01.full(4)) == 2
 
 
@@ -117,8 +116,8 @@ def test_gf2_rank_example():
     # columns (1,0), (0,1), (1,1): any two are a basis, all three dependent
     m = LinearGf2Matroid([[1, 0], [0, 1], [1, 1]])
     assert rank(m, Subset01.full(3)) == 2
-    assert not is_independent(m, Subset01([1, 1, 1]))
-    assert is_independent(m, Subset01([1, 0, 1]))
+    assert not m.is_independent(Subset01([1, 1, 1]))
+    assert m.is_independent(Subset01([1, 0, 1]))
 
 
 def test_rank_matches_bruteforce():
@@ -173,7 +172,7 @@ def test_greedy_invariant_under_monotone_relabeling():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(InputError):
-        is_independent(TRIANGLE, Subset01([1, 0]))
+        TRIANGLE.is_independent(Subset01([1, 0]))
     with pytest.raises(InputError):
         greedy_max(TRIANGLE, [1, 2])
     with pytest.raises(InputError):
@@ -204,7 +203,7 @@ def test_json_round_trip():
         assert clone.kind == m.kind and clone.d == m.d
         for mask in range(1 << m.d):
             s = Subset01([(mask >> i) & 1 for i in range(m.d)])
-            assert is_independent(clone, s) == is_independent(m, s)
+            assert clone.is_independent(s) == m.is_independent(s)
 
 
 def test_json_rejects_garbage():

@@ -7,19 +7,20 @@ from hypothesis import given, settings, strategies as st
 
 from matroid_shift import (
     InputError,
-    LiftMatroid,
     LinearGf2Matroid,
     Matrix01,
     Matroid,
     ProfitMatrix,
     ShuffleMatroid,
     TransversalMatroid,
+    UnionMatroid,
     brute_shuffle_membership,
     enumerate_members,
     solve_shuffling,
 )
 from matroid_shift.matroids import greedy_in_order
 from corpora import FAMILIES, random_matroid
+from test_constructions import assert_lift_decomposition
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -31,17 +32,42 @@ def test_shuffle_membership_and_decomposition(kind, seed, data):
     m = random_matroid(random.Random(seed), dmax=5, kind=kind)
     n = data.draw(st.integers(1, 3), label="n")
     members = enumerate_members(m)
-    lift = LiftMatroid(m, n)
     sm = ShuffleMatroid(m, n)  # shared by the queries, so they reuse its memo
     cell_sets = st.sets(st.integers(0, m.d * n - 1))
     for cells in data.draw(st.lists(cell_sets, min_size=1, max_size=6), label="queries"):
         x = Matrix01.from_flat(m.d, n, cells)  # any cells, not only row prefixes
-        dec = sm.decompose_matrix(x)
-        assert (dec is not None) == brute_shuffle_membership(members, n, x)
-        assert sm.is_independent_matrix(x) == (dec is not None)
-        if dec is not None:
-            assert all(lift.is_independent_matrix(p) for p in dec.parts)
-            assert dec.total() == x
+        parts = sm.decompose_matrix(x)
+        assert (parts is not None) == brute_shuffle_membership(members, n, x)
+        assert sm.is_independent_matrix(x) == (parts is not None)
+        if parts is not None:
+            assert_lift_decomposition(m, n, x, parts)
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_decompose_agrees_with_grow_from_zero(kind, seed, data):
+    # One instance answers count vectors that rise and fall, by unit steps
+    # and by jumps to any vector (dependent ones and ones above cap too),
+    # each from the last vector it accepted.  A fresh instance growing r
+    # from zero in row order must accept exactly the same vectors.
+    m = random_matroid(random.Random(seed), dmax=5, kind=kind)
+    n = data.draw(st.integers(1, 3), label="n")
+    union = UnionMatroid(m, n)
+    vectors = st.lists(st.integers(0, n + 1), min_size=m.d, max_size=m.d)
+    r = [0] * m.d
+    for _ in range(data.draw(st.integers(1, 12), label="queries")):
+        if data.draw(st.booleans(), label="jump"):
+            r = data.draw(vectors, label="r")
+        else:
+            i = data.draw(st.integers(0, m.d - 1), label="row")
+            r = r[:i] + [max(r[i] + data.draw(st.sampled_from((-1, 1)), label="step"), 0)] + r[i + 1:]
+        parts = union.decompose(r)
+        counts, _ = UnionMatroid(m, n).grow(i for i, c in enumerate(r) for _ in range(c))
+        assert (parts is not None) == (counts == r)
+        if parts is not None:
+            assert len(parts) == n and all(m._indep(p) for p in parts)
+            assert [sum(i in p for p in parts) for i in range(m.d)] == r
 
 
 @pytest.mark.parametrize("kind", FAMILIES)
