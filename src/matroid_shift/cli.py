@@ -5,7 +5,7 @@ only the JSON report; human-readable messages go to stderr.  Exit codes:
 
     0  success
     2  graph not connected (lexmin-trees)
-    3  parse error or dimension mismatch
+    3  parse error or dimension mismatch, rejected command-line arguments included
     4  verification, recheck or self-check mismatch
     5  overflow guard violation
     6  matroid kind outside the strongly-base-orderable families
@@ -267,8 +267,16 @@ def cmd_fiber(args) -> tuple[dict, int]:
     return report, code
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a rejected argument, which here means a
+    # disconnected graph; rejected arguments are parse errors.
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="matroid-shift",
         description="Shifted and lexicographic optimization over matroids",
     )

@@ -127,12 +127,13 @@ class LiftMatroid(Matroid):
 class UnionMatroid(Matroid):
     """n-fold union of a matroid, decided on count vectors.
 
-    grow(elements) adds one copy of each element in turn where it fits, and
+    grow(elements) adds one copy of each element in turn where it fits,
     decompose(r) finds n independent parts holding element i in exactly r[i]
-    of them; a plain set is the 0/1 case.  Each copy is added by matroid
-    partitioning (Knuth, 1973): a breadth-first search for a shortest path in
-    the exchange digraph, whose arcs lead from a copy to the members of the
-    circuit it closes in another part.  decompose grows r from the last vector
+    of them (a plain set is the 0/1 case), and circuits(parts, rows) tells
+    for each row whether the parts can take one more copy of it.  Each copy
+    is added by matroid partitioning (Knuth, 1973): a breadth-first search
+    for a shortest path in the exchange digraph, whose arcs lead from a copy
+    to the members of the circuit it closes in another part.  decompose grows r from the last vector
     it accepted and memoizes its answers by count tuple (grow keeps nothing),
     so an instance is mutable: use one per run, on one thread.
     """
@@ -219,15 +220,8 @@ class UnionMatroid(Matroid):
 
     def _try_augment(self, parts: tuple, e: int) -> tuple | None:
         """parts with one more copy of e, or None; unchanged parts are reused."""
-        return self._search(parts, e)[0]
-
-    def _search(self, parts: tuple, e: int) -> tuple[tuple | None, dict]:
         # Breadth-first search from a new copy of e, which is in no part yet.
-        # Nodes are copies (element, index of the part holding it).  Returns
-        # (grown parts, None), or (None, parent map of every copy reached):
-        # when no path exists, the elements reached are the circuit that the
-        # new copy closes in the union.
-        circuits = self._circuits
+        # Nodes are copies (element, index of the part holding it).
         start = (e, None)
         parent = {start: None}
         queue = deque([start])
@@ -239,9 +233,7 @@ class UnionMatroid(Matroid):
                 # never shortens a path.
                 if x in p:
                     continue
-                members = circuits.get((p, x), False)
-                if members is False:
-                    members = circuits[p, x] = self.part.circuit(p, x)
+                members = self._circuit(p, x)
                 if members is None:
                     # node moves into part k, its parent into the part node
                     # vacated, and so on back to the new copy.
@@ -253,13 +245,71 @@ class UnionMatroid(Matroid):
                             new.setdefault(cx, set(parts[cx])).remove(x)
                         node, k = parent[node], cx
                     return tuple(frozenset(new[k]) if k in new else p
-                                 for k, p in enumerate(parts)), None
+                                 for k, p in enumerate(parts))
                 for v in members:
                     nxt = (v, k)
                     if nxt not in parent:
                         parent[nxt] = node
                         queue.append(nxt)
-        return None, parent
+        return None
+
+    def circuits(self, parts: tuple, rows: Iterable[int]) -> dict[int, tuple[int, ...] | None]:
+        """For each row j: None if the parts can take one more copy of j,
+        else the ascending elements the parts hold on the circuit it closes.
+
+        An element i is on that circuit exactly when the counts plus a copy
+        of j less a copy of i decompose.  The search from a new copy of x
+        steps to the members of the circuit x closes in each part lacking x,
+        whichever part held x, so one element-level exchange graph serves
+        every row: a copy of j fits iff j reaches an element that fits
+        straight into some part, and otherwise the elements j reaches are
+        its circuit (Knuth, 1973).
+        """
+        held = set().union(*parts)
+        succ: dict[int, set] = {}
+        fits = []
+        for x in range(self.d):
+            succ[x] = set()
+            for p in parts:
+                if x in p:
+                    continue
+                members = self._circuit(p, x)
+                if members is None:
+                    fits.append(x)
+                    break
+                succ[x].update(members)
+        pred: dict[int, list] = {}
+        for x, vs in succ.items():
+            for v in vs:
+                pred.setdefault(v, []).append(x)
+        # Every element that reaches one that fits can take a copy.
+        grows = set(fits)
+        queue = deque(fits)
+        while queue:
+            for u in pred.get(queue.popleft(), ()):
+                if u not in grows:
+                    grows.add(u)
+                    queue.append(u)
+        out: dict[int, tuple[int, ...] | None] = {}
+        for j in rows:
+            if j in grows:
+                out[j] = None
+                continue
+            reached = {j}
+            queue = deque([j])
+            while queue:
+                for v in succ[queue.popleft()]:
+                    if v not in reached:
+                        reached.add(v)
+                        queue.append(v)
+            out[j] = tuple(sorted(reached & held))
+        return out
+
+    def _circuit(self, p: frozenset, x: int) -> tuple[int, ...] | None:
+        members = self._circuits.get((p, x), False)
+        if members is False:
+            members = self._circuits[p, x] = self.part.circuit(p, x)
+        return members
 
     def _check_partition(self, r: tuple, parts: tuple, before: tuple) -> None:
         # Parts reused from before were checked when they were built.
@@ -279,8 +329,11 @@ class ShuffleMatroid(Matroid):
     A 0/1 matrix is equivalent to exactly the matrices with its row sums, so
     membership depends on the row-sum vector alone: x is a member iff its row
     sums are a sum of n independent sets of S.  The n-union of S decides that
-    on counts.  Like UnionMatroid, an instance carries mutable caches: keep it
-    on a single thread.
+    on counts.  The cells of a row are parallel elements, so the intersection
+    solver works on row counts and asks the union for its circuits directly
+    (UnionMatroid.circuits); circuit queries here take the generic
+    Matroid.circuit.  Like UnionMatroid, an instance carries mutable caches:
+    keep it on a single thread.
     """
 
     kind = "oracle_composite"
@@ -291,7 +344,6 @@ class ShuffleMatroid(Matroid):
         self.base = base
         self.n = self.lift.n
         self.union = UnionMatroid(base, self.n)
-        self._reached: tuple = (None, None, {})  # indep, its parts, row -> circuit cells
 
     def _indep(self, elems: frozenset) -> bool:
         counts = [0] * self.base.d
@@ -299,29 +351,6 @@ class ShuffleMatroid(Matroid):
         for f in elems:
             counts[f // n] += 1
         return self.union.decompose(counts) is not None
-
-    def circuit(self, indep, e: int) -> tuple[int, ...] | None:
-        # Cells of a row are parallel, so the circuit is made of whole rows:
-        # the rows that the failed search for one more copy of e's row
-        # reaches.  The answer is kept per row of e for as long as the calls
-        # pass the same frozenset object, as one intersection stage does.
-        indep, n = frozenset(indep), self.n
-        if self._reached[0] is not indep:
-            counts = [0] * self.base.d
-            for f in indep:
-                counts[f // n] += 1
-            parts = self.union.decompose(counts)
-            if parts is None:
-                raise InputError("circuit needs an independent set")
-            self._reached = (indep, parts, {})
-        _, parts, memo = self._reached
-        i = e // n
-        cells = memo.get(i, False)
-        if cells is False:
-            grown, reached = self.union._search(parts, i)
-            rows = set() if grown else {x for x, _ in reached}
-            cells = memo[i] = None if grown else tuple(sorted(f for f in indep if f // n in rows))
-        return cells
 
     def is_independent_matrix(self, x: Matrix01) -> bool:
         self._check_matrix(x)

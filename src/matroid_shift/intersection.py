@@ -4,10 +4,12 @@ For two matroids from the uniform/partition/transversal families (all
 gammoids, hence strongly base orderable), the shuffle matroids of the two
 factors intersect exactly in the shuffle set of the intersection, so the
 shifted OPTIMAL VALUE is a weighted matroid intersection over the two shuffle
-oracles.  Its exchange arcs come from circuits, one Matroid.circuit query
-per outside element and matroid; ShuffleMatroid answers those with one
-search of the union's exchange graph per row.  Each stage labels the nodes
-with (cost, hops) by one Bellman-Ford pass, then walks tight arcs to the
+matroids.  A row's cells are parallel in both of them and its shifted
+profits are nonincreasing, so the intersection runs on row counts: each
+stage has at most two nodes per row (its next copy and its last copy), and
+each factor's n-union gives every row's circuit from one exchange graph of
+its parts (UnionMatroid.circuits).  Each stage labels the nodes with
+(cost, hops) by one Bellman-Ford pass, then walks tight arcs to the
 lexicographically smallest cheapest path.  Recovering a feasible witness is
 open in general; it is provided here for matchings in bipartite graphs, where
 an n-edge-coloring of the row-sum multigraph splits the optimal matrix into n
@@ -19,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
-from .constructions import Matrix01, ShuffleMatroid
+from .constructions import Matrix01, UnionMatroid
 from .errors import DisallowedKindError, InfeasibleError, InputError, InternalError
 from .matroids import Matroid, PartitionMatroid, Subset01, check_weight_guard, json_int
 from .solver import ProfitMatrix, ShiftedSolution, _flat_weights, validate, vulnerability_vector
@@ -89,60 +91,83 @@ class IntersectionInstance:
         self.m1, self.m2, self.n, self.c = m1, m2, int(n), c
 
 
-def weighted_matroid_intersection_max(m1: Matroid, m2: Matroid, w: Sequence[int]) -> Subset01:
-    """Maximum-weight common independent set of two matroids on one ground set.
+def weighted_matroid_intersection_max(m1: Matroid, m2: Matroid, w: Sequence[int], n: int = 1) -> Subset01:
+    """Maximum-weight common independent set of the shuffle matroids of m1, m2.
 
-    Per cardinality stage, augments along a cheapest source-to-sink path of
-    the exchange digraph (cost = weight given up minus weight gained), ties
-    broken by fewest arcs then lexicographically smallest path, which keeps
-    the current set extreme and the search free of negative cycles (Frank,
-    1981).  So every node on a cheapest path is tight, and the path is found
-    by a walk along tight arcs instead of by comparing whole paths.  The best
-    weight over all stages, including the empty set at 0, is returned.
+    The ground set is the d x n cells, flattened row-major, with weights w
+    nonincreasing along each row; n = 1 is plain weighted matroid
+    intersection.  The cells of a row are parallel in both shuffle matroids,
+    so a set is kept as its row counts r and stands for the first r[i] cells
+    of each row, the heaviest ones.  Per cardinality stage, it augments
+    along a cheapest source-to-sink path of the exchange digraph (cost =
+    weight given up minus weight gained), ties broken by fewest arcs then
+    lexicographically smallest path, which keeps the current set extreme
+    and the search free of negative cycles (Frank, 1981).  The best weight
+    over all stages, including the empty set at 0, is returned as its cells.
     """
     if m1.d != m2.d:
         raise InputError(f"ground sizes differ: {m1.d} vs {m2.d}")
-    if len(w) != m1.d:
-        raise InputError(f"weight vector length {len(w)} != ground size {m1.d}")
+    n, d = int(n), m1.d
+    if n < 1:
+        raise InputError(f"copy count must be >= 1, got {n}")
+    if len(w) != d * n:
+        raise InputError(f"weight vector length {len(w)} != ground size {d * n}")
+    if any(w[f] < w[f + 1] for f in range(d * n) if f % n != n - 1):
+        raise InputError("weights must be nonincreasing along each row")
     check_weight_guard(w)
 
-    cur: frozenset = frozenset()
-    best_weight, best_set = 0, cur
+    def prefixes(r: tuple) -> list[int]:
+        return [i * n + j for i, c in enumerate(r) for j in range(c)]
+
+    unions = (UnionMatroid(m1, n), UnionMatroid(m2, n))
+    r = (0,) * d
+    best_weight, best_r = 0, r
     while True:
-        path = _augmenting_path(m1, m2, cur, w)
+        path = _augmenting_path(*unions, r, w)
         if path is None:
             break
-        cur = cur.symmetric_difference(path)
-        if not (m1._indep(cur) and m2._indep(cur)):
-            raise InternalError("augmentation left the intersection")
-        weight = sum(w[e] for e in cur)
+        counts = list(r)
+        for node in path:
+            counts[node >> 1] += -1 if node & 1 else 1
+        r = tuple(counts)
+        weight = sum(w[f] for f in prefixes(r))
         if weight > best_weight:
-            best_weight, best_set = weight, cur
-    return Subset01.from_indices(m1.d, best_set)
+            best_weight, best_r = weight, r
+    return Subset01.from_indices(d * n, prefixes(best_r))
 
 
-def _augmenting_path(m1: Matroid, m2: Matroid, cur: frozenset, w: Sequence[int]) -> frozenset | None:
-    outside = [e for e in range(m1.d) if e not in cur]
-    inside = sorted(cur)
-    # Arcs: x->y when cur - x + y stays m1-independent, y->x when it stays
-    # m2-independent.  That holds for every x when cur + y is independent
-    # (y is then a source, or a sink) and otherwise for the x on the circuit
-    # that y closes in cur.  Circuits are ascending and outside is visited
-    # in order, so every successor list is ascending.
-    c1 = {y: m1.circuit(cur, y) for y in outside}
-    sources = [y for y in outside if c1[y] is None]
+def _augmenting_path(u1: UnionMatroid, u2: UnionMatroid, r: tuple, w: Sequence[int]) -> list[int] | None:
+    # Node 2i is the next copy of row i (it exists when r[i] < n) and node
+    # 2i + 1 its last copy (when r[i] > 0); the other copies of a row are
+    # parallel to these and never cheaper.  A path alternates between the
+    # two kinds, so ordering nodes by row orders paths as their cells.
+    n = u1.n
+    parts1, parts2 = u1.decompose(r), u2.decompose(r)
+    if parts1 is None or parts2 is None:
+        raise InternalError("augmentation left the intersection")
+    outside = [i for i, c in enumerate(r) if c < n]
+    inside = [2 * i + 1 for i, c in enumerate(r) if c]
+    # Arcs: x->y when I - x + y stays independent in the first shuffle
+    # matroid, y->x when it stays independent in the second.  That holds
+    # for every x when I + y is independent (y is then a source, or a sink)
+    # and otherwise for the x on the circuit that y closes in I.  Circuits
+    # are ascending and outside is visited in order, so every successor
+    # list is ascending.
+    c1 = u1.circuits(parts1, outside)
+    sources = [2 * y for y in outside if c1[y] is None]
     if not sources:
         return None
-    c2 = {y: m2.circuit(cur, y) for y in outside}
-    sinks = [y for y in outside if c2[y] is None]
-    succ: dict[int, Sequence[int]] = {x: [] for x in inside}
+    c2 = u2.circuits(parts2, outside)
+    sinks = [2 * y for y in outside if c2[y] is None]
+    succ: dict[int, list[int]] = {x: [] for x in inside}
+    cost = {x: w[(x >> 1) * n + r[x >> 1] - 1] for x in inside}
     for y in outside:
-        for x in inside if c1[y] is None else c1[y]:
-            succ[x].append(y)
-        succ[y] = inside if c2[y] is None else c2[y]
-    cost = [w[v] if v in cur else -w[v] for v in range(m1.d)]
+        for x in inside if c1[y] is None else [2 * i + 1 for i in c1[y]]:
+            succ[x].append(2 * y)
+        succ[2 * y] = inside if c2[y] is None else [2 * i + 1 for i in c2[y]]
+        cost[2 * y] = -w[y * n + r[y]]
 
-    # FIFO Bellman-Ford on (cost, hops) labels.  An extreme cur leaves no
+    # FIFO Bellman-Ford on (cost, hops) labels.  An extreme set leaves no
     # negative cycle, so a label with more hops than there are nodes is a bug.
     dist = {y: (cost[y], 1) for y in sources}
     queue, queued = deque(sources), set(sources)
@@ -177,15 +202,12 @@ def _augmenting_path(m1: Matroid, m2: Matroid, cur: frozenset, w: Sequence[int])
     path = [min(y for y in sources if y in good and dist[y] == (cost[y], 1))]
     while dist[path[-1]] != best:
         path.append(next(v for v in succ[path[-1]] if v in good and tight(path[-1], v)))
-    return frozenset(path)
+    return path
 
 
 def _shifted_intersection_witness(inst: IntersectionInstance) -> tuple[int, Matrix01]:
     cbar = inst.c.shifted()
-    sh1 = ShuffleMatroid(inst.m1, inst.n)
-    sh2 = ShuffleMatroid(inst.m2, inst.n)
-    w = _flat_weights(cbar)
-    sel = weighted_matroid_intersection_max(sh1, sh2, w)
+    sel = weighted_matroid_intersection_max(inst.m1, inst.m2, _flat_weights(cbar), inst.n)
     x = Matrix01.from_flat(inst.c.d, inst.n, sel.indices())
     return cbar.dot(x), x
 

@@ -203,6 +203,31 @@ def test_fiber_malformed_matrix_exits_3(files, capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["lexmin-trees", "GRAPH", "--n", "abc"],
+    ["lexmin-trees", "GRAPH", "--n", "2", "--no-such-option"],
+    ["lexmin-trees", "--n", "2"],
+    ["no-such-command"],
+    [],
+])
+def test_rejected_arguments_exit_3(files, capsys, args):
+    # argparse's own status 2 would read as "graph not connected".
+    graph = files("tri.graph", TRIANGLE_GRAPH)
+    with pytest.raises(SystemExit) as exc:
+        main([graph if a == "GRAPH" else a for a in args])
+    out = capsys.readouterr()
+    assert exc.value.code == 3
+    assert out.out == ""
+    assert out.err.startswith("usage: matroid-shift")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lexmin-trees", "--help"])
+    assert exc.value.code == 0
+    assert "--n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("value", [2.9, True, "7"])
 def test_shifted_rejects_non_integer_profits(files, capsys, value):
     # int() once read these as 2, 1 and 7 and reported a value with exit 0.

@@ -11,7 +11,6 @@ from matroid_shift import (
     InternalError,
     LiftMatroid,
     Matrix01,
-    Matroid,
     ShuffleMatroid,
     Subset01,
     UnionMatroid,
@@ -139,63 +138,33 @@ def test_shuffle_examples():
     assert sm.decompose_matrix(Matrix01([[1, 0], [0, 1]])) is not None
     assert sm.decompose_matrix(Matrix01([[1, 1], [1, 1]])) is None
     assert sm.decompose_matrix(Matrix01.zero(2, 2)) is not None
-    assert sm.circuit({0}, 2) is None
-    assert sm.circuit({0, 2}, 1) == (0, 2)  # cell 1 shares cell 0's row
-    with pytest.raises(InputError):
-        sm.circuit({0, 1, 2}, 3)
 
 
 def test_intersection_searches_each_row_once_per_stage(monkeypatch):
-    # Within one stage every circuit query on a shuffle matroid passes the
-    # same cur, so each row costs at most one union search per matroid.
-    stages = []  # one Counter per stage: (union, row) -> searches
-    search, path = UnionMatroid._search, intersection._augmenting_path
+    # Within one stage each union answers every row in one circuits call.
+    stages = []  # one Counter per stage: union -> circuits calls
+    circuits, path = UnionMatroid.circuits, intersection._augmenting_path
 
-    def counted_search(self, parts, e):
-        if stages and stages[-1] is not None:
-            stages[-1][self, e] += 1
-        return search(self, parts, e)
+    def counted_circuits(self, parts, rows):
+        rows = list(rows)
+        assert len(rows) == len(set(rows))
+        stages[-1][self] += 1
+        return circuits(self, parts, rows)
 
     def counted_path(*args):
         stages.append(Counter())
-        try:
-            return path(*args)
-        finally:
-            stages.append(None)  # the membership checks between stages
+        return path(*args)
 
-    monkeypatch.setattr(UnionMatroid, "_search", counted_search)
+    monkeypatch.setattr(UnionMatroid, "circuits", counted_circuits)
     monkeypatch.setattr(intersection, "_augmenting_path", counted_path)
     rng = random.Random(14)
     for _ in range(30):
         d, n = rng.randint(2, 6), rng.randint(1, 3)
-        m1, m2 = (ShuffleMatroid(random_sbo_matroid(rng, d), n) for _ in range(2))
-        weighted_matroid_intersection_max(m1, m2, [rng.randint(-3, 6) for _ in range(d * n)])
-    counts = [c for stage in stages if stage for c in stage.values()]
+        m1, m2 = (random_sbo_matroid(rng, d) for _ in range(2))
+        w = [c for _ in range(d) for c in sorted((rng.randint(-3, 6) for _ in range(n)), reverse=True)]
+        weighted_matroid_intersection_max(m1, m2, w, n)
+    counts = [c for stage in stages for c in stage.values()]
     assert counts and max(counts) == 1
-
-
-def test_shuffle_circuit_follows_its_argument():
-    # The circuit memo lives as long as the calls pass one frozenset object;
-    # alternating sets, fresh plain sets and sets that share their row counts
-    # but not their cells must all get their own answers.
-    rng = random.Random(15)
-    for _ in range(40):
-        m, n = random_matroid(rng, dmax=5), rng.randint(1, 3)
-        sm = ShuffleMatroid(m, n)
-        a = frozenset()
-        for f in rng.sample(range(sm.d), sm.d):
-            if sm._indep(a | {f}):
-                a |= {f}
-        shifted = frozenset(f - f % n + (f + 1) % n for f in a)  # same rows, other cells
-        b = frozenset(rng.sample(sorted(a), len(a) // 2))
-        for e in range(sm.d):
-            for indep in (a, shifted, b, set(a), set(b)):
-                if e not in indep:
-                    assert sm.circuit(indep, e) == Matroid.circuit(sm, indep, e)
-        outside = [f for f in range(sm.d) if f not in a]  # a is a basis
-        if len(outside) > 1:
-            with pytest.raises(InputError):
-                sm.circuit(a | {outside[0]}, outside[1])
 
 
 def assert_lift_decomposition(m, n, x, parts):

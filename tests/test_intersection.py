@@ -2,6 +2,7 @@
 the bipartite-matching fiber."""
 
 import random
+from collections import deque
 from unittest import mock
 
 import pytest
@@ -100,18 +101,114 @@ def test_wmi_with_uniform_vs_graphic_oracles():
         assert sum(w[i] for i in got.indices()) == brute_common_max(tri, u, w)
 
 
+def cell_intersection(m1, m2, w, search=None):
+    """The cell-level engine that the row engine replaced.
+
+    It runs on any two matroids over one ground set, here the cells of two
+    shuffle matroids, whose arcs come from the generic Matroid.circuit.
+    Returns the best set and the set that each stage started from.
+    """
+    search = search or cell_augmenting_path
+    cur = frozenset()
+    best_weight, best_set, stages = 0, cur, []
+    while True:
+        stages.append(cur)
+        path = search(m1, m2, cur, w)
+        if path is None:
+            return best_set, stages
+        cur = cur.symmetric_difference(path)
+        assert m1._indep(cur) and m2._indep(cur)
+        weight = sum(w[e] for e in cur)
+        if weight > best_weight:
+            best_weight, best_set = weight, cur
+
+
+def cell_augmenting_path(m1, m2, cur, w):
+    """Cheapest, then fewest-arc, then lexicographically smallest path over
+    cells, by one FIFO Bellman-Ford pass and a walk along tight arcs."""
+    outside = [e for e in range(m1.d) if e not in cur]
+    inside = sorted(cur)
+    c1 = {y: m1.circuit(cur, y) for y in outside}
+    sources = [y for y in outside if c1[y] is None]
+    if not sources:
+        return None
+    c2 = {y: m2.circuit(cur, y) for y in outside}
+    sinks = [y for y in outside if c2[y] is None]
+    succ = {x: [] for x in inside}
+    for y in outside:
+        for x in inside if c1[y] is None else c1[y]:
+            succ[x].append(y)
+        succ[y] = inside if c2[y] is None else c2[y]
+    cost = [w[v] if v in cur else -w[v] for v in range(m1.d)]
+
+    dist = {y: (cost[y], 1) for y in sources}
+    queue, queued = deque(sources), set(sources)
+    while queue:
+        u = queue.popleft()
+        queued.discard(u)
+        cu, hu = dist[u]
+        assert hu <= len(succ), "negative cycle"
+        for v in succ[u]:
+            cand = (cu + cost[v], hu + 1)
+            if v not in dist or cand < dist[v]:
+                dist[v] = cand
+                if v not in queued:
+                    queue.append(v)
+                    queued.add(v)
+    best = min((dist[y] for y in sinks if y in dist), default=None)
+    if best is None:
+        return None
+
+    def tight(u, v):
+        return dist.get(v) == (dist[u][0] + cost[v], dist[u][1] + 1)
+
+    good = {y for y in sinks if dist.get(y) == best}
+    for u in sorted((u for u in dist if dist[u][1] < best[1]), key=lambda u: -dist[u][1]):
+        if any(v in good and tight(u, v) for v in succ[u]):
+            good.add(u)
+    path = [min(y for y in sources if y in good and dist[y] == (cost[y], 1))]
+    while dist[path[-1]] != best:
+        path.append(next(v for v in succ[path[-1]] if v in good and tight(path[-1], v)))
+    return frozenset(path)
+
+
+def row_counts(cells, d, n):
+    counts = [0] * d
+    for f in cells:
+        counts[f // n] += 1
+    return tuple(counts)
+
+
+def shifted_weights(rng, d, n):
+    # Rows sorted nonincreasing; half the time every row repeats one value,
+    # so its parallel cells tie.
+    rows = [sorted((rng.randint(-3, 6) for _ in range(n)), reverse=True) for _ in range(d)]
+    if rng.random() < 0.5:
+        rows = [[row[0]] * n for row in rows]
+    return [c for row in rows for c in row]
+
+
 def test_wmi_over_shuffle_circuits_matches_per_swap_arcs():
     # OracleMatroid wrappers take their arcs from the per-swap fallback
-    # circuit, so equal sets pin the tie-breaking, not only the value.
+    # circuit, so equal row counts pin the tie-breaking, not only the value.
     rng = random.Random(5)
     for _ in range(40):
         d = rng.randint(2, 4)
         n = rng.randint(1, 3)
         m1, m2 = random_sbo_matroid(rng, d), random_sbo_matroid(rng, d)
-        w = [rng.randint(-3, 6) for _ in range(d * n)]
-        got = weighted_matroid_intersection_max(ShuffleMatroid(m1, n), ShuffleMatroid(m2, n), w)
+        w = shifted_weights(rng, d, n)
+        got = weighted_matroid_intersection_max(m1, m2, w, n)
         oracles = [OracleMatroid(d * n, ShuffleMatroid(m, n)._indep) for m in (m1, m2)]
-        assert got == weighted_matroid_intersection_max(*oracles, w)
+        want, _ = cell_intersection(*oracles, w)
+        assert got.indices() == tuple(f for f in range(d * n) if f % n < row_counts(want, d, n)[f // n])
+
+
+def test_wmi_rejects_rows_that_rise():
+    u = UniformMatroid(2, 1)
+    with pytest.raises(InputError, match="nonincreasing"):
+        weighted_matroid_intersection_max(u, u, [1, 2, 3, 3], 2)
+    with pytest.raises(InputError):
+        weighted_matroid_intersection_max(u, u, [1, 2, 3], 2)
 
 
 def reference_augmenting_path(m1, m2, cur, w):
@@ -169,18 +266,27 @@ def reference_augmenting_path(m1, m2, cur, w):
 
 def random_partition_matroid(rng, d):
     # Positive capacities on few blocks block the greedy choice more often,
-    # so more stages need a path of three or five arcs, where ties matter.
+    # so more stages need a path of three or five nodes, where ties matter.
     nb = rng.randint(2, 4)
     return PartitionMatroid([rng.randrange(nb) for _ in range(d)],
                             [rng.randint(1, 2) for _ in range(nb)])
+
+
+def random_multigraph_matroids(rng, d):
+    # Degree matroids of a bipartite multigraph: parallel edges and shared
+    # endpoints force exchanges along long paths.
+    left, right = rng.randint(1, 4), rng.randint(1, 4)
+    return degree_matroids(BipartiteGraph(
+        left, right, [(rng.randint(1, left), rng.randint(1, right)) for _ in range(d)]))
 
 
 @pytest.mark.parametrize("family", ["sbo", "partition"])
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_tight_arc_search_matches_reference(family, seed):
-    # Every stage of the intersection must pick the set that the reference
-    # picks from the same cur, not only reach the same optimal weight.
+    # Every stage of the cell-level reference must pick the set that the
+    # label-correcting search picks from the same cur, not only reach the
+    # same optimal weight.
     rng = random.Random(seed)
     if family == "sbo":
         d, draw = rng.randint(1, 5), random_sbo_matroid
@@ -191,18 +297,51 @@ def test_tight_arc_search_matches_reference(family, seed):
     w = [rng.randint(-3, 6) for _ in range(d * n)]
     if rng.random() < 0.5:  # equal weights along a row: parallel cells tie
         w = [w[f - f % n] for f in range(d * n)]
-    search = intersection._augmenting_path
-    stages = []
 
     def both(m1, m2, cur, w):
-        got = search(m1, m2, cur, w)
+        got = cell_augmenting_path(m1, m2, cur, w)
         assert got == reference_augmenting_path(m1, m2, cur, w), sorted(cur)
-        stages.append(got)
         return got
 
-    with mock.patch.object(intersection, "_augmenting_path", both):
-        weighted_matroid_intersection_max(m1, m2, w)
-    assert stages[-1] is None
+    cell_intersection(m1, m2, w, both)
+
+
+@pytest.mark.parametrize("family", ["partition", "multigraph"])
+def test_row_engine_matches_cell_reference(family):
+    # At every stage the row engine must hold the row counts of the set the
+    # cell-level reference holds, ties included.  Paths of three or more
+    # nodes (an exchange, not just one added copy) are where the tie-break
+    # between rows matters, so the draws must reach some.
+    longest = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def check(seed):
+        rng = random.Random(seed)
+        d, n = rng.randint(1, 8), rng.randint(1, 3)
+        if family == "partition":
+            base = random_partition_matroid(rng, d), random_partition_matroid(rng, d)
+        else:
+            base = random_multigraph_matroids(rng, d)
+        w = shifted_weights(rng, d, n)
+        rows, paths = [], []
+        search = intersection._augmenting_path
+
+        def recorded(u1, u2, r, w):
+            rows.append(r)
+            path = search(u1, u2, r, w)
+            paths.append(len(path) if path else 0)
+            return path
+
+        with mock.patch.object(intersection, "_augmenting_path", recorded):
+            got = weighted_matroid_intersection_max(*base, w, n)
+        want, stages = cell_intersection(*(ShuffleMatroid(m, n) for m in base), w)
+        assert rows == [row_counts(cur, d, n) for cur in stages]
+        assert row_counts(got.indices(), d, n) == row_counts(want, d, n)
+        longest.append(max(paths))
+
+    check()
+    assert max(longest) >= 3
 
 
 def test_intersection_instance_rejects_kinds():
@@ -414,6 +553,18 @@ def flow_matching_value(left, right, edges, rows, n):
             g.add_edge(("L", l), ("e", e, j), capacity=1, weight=-c)
             g.add_edge(("e", e, j), ("R", r), capacity=1, weight=0)
     return -nx.min_cost_flow_cost(g)
+
+
+@pytest.mark.parametrize("side, m, value", [(16, 110, 492), (20, 150, 640)])
+def test_bipartite_larger_values_match_min_cost_flow(side, m, value):
+    # Drawn as in the 12x12 case: m distinct edges of the side x side grid
+    # of vertex pairs, n = 4, profits in -3..9 from random.Random(0).
+    rng = random.Random(0)
+    edges = rng.sample([(l, r) for l in range(1, side + 1) for r in range(1, side + 1)], m)
+    rows = [[rng.randint(-3, 9) for _ in range(4)] for _ in range(m)]
+    sol = solve_shifted_bipartite_matching(BipartiteGraph(side, side, edges), 4, ProfitMatrix(rows))
+    assert sol.value == value
+    assert flow_matching_value(side, side, edges, rows, 4) == value
 
 
 def test_shifted_value_intersection_matches_min_cost_flow():

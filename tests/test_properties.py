@@ -125,19 +125,29 @@ def test_direct_circuit_matches_oracle_fallback_on_wide_matroids(kind, seed, dat
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_shuffle_circuit_matches_oracle_fallback(kind, seed, data):
-    # The circuit from one union search equals the one the oracle finds cell
-    # by cell, on any independent cells, not only row prefixes.
+    # The row circuits from one exchange graph of the union's parts must be
+    # those the oracle finds swap by swap: row j fits iff r + e_j
+    # decomposes, and otherwise its circuit holds exactly the rows i with
+    # r + e_j - e_i decomposable.  Every swap asks a fresh instance, so no
+    # memo carries over.
     m = random_matroid(random.Random(seed), dmax=5, kind=kind)
     n = data.draw(st.integers(1, 3), label="n")
-    sm = ShuffleMatroid(m, n)
-    order = data.draw(st.permutations(range(m.d * n)), label="order")
-    indep: frozenset = frozenset()
-    for f in order[:data.draw(st.integers(0, m.d * n), label="tries")]:
-        if sm._indep(indep | {f}):
-            indep |= {f}
-    for e in range(m.d * n):
-        if e not in indep:
-            assert sm.circuit(indep, e) == Matroid.circuit(sm, indep, e)
+    union = UnionMatroid(m, n)
+    grown = data.draw(st.lists(st.integers(0, m.d - 1), max_size=m.d * n), label="grown")
+    r, parts = union.grow(grown)
+    circuits = union.circuits(parts, range(m.d))
+
+    def decomposes(counts):
+        return UnionMatroid(m, n).decompose(counts) is not None
+
+    for j in range(m.d):
+        plus = r[:j] + [r[j] + 1] + r[j + 1:]
+        if decomposes(plus):
+            assert circuits[j] is None
+            continue
+        want = tuple(i for i in range(m.d) if r[i] and decomposes(
+            [c - (k == i) for k, c in enumerate(plus)]))
+        assert circuits[j] == want
 
 
 @pytest.mark.parametrize("kind", FAMILIES)
