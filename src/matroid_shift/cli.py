@@ -96,6 +96,12 @@ def _load_table(path: str, what: str, cls):
     return table
 
 
+def _decimal(token: str) -> int | None:
+    """The value of a token of ASCII digits only, else None (int() would
+    also take signs, underscores and non-ASCII digits)."""
+    return int(token) if token.isascii() and token.isdigit() else None
+
+
 def parse_graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:
     """DIMACS-adjacent format: 'p V E' then one 'e u v' line per edge."""
     try:
@@ -108,21 +114,19 @@ def parse_graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:
     if not lines or not lines[0].startswith("p"):
         raise InputError(f"{path}: first line must be 'p <vertices> <edges>'")
     head = lines[0].split()
-    if len(head) != 3:
+    counts = [_decimal(t) for t in head[1:]]
+    if len(head) != 3 or None in counts:
         raise InputError(f"{path}: malformed problem line {lines[0]!r}")
-    try:
-        vertices, num_edges = int(head[1]), int(head[2])
-    except ValueError as exc:
-        raise InputError(f"{path}: malformed problem line {lines[0]!r}") from exc
+    vertices, num_edges = counts
+    if vertices < 1:
+        raise InputError(f"{path}: a graph needs at least one vertex")
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
-        if len(parts) != 3 or parts[0] != "e":
+        ends = [_decimal(t) for t in parts[1:]]
+        if len(parts) != 3 or parts[0] != "e" or None in ends:
             raise InputError(f"{path}: malformed edge line {ln!r}")
-        try:
-            u, v = int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise InputError(f"{path}: malformed edge line {ln!r}") from exc
+        u, v = ends
         if not (1 <= u <= vertices and 1 <= v <= vertices):
             raise InputError(f"{path}: edge {ln!r} has an endpoint outside 1..{vertices}")
         edges.append((u, v))
@@ -134,7 +138,7 @@ def parse_graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:
 def graph_is_connected(vertices: int, edges) -> bool:
     # Fewer than vertices - 1 edges cannot connect the graph; checking that
     # first keeps the union-find below as large as the edge list.
-    if vertices < 1 or len(edges) < vertices - 1:
+    if len(edges) < vertices - 1:
         return False
     parent = list(range(vertices + 1))
 
@@ -194,12 +198,12 @@ def _run(args, command: str, inputs: dict, solve, fields, brute=None,
 
 
 def cmd_lexmin_trees(args) -> tuple[dict, int]:
+    if args.n < 1:
+        raise InputError(f"--n must be >= 1, got {args.n}")
     vertices, edges = parse_graph_file(args.graph)
     if not graph_is_connected(vertices, edges):
         print("graph not connected", file=sys.stderr)
         return {}, EXIT_DISCONNECTED
-    if args.n < 1:
-        raise InputError(f"--n must be >= 1, got {args.n}")
     m = GraphicMatroid(vertices, edges)
     return _run(args, "lexmin-trees", {"vertices": vertices, "edges": edges, "n": args.n},
                 lambda: solve_lexmin(m, args.n), _solution_fields,

@@ -130,12 +130,17 @@ class UnionMatroid(Matroid):
     grow(elements) adds one copy of each element in turn where it fits,
     decompose(r) finds n independent parts holding element i in exactly r[i]
     of them (a plain set is the 0/1 case), and circuits(parts, rows) tells
-    for each row whether the parts can take one more copy of it.  Each copy
-    is added by matroid partitioning (Knuth, 1973): a breadth-first search
-    for a shortest path in the exchange digraph, whose arcs lead from a copy
-    to the members of the circuit it closes in another part.  decompose grows r from the last vector
-    it accepted and memoizes its answers by count tuple (grow keeps nothing),
-    so an instance is mutable: use one per run, on one thread.
+    for each row whether the parts can take one more copy of it.  All three
+    rest on one exchange search, _search(parts, e): matroid partitioning
+    (Knuth, 1973) by a breadth-first search from a new copy of e.  Its arcs
+    lead from x to the members of the circuit x closes in each part lacking
+    it, whichever part holds x, so one node per element finds the same
+    first path as one node per copy.  _try_augment replays the path to the
+    first element that fits straight into a part; when none does, the
+    elements the search reached are the circuit.  decompose grows r from
+    the last vector it accepted and memoizes its answers by count tuple
+    (grow keeps nothing), so an instance is mutable: use one per run, on
+    one thread.
     """
 
     kind = "oracle_composite"
@@ -220,89 +225,59 @@ class UnionMatroid(Matroid):
 
     def _try_augment(self, parts: tuple, e: int) -> tuple | None:
         """parts with one more copy of e, or None; unchanged parts are reused."""
-        # Breadth-first search from a new copy of e, which is in no part yet.
-        # Nodes are copies (element, index of the part holding it).
-        start = (e, None)
-        parent = {start: None}
-        queue = deque([start])
+        fit, parent = self._search(parts, e)
+        if fit is None:
+            return None
+        # x goes into part k; then the element that displaced x from a part
+        # takes its place there, and so on back to the new copy of e.
+        x, k = fit
+        new = {k: set(parts[k]) | {x}}
+        while parent[x] is not None:
+            y, k = parent[x]
+            part = new.setdefault(k, set(parts[k]))
+            part.remove(x)
+            part.add(y)
+            x = y
+        return tuple(frozenset(new[k]) if k in new else p for k, p in enumerate(parts))
+
+    def _search(self, parts: tuple, e: int) -> tuple[tuple[int, int] | None, dict]:
+        """Breadth-first search from a new copy of e: (fit, parent).
+
+        fit is the first element reached that goes straight into a part,
+        with that part, or None.  parent maps e to None and every other
+        element v reached to (x, k): x displaced v from part k.  A part
+        holding x is skipped, since swapping parallel copies never shortens
+        a path.
+        """
+        parent: dict[int, tuple[int, int] | None] = {e: None}
+        queue = deque([e])
         while queue:
-            node = queue.popleft()
-            x, cx = node
+            x = queue.popleft()
             for k, p in enumerate(parts):
-                # A part holding x cannot take a copy; swapping parallel copies
-                # never shortens a path.
                 if x in p:
                     continue
                 members = self._circuit(p, x)
                 if members is None:
-                    # node moves into part k, its parent into the part node
-                    # vacated, and so on back to the new copy.
-                    new: dict[int, set] = {}
-                    while node is not None:
-                        x, cx = node
-                        new.setdefault(k, set(parts[k])).add(x)
-                        if cx is not None:
-                            new.setdefault(cx, set(parts[cx])).remove(x)
-                        node, k = parent[node], cx
-                    return tuple(frozenset(new[k]) if k in new else p
-                                 for k, p in enumerate(parts))
+                    return (x, k), parent
                 for v in members:
-                    nxt = (v, k)
-                    if nxt not in parent:
-                        parent[nxt] = node
-                        queue.append(nxt)
-        return None
+                    if v not in parent:
+                        parent[v] = (x, k)
+                        queue.append(v)
+        return None, parent
 
     def circuits(self, parts: tuple, rows: Iterable[int]) -> dict[int, tuple[int, ...] | None]:
         """For each row j: None if the parts can take one more copy of j,
         else the ascending elements the parts hold on the circuit it closes.
 
         An element i is on that circuit exactly when the counts plus a copy
-        of j less a copy of i decompose.  The search from a new copy of x
-        steps to the members of the circuit x closes in each part lacking x,
-        whichever part held x, so one element-level exchange graph serves
-        every row: a copy of j fits iff j reaches an element that fits
-        straight into some part, and otherwise the elements j reaches are
-        its circuit (Knuth, 1973).
+        of j less a copy of i decompose, that is when the search from a new
+        copy of j, which finds no element that fits, reaches i.
         """
         held = set().union(*parts)
-        succ: dict[int, set] = {}
-        fits = []
-        for x in range(self.d):
-            succ[x] = set()
-            for p in parts:
-                if x in p:
-                    continue
-                members = self._circuit(p, x)
-                if members is None:
-                    fits.append(x)
-                    break
-                succ[x].update(members)
-        pred: dict[int, list] = {}
-        for x, vs in succ.items():
-            for v in vs:
-                pred.setdefault(v, []).append(x)
-        # Every element that reaches one that fits can take a copy.
-        grows = set(fits)
-        queue = deque(fits)
-        while queue:
-            for u in pred.get(queue.popleft(), ()):
-                if u not in grows:
-                    grows.add(u)
-                    queue.append(u)
         out: dict[int, tuple[int, ...] | None] = {}
         for j in rows:
-            if j in grows:
-                out[j] = None
-                continue
-            reached = {j}
-            queue = deque([j])
-            while queue:
-                for v in succ[queue.popleft()]:
-                    if v not in reached:
-                        reached.add(v)
-                        queue.append(v)
-            out[j] = tuple(sorted(reached & held))
+            fit, parent = self._search(parts, j)
+            out[j] = None if fit is not None else tuple(sorted(held.intersection(parent)))
         return out
 
     def _circuit(self, p: frozenset, x: int) -> tuple[int, ...] | None:
@@ -330,10 +305,10 @@ class ShuffleMatroid(Matroid):
     membership depends on the row-sum vector alone: x is a member iff its row
     sums are a sum of n independent sets of S.  The n-union of S decides that
     on counts.  The cells of a row are parallel elements, so the intersection
-    solver works on row counts and asks the union for its circuits directly
-    (UnionMatroid.circuits); circuit queries here take the generic
-    Matroid.circuit.  Like UnionMatroid, an instance carries mutable caches:
-    keep it on a single thread.
+    solver works on row counts and asks the union for its row circuits
+    directly (UnionMatroid.circuits, one exchange search per row); circuit
+    queries here take the generic Matroid.circuit.  Like UnionMatroid, an
+    instance carries mutable caches: keep it on a single thread.
     """
 
     kind = "oracle_composite"

@@ -7,8 +7,11 @@ shifted OPTIMAL VALUE is a weighted matroid intersection over the two shuffle
 matroids.  A row's cells are parallel in both of them and its shifted
 profits are nonincreasing, so the intersection runs on row counts: each
 stage has at most two nodes per row (its next copy and its last copy), and
-each factor's n-union gives every row's circuit from one exchange graph of
-its parts (UnionMatroid.circuits).  Each stage labels the nodes with
+each factor's n-union gives every row's circuit by one exchange search of
+its parts per row (UnionMatroid.circuits).  The arcs come from those
+circuits only: the swaps into a source and out of a sink are never on a
+cheapest, fewest-hop path, since such a path would close a cycle, and no
+cycle has negative cost (Frank, 1981).  Each stage labels the nodes with
 (cost, hops) by one Bellman-Ford pass, then walks tight arcs to the
 lexicographically smallest cheapest path.  Recovering a feasible witness is
 open in general; it is provided here for matchings in bipartite graphs, where
@@ -147,12 +150,18 @@ def _augmenting_path(u1: UnionMatroid, u2: UnionMatroid, r: tuple, w: Sequence[i
         raise InternalError("augmentation left the intersection")
     outside = [i for i, c in enumerate(r) if c < n]
     inside = [2 * i + 1 for i, c in enumerate(r) if c]
-    # Arcs: x->y when I - x + y stays independent in the first shuffle
-    # matroid, y->x when it stays independent in the second.  That holds
-    # for every x when I + y is independent (y is then a source, or a sink)
-    # and otherwise for the x on the circuit that y closes in I.  Circuits
-    # are ascending and outside is visited in order, so every successor
-    # list is ascending.
+    # Arcs: x->y when x is on the circuit y closes in I in the first shuffle
+    # matroid, y->x when x is on y's circuit in the second.  y is a source
+    # (a sink) when I + y is independent in the first (second); the swaps
+    # into a source and out of a sink, valid for every x, are left out.  A
+    # path that starts at source s and enters source s' from x could start
+    # at s' instead: the arc x->s exists, so s..x->s is a cycle, whose cost
+    # is >= 0, and the suffix from s' is no dearer and shorter.  A path
+    # that leaves sink t for x and ends at sink t' could end at t, since
+    # t'->x closes the cycle x..t'->x.  So no cheapest, fewest-hop path uses
+    # those arcs, its nodes keep their labels, and the walk below returns
+    # the same path.  Circuits are ascending and outside is visited in
+    # order, so every successor list is ascending.
     c1 = u1.circuits(parts1, outside)
     sources = [2 * y for y in outside if c1[y] is None]
     if not sources:
@@ -162,9 +171,9 @@ def _augmenting_path(u1: UnionMatroid, u2: UnionMatroid, r: tuple, w: Sequence[i
     succ: dict[int, list[int]] = {x: [] for x in inside}
     cost = {x: w[(x >> 1) * n + r[x >> 1] - 1] for x in inside}
     for y in outside:
-        for x in inside if c1[y] is None else [2 * i + 1 for i in c1[y]]:
-            succ[x].append(2 * y)
-        succ[2 * y] = inside if c2[y] is None else [2 * i + 1 for i in c2[y]]
+        for i in c1[y] or ():
+            succ[2 * i + 1].append(2 * y)
+        succ[2 * y] = [2 * i + 1 for i in c2[y] or ()]
         cost[2 * y] = -w[y * n + r[y]]
 
     # FIFO Bellman-Ford on (cost, hops) labels.  An extreme set leaves no

@@ -79,6 +79,32 @@ def test_lexmin_trees_disconnected(files, capsys):
     assert "not connected" in err
 
 
+def test_lexmin_trees_rejects_n_before_reading_the_graph(files, capsys):
+    graph = files("disc.graph", DISCONNECTED)
+    code, report, err = run_main(capsys, ["lexmin-trees", graph, "--n", "0"])
+    assert code == 3
+    assert report is None
+    assert "--n" in err
+
+
+@pytest.mark.parametrize("text", [
+    "p -2 0\n",
+    "p 0 0\n",
+    "p +3 3\ne 1 2\ne 2 3\ne 1 3\n",
+    "p 3 +3\ne 1 2\ne 2 3\ne 1 3\n",
+    "p 3 3\ne 1 2\ne 2 3\ne 0_1 3\n",
+    "p \uff13 3\ne 1 2\ne 2 3\ne 1 3\n",  # full-width digit three
+    "p 3 3\ne 1 2\ne 2 3\ne 1 \u0663\n",  # Arabic-Indic digit three
+], ids=["negative-vertices", "no-vertices", "plus-vertices", "plus-edges", "underscore",
+        "full-width", "arabic-indic"])
+def test_graph_tokens_must_be_ascii_decimals(files, capsys, text):
+    graph = files("bad.graph", text)
+    code, report, err = run_main(capsys, ["lexmin-trees", graph, "--n", "2"])
+    assert code == 3
+    assert report is None
+    assert "input error" in err
+
+
 def peak_alloc_mb(fn):
     """(fn(), the most memory in MB that Python held at once while it ran)."""
     tracemalloc.start()

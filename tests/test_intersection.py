@@ -555,7 +555,7 @@ def flow_matching_value(left, right, edges, rows, n):
     return -nx.min_cost_flow_cost(g)
 
 
-@pytest.mark.parametrize("side, m, value", [(16, 110, 492), (20, 150, 640)])
+@pytest.mark.parametrize("side, m, value", [(16, 110, 492), (20, 150, 640), (30, 300, 995)])
 def test_bipartite_larger_values_match_min_cost_flow(side, m, value):
     # Drawn as in the 12x12 case: m distinct edges of the side x side grid
     # of vertex pairs, n = 4, profits in -3..9 from random.Random(0).

@@ -125,7 +125,7 @@ def test_direct_circuit_matches_oracle_fallback_on_wide_matroids(kind, seed, dat
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_shuffle_circuit_matches_oracle_fallback(kind, seed, data):
-    # The row circuits from one exchange graph of the union's parts must be
+    # The row circuits from the exchange search of the union's parts must be
     # those the oracle finds swap by swap: row j fits iff r + e_j
     # decomposes, and otherwise its circuit holds exactly the rows i with
     # r + e_j - e_i decomposable.  Every swap asks a fresh instance, so no

@@ -1,8 +1,10 @@
 """The benchmark's span tracer patches package functions by name; each of
-its targets must still exist, or ``perfbench/run.py --trace 1`` breaks."""
+its targets must still exist, or ``perfbench/run.py --trace 1`` breaks, and
+its engine counters must still see the union and intersection engines."""
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -26,3 +28,33 @@ def test_tracer_target_resolves(target):
         assert callable(getattr(module, target.attr, None))
     else:
         assert target.attr in vars(getattr(module, target.owner))
+
+
+def test_tracer_counts_engine_spans_and_restores_the_package(tmp_path, capsys):
+    from matroid_shift import cli
+
+    graph = tmp_path / "k4.graph"
+    graph.write_text("p 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n")
+    bipartite = tmp_path / "k22.json"
+    bipartite.write_text(json.dumps({"left": 2, "right": 2,
+                                     "edges": [[1, 1], [1, 2], [2, 1], [2, 2]]}))
+    profits = tmp_path / "c.json"
+    profits.write_text(json.dumps({"d": 4, "n": 2, "rows": [[3, 1], [2, 2], [1, 0], [5, 4]]}))
+    main = cli.main
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        assert cli.main is not main
+        for call, argv in enumerate([["lexmin-trees", str(graph), "--n", "2"],
+                                     ["intersect-value", "--bipartite", str(bipartite),
+                                      str(profits)]]):
+            tracer.begin_call(call)
+            assert cli.main(argv) == 0
+            tracer.end_call()
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert cli.main is main
+    summary = tracer.summary(1)
+    assert summary["constructions.augmentations"] > 0
+    assert summary["intersection.stages"] > 0
