@@ -102,6 +102,14 @@ def _decimal(token: str) -> int | None:
     return int(token) if token.isascii() and token.isdigit() else None
 
 
+def _count(token: str) -> int:
+    """argparse type of --n: ASCII decimal digits only, as in the graph files."""
+    value = _decimal(token)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"expected ASCII decimal digits, got {token!r}")
+    return value
+
+
 def parse_graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:
     """DIMACS-adjacent format: 'p V E' then one 'e u v' line per edge."""
     try:
@@ -295,14 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lexmin-trees", help="n lexicographically minimal spanning trees")
     p.add_argument("graph", help="graph file: 'p V E' header then 'e u v' lines")
-    p.add_argument("--n", type=int, required=True, help="number of trees")
+    p.add_argument("--n", type=_count, required=True, help="number of trees")
     common(p, with_verify=True)
     p.set_defaults(func=cmd_lexmin_trees)
 
     p = sub.add_parser("shifted", help="shifted optimization over one matroid")
     p.add_argument("matroid", help="matroid JSON file")
     p.add_argument("profits", help="profits JSON file {d, n, rows}")
-    p.add_argument("--n", type=int, default=None, help="cross-check against the profits file")
+    p.add_argument("--n", type=_count, default=None, help="cross-check against the profits file")
     p.add_argument("--bases", action="store_true", help="restrict columns to bases")
     common(p, with_verify=True)
     p.set_defaults(func=cmd_shifted)
@@ -312,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matroids", nargs="*",
                    help="two matroid JSON files (omit with --bipartite)")
     p.add_argument("profits", help="profits JSON file {d, n, rows}")
-    p.add_argument("--n", type=int, default=None, help="cross-check against the profits file")
+    p.add_argument("--n", type=_count, default=None, help="cross-check against the profits file")
     p.add_argument("--bipartite", metavar="GRAPH",
                    help="bipartite graph JSON; also recovers the matching columns")
     common(p, with_verify=False)
@@ -321,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fiber", help="recover column-feasible y equivalent to x")
     p.add_argument("matroid", help="matroid JSON file")
     p.add_argument("matrix", help="matrix JSON file {d, n, rows}")
-    p.add_argument("--n", type=int, default=None, help="cross-check against the matrix file")
+    p.add_argument("--n", type=_count, default=None, help="cross-check against the matrix file")
     common(p, with_verify=False)
     p.set_defaults(func=cmd_fiber)
 

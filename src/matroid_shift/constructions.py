@@ -152,7 +152,8 @@ class UnionMatroid(Matroid):
         super().__init__(part.d)
         self.part = part
         self.n = n
-        self.cap = n * full_rank(part)  # no decomposable vector sums to more
+        self.part_rank = full_rank(part)
+        self.cap = n * self.part_rank  # no decomposable vector sums to more
         zero, empty = (0,) * part.d, tuple(frozenset() for _ in range(n))
         self._indep_cache: dict[tuple, tuple] = {zero: empty}
         self._dep_cache: set = set()

@@ -1,10 +1,13 @@
 """Matroids given by independence oracles.
 
-Every matroid here is a declarative, immutable description of a ground set
-[d] together with an independence test.  Five concrete families are provided
+Every matroid here is a declarative description of a ground set [d]
+together with an independence test.  Five concrete families are provided
 (graphic, uniform, partition, linear over GF(2), transversal) plus a generic
 wrapper for externally supplied oracles.  On top of the oracle interface sit
 the classic primitives: rank of a subset and the max-weight greedy algorithm.
+The descriptions never change.  GraphicMatroid alone keeps state besides:
+a memo of a constant number of spanning forests for its circuits, which
+never changes an answer but makes an instance belong to one thread.
 
 Elements are 0-based internally; JSON files use 1-based indices throughout.
 """
@@ -108,9 +111,19 @@ class GraphicMatroid(Matroid):
 
     Vertices are 1..vertices; edge k (0-based) is ground element k.  Parallel
     edges and self-loops are allowed; a self-loop is never independent.
+
+    circuit(indep, e) walks a rooted spanning forest of indep: up[x] is
+    (parent vertex, edge) for a child x and None for a root, over the
+    relabelled vertices.  The last FORESTS forests are memoized by part.  A
+    part missing from the memo is derived from a memoized one it differs
+    from by at most two edges: a cut drops the pointer carrying an edge
+    (by edge id, so parallel edges stay apart), and a link re-roots one
+    endpoint's tree at that endpoint and hangs it under the other.  With
+    no part that close, one breadth-first search builds the forest.
     """
 
     kind = "graphic"
+    FORESTS = 16
 
     def __init__(self, vertices: int, edges: Sequence[tuple[int, int]]):
         super().__init__(len(edges))
@@ -121,13 +134,14 @@ class GraphicMatroid(Matroid):
             if not (1 <= u <= self.vertices and 1 <= v <= self.vertices):
                 raise InputError(f"edge ({u},{v}) has an endpoint outside 1..{self.vertices}")
         self.edges = tuple((int(u), int(v)) for u, v in edges)
-        # The oracle's union-find runs over the vertices that edges touch,
-        # numbered 0.. in order of appearance, so its memory follows the
-        # edges and not the declared vertex count.
+        # The oracle's union-find and the forests run over the vertices that
+        # edges touch, numbered 0.. in order of appearance, so their memory
+        # follows the edges and not the declared vertex count.
         label: dict[int, int] = {}
         self._ends = tuple((label.setdefault(u, len(label)), label.setdefault(v, len(label)))
                            for u, v in self.edges)
         self._touched = len(label)
+        self._forests: dict[frozenset, list] = {}  # part -> up, least recently used first
 
     def _indep(self, elems: frozenset) -> bool:
         parent = list(range(self._touched))
@@ -147,22 +161,103 @@ class GraphicMatroid(Matroid):
         return True
 
     def circuit(self, indep, e: int) -> tuple[int, ...] | None:
-        # e closes a circuit with the forest path between its endpoints.
-        u, v = self.edges[e]
+        # e closes a circuit with the forest path between its endpoints:
+        # mark u's way to its root, then climb from v to the first mark.
+        up = self._forest(frozenset(indep))
+        u, v = self._ends[e]
+        if u == v:
+            return ()
+        mark, path = {u: 0}, []  # vertex -> how many edges of path lead to it
+        step = up[u]
+        while step is not None:
+            x, f = step
+            path.append(f)
+            mark[x] = len(path)
+            step = up[x]
+        rest = []
+        while v not in mark:
+            step = up[v]
+            if step is None:
+                return None
+            v, f = step
+            rest.append(f)
+        return tuple(sorted(path[:mark[v]] + rest))
+
+    def _forest(self, part: frozenset) -> list:
+        forests = self._forests
+        up = forests.pop(part, None)
+        if up is None:
+            for q in reversed(forests):  # most recently used first
+                if abs(len(q) - len(part)) <= 2 and len(q ^ part) <= 2:
+                    up = forests[q].copy()
+                    for f in q - part:
+                        self._cut(up, f)
+                    for f in part - q:
+                        self._link(up, f)
+                    break
+            else:
+                up = self._build(part)
+            if len(forests) >= self.FORESTS:
+                del forests[next(iter(forests))]
+        forests[part] = up
+        return up
+
+    def _build(self, part: frozenset) -> list:
         adj: dict[int, list] = {}
-        for f in indep:
-            a, b = self.edges[f]
+        for f in part:
+            a, b = self._ends[f]
             adj.setdefault(a, []).append((b, f))
             adj.setdefault(b, []).append((a, f))
-        path = {u: ()}  # vertex -> forest edges on the way from u
-        stack = [u]
-        while stack and v not in path:
-            a = stack.pop()
-            for b, f in adj.get(a, ()):
-                if b not in path:
-                    path[b] = path[a] + (f,)
-                    stack.append(b)
-        return tuple(sorted(path[v])) if v in path else None
+        up: list = [None] * self._touched
+        seen, links = set(), 0
+        for root in adj:
+            if root in seen:
+                continue
+            seen.add(root)
+            queue = [root]
+            for a in queue:
+                for b, f in adj[a]:
+                    if b not in seen:
+                        seen.add(b)
+                        up[b] = (a, f)
+                        links += 1
+                        queue.append(b)
+        if links != len(part):  # some edge of part joins two reached vertices
+            raise InputError("circuit needs an independent set")
+        return up
+
+    def _cut(self, up: list, f: int) -> None:
+        a, b = self._ends[f]
+        if up[a] is not None and up[a][1] == f:
+            up[a] = None
+        else:
+            up[b] = None
+
+    def _link(self, up: list, f: int) -> None:
+        # Re-root the tree of the endpoint nearer its root at that endpoint,
+        # then hang it under the other one.
+        a, b = self._ends[f]
+        (ra, da), (rb, db) = _root(up, a), _root(up, b)
+        if ra == rb:
+            raise InputError("circuit needs an independent set")
+        if da > db:
+            a, b = b, a
+        x, step, down = a, up[a], None
+        while step is not None:  # reverse the pointers on a's way to its root
+            up[x] = down
+            down = (x, step[1])
+            x, step = step[0], up[step[0]]
+        up[x] = down
+        up[a] = (b, f)
+
+
+def _root(up: list, x: int) -> tuple[int, int]:
+    """(root of x's tree, depth of x) in a forest of parent pointers."""
+    depth, step = 0, up[x]
+    while step is not None:
+        x, depth = step[0], depth + 1
+        step = up[x]
+    return x, depth
 
 
 class UniformMatroid(Matroid):

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .constructions import Matrix01, UnionMatroid
 from .errors import InfeasibleError, InputError, InternalError, OverflowGuardError
-from .matroids import WEIGHT_GUARD, Matroid, check_weight_guard, full_rank
+from .matroids import WEIGHT_GUARD, Matroid, check_weight_guard
 
 
 class ProfitMatrix:
@@ -149,13 +149,14 @@ def _columns_from_parts(d: int, parts) -> Matrix01:
     return Matrix01([[int(i in p) for p in parts] for i in range(d)])
 
 
-def _greedy(S: Matroid, n: int, order: Sequence[int]) -> tuple[Matrix01, Matrix01]:
-    # (x, y) of the shuffle greedy in a cell order that takes each row left to
-    # right: a refused row never fits again, so x is the row prefix of counts.
+def _greedy(S: Matroid, n: int, order: Sequence[int]) -> tuple[Matrix01, Matrix01, int]:
+    # (x, y, rank of S) of the shuffle greedy in a cell order that takes each
+    # row left to right: a refused row never fits again, so x is the row
+    # prefix of counts.  The union computes the rank once for its cap.
     union = UnionMatroid(S, n)  # validates n
     counts, parts = union.grow(f // union.n for f in order)
     x = Matrix01([[int(j < c) for j in range(union.n)] for c in counts])
-    return x, _columns_from_parts(S.d, parts)
+    return x, _columns_from_parts(S.d, parts), union.part_rank
 
 
 def solve_shuffling(S: Matroid, n: int, cbar: ProfitMatrix, bases: bool = False) -> Matrix01:
@@ -195,9 +196,9 @@ def solve_shifted(S: Matroid, n: int, c: ProfitMatrix, bases: bool = False) -> S
     """
     _check_dims(S, n, c)
     cbar = c.shifted()
-    x, y = _greedy(S, n, _profit_order(cbar, bases))
+    x, y, rank = _greedy(S, n, _profit_order(cbar, bases))
     value = cbar.dot(x)
-    validate(y, [S], rank=full_rank(S) if bases else None, cbar=cbar, value=value, x=x)
+    validate(y, [S], rank=rank if bases else None, cbar=cbar, value=value, x=x)
     return ShiftedSolution(y, value, vulnerability_vector(y))
 
 
@@ -220,8 +221,8 @@ def solve_lexmin(S: Matroid, n: int) -> ShiftedSolution:
     matter through the greedy order, which is column-major.
     """
     n = int(n)
-    x, y = _greedy(S, n, lexmin_order(S.d, n))
-    validate(y, [S], rank=full_rank(S), x=x)
+    x, y, rank = _greedy(S, n, lexmin_order(S.d, n))
+    validate(y, [S], rank=rank, x=x)
     return ShiftedSolution(y, None, vulnerability_vector(y))
 
 

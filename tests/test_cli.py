@@ -430,6 +430,24 @@ def test_recheck_catches_a_corrupt_report(files, capsys, monkeypatch, command):
     assert "self-check failed" in err
 
 
+@pytest.mark.parametrize("token", ["\uff12", "+2", "2_0", " 2"],
+                         ids=["full-width", "plus", "underscore", "space"])
+@pytest.mark.parametrize("command", sorted(CHECKED_ARGV))
+def test_n_must_be_ascii_decimal(files, capsys, command, token):
+    # int() read each token as a number, so --n accepted it and, unless it
+    # contradicted a file's n, the call solved and exited 0.
+    argv = checked_argv(files, command)
+    if "--n" in argv:
+        argv = argv[:argv.index("--n")]
+    assert run_main(capsys, argv + ["--n", "2"])[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--n", token])
+    out = capsys.readouterr()
+    assert exc.value.code == 3
+    assert out.out == ""
+    assert "argument --n" in out.err
+
+
 def test_stdout_is_pure_json(files, capsys):
     graph = files("tri.graph", TRIANGLE_GRAPH)
     code = main(["lexmin-trees", graph, "--n", "2", "--verify"])

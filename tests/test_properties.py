@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matroid_shift import (
+    GraphicMatroid,
     InputError,
     LinearGf2Matroid,
     Matrix01,
@@ -90,6 +91,8 @@ def test_circuit_matches_oracle_fallback(kind, seed, data):
 def wide_matroid(rng: random.Random, kind: str):
     # Up to 14 elements with rank up to about 8, so that circuits can be long.
     d = rng.randint(1, 14)
+    if kind == "graphic":
+        return random_multigraph(rng, d)
     if kind == "linear_gf2":
         nrows = rng.randint(1, 8)
         return LinearGf2Matroid([[rng.randint(0, 1) for _ in range(nrows)] for _ in range(d)])
@@ -98,12 +101,13 @@ def wide_matroid(rng: random.Random, kind: str):
                                for _ in range(d)], agents)
 
 
-@pytest.mark.parametrize("kind", ["linear_gf2", "transversal"])
+@pytest.mark.parametrize("kind", ["graphic", "linear_gf2", "transversal"])
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_direct_circuit_matches_oracle_fallback_on_wide_matroids(kind, seed, data):
-    # One matching (transversal) or one echelon basis (GF(2)) per circuit
-    # must give the circuit that the oracle finds with |indep| + 1 calls.
+    # One forest (graphic, on multigraphs with self-loops), one matching
+    # (transversal) or one echelon basis (GF(2)) per circuit must give the
+    # circuit that the oracle finds with |indep| + 1 calls.
     m = wide_matroid(random.Random(seed), kind)
     order = data.draw(st.permutations(range(m.d)), label="order")
     indep: frozenset = frozenset()
@@ -119,6 +123,69 @@ def test_direct_circuit_matches_oracle_fallback_on_wide_matroids(kind, seed, dat
         if circuit is not None and outside:
             with pytest.raises(InputError):
                 m.circuit(indep | {e}, min(outside))
+
+
+def random_multigraph(rng: random.Random, d: int) -> GraphicMatroid:
+    # Few vertices for d edges, so parallel edges and self-loops are common.
+    vertices = rng.randint(1, 8)
+    return GraphicMatroid(vertices, [(rng.randint(1, vertices), rng.randint(1, vertices))
+                                     for _ in range(d)])
+
+
+def rebuilt_graphic_circuit(m: GraphicMatroid, indep, e: int) -> tuple[int, ...] | None:
+    """The circuit of indep + e by one search over indep, rebuilt per call."""
+    u, v = m.edges[e]
+    adj: dict[int, list] = {}
+    for f in indep:
+        a, b = m.edges[f]
+        adj.setdefault(a, []).append((b, f))
+        adj.setdefault(b, []).append((a, f))
+    path = {u: ()}  # vertex -> forest edges on the way from u
+    stack = [u]
+    while stack and v not in path:
+        a = stack.pop()
+        for b, f in adj.get(a, ()):
+            if b not in path:
+                path[b] = path[a] + (f,)
+                stack.append(b)
+    return tuple(sorted(path[v])) if v in path else None
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_graphic_forest_index_matches_rebuilt_circuits(seed, data):
+    # One instance follows a forest through added, removed and swapped
+    # edges, so most forests derive from a memoized one by cuts and links,
+    # and through jumps to any forest, which rebuild.  Every circuit must
+    # equal the per-call search and the oracle fallback, and the memo must
+    # stay within its bound.
+    rng = random.Random(seed)
+    m = random_multigraph(rng, rng.randint(1, 14))
+    forest: frozenset = frozenset()
+    for _ in range(data.draw(st.integers(1, 25), label="steps")):
+        outside = [e for e in range(m.d) if e not in forest]
+        move = data.draw(st.sampled_from(("add", "remove", "swap", "jump")), label="move")
+        if move == "jump":
+            for e in data.draw(st.permutations(range(m.d)), label="order"):
+                if data.draw(st.booleans(), label="take") and m._indep(forest | {e}):
+                    forest |= {e}
+                    continue
+                forest -= {e}
+        elif move == "remove" and forest:
+            forest -= {data.draw(st.sampled_from(sorted(forest)), label="x")}
+        elif move in ("add", "swap") and outside:
+            e = data.draw(st.sampled_from(outside), label="e")
+            circuit = rebuilt_graphic_circuit(m, forest, e)
+            if circuit is None:
+                forest |= {e}
+            elif move == "swap" and circuit:
+                forest = forest - {data.draw(st.sampled_from(circuit), label="x")} | {e}
+        for e in range(m.d):
+            if e not in forest:
+                circuit = m.circuit(forest, e)
+                assert circuit == rebuilt_graphic_circuit(m, forest, e)
+                assert circuit == Matroid.circuit(m, forest, e)
+        assert len(m._forests) <= m.FORESTS
 
 
 @pytest.mark.parametrize("kind", FAMILIES)

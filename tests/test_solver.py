@@ -283,6 +283,28 @@ def test_lexmin_uniform_and_partition_up_to_d6():
             assert solve_lexmin(m, n).vuln == expect
 
 
+def grid_graph(a: int, b: int) -> GraphicMatroid:
+    # Edges in the order the benchmark's grids list them, before relabelling.
+    idx = lambda i, j: i * b + j + 1  # noqa: E731
+    edges = []
+    for i in range(a):
+        for j in range(b):
+            if j + 1 < b:
+                edges.append((idx(i, j), idx(i, j + 1)))
+            if i + 1 < a:
+                edges.append((idx(i, j), idx(i + 1, j)))
+    return GraphicMatroid(a * b, edges)
+
+
+@pytest.mark.parametrize("side, vuln", [(10, (180, 117, 0)), (20, (760, 437, 0))],
+                         ids=["10x10", "20x20"])
+def test_lexmin_three_trees_on_grids(side, vuln):
+    # Values from the circuit search that rebuilt each forest per call; the
+    # 20x20 grid (d=760) drives the forest index through about 37 k circuits.
+    sol = solve_lexmin(grid_graph(side, side), 3)
+    assert sol.vuln == vuln
+
+
 def test_lexmin_big_weight_equivalence():
     # column-order greedy equals explicit-weight greedy with weights
     # -(d+1)^(j-1) under the bases transform, as exact sets
