@@ -137,10 +137,10 @@ class UnionMatroid(Matroid):
     it, whichever part holds x, so one node per element finds the same
     first path as one node per copy.  _try_augment replays the path to the
     first element that fits straight into a part; when none does, the
-    elements the search reached are the circuit.  decompose grows r from
-    the last vector it accepted and memoizes its answers by count tuple
-    (grow keeps nothing), so an instance is mutable: use one per run, on
-    one thread.
+    elements the search reached are the circuit, and none of them fits
+    either.  decompose grows r from the last vector it accepted and
+    memoizes its answers by count tuple (grow keeps nothing), so an
+    instance is mutable: use one per run, on one thread.
     """
 
     kind = "oracle_composite"
@@ -205,6 +205,9 @@ class UnionMatroid(Matroid):
 
         Growth starts from parts, n independent sets (default: n empty
         ones).  A refused element is never retried: the counts only grow.
+        A failed search from e refuses every element it reached, too: the
+        search from any of them reaches a subset of the same elements, so
+        it fails as well, now and after any later growth.
         """
         if parts is None:
             parts = tuple(frozenset() for _ in range(self.n))
@@ -212,22 +215,27 @@ class UnionMatroid(Matroid):
         for p in parts:
             for x in p:
                 counts[x] += 1
+        total = sum(counts)
         for e in elements:
-            grown = None if e in refused else self._try_augment(parts, e)
+            if e in refused:
+                continue
+            grown = self._try_augment(parts, e, refused)
             if grown is None:
-                refused.add(e)
                 continue
             counts[e] += 1
-            self._check_partition(tuple(counts), grown, parts)
+            self._check_partition(e, grown, parts)
             parts = grown
-            if sum(counts) == self.cap:
+            total += 1
+            if total == self.cap:
                 break
         return counts, parts
 
-    def _try_augment(self, parts: tuple, e: int) -> tuple | None:
-        """parts with one more copy of e, or None; unchanged parts are reused."""
+    def _try_augment(self, parts: tuple, e: int, refused: set) -> tuple | None:
+        """parts with one more copy of e, or None after adding every element
+        the search reached to refused; unchanged parts are reused."""
         fit, parent = self._search(parts, e)
         if fit is None:
+            refused.update(parent)
             return None
         # x goes into part k; then the element that displaced x from a part
         # takes its place there, and so on back to the new copy of e.
@@ -287,15 +295,23 @@ class UnionMatroid(Matroid):
             members = self._circuits[p, x] = self.part.circuit(p, x)
         return members
 
-    def _check_partition(self, r: tuple, parts: tuple, before: tuple) -> None:
-        # Parts reused from before were checked when they were built.
-        counts = [0] * self.d
+    def _check_partition(self, e: int, parts: tuple, before: tuple) -> None:
+        # Parts reused from before were checked when they were built, so the
+        # counts hold one more copy of e exactly when the changed parts hold
+        # one more copy of e than the parts they replace, and nothing else.
+        if len(parts) != len(before):
+            raise InternalError("part multiplicities differ from the requested counts")
+        change = {e: -1}
         for p, q in zip(parts, before):
-            if p is not q and not self.part._indep(p):
+            if p is q:
+                continue
+            if not self.part._indep(p):
                 raise InternalError("augmentation left a dependent part")
-            for x in p:
-                counts[x] += 1
-        if tuple(counts) != r:
+            for x in p - q:
+                change[x] = change.get(x, 0) + 1
+            for x in q - p:
+                change[x] = change.get(x, 0) - 1
+        if any(change.values()):
             raise InternalError("part multiplicities differ from the requested counts")
 
 

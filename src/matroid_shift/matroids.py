@@ -15,7 +15,7 @@ Elements are 0-based internally; JSON files use 1-based indices throughout.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import InputError, OverflowGuardError
 
@@ -87,6 +87,19 @@ class Matroid:
     def _indep(self, elems: frozenset) -> bool:
         raise NotImplementedError
 
+    def _rank(self, elems: Collection[int]) -> int:
+        """Size of a maximum independent subset of the distinct elems.
+
+        This default inserts greedily, one oracle call per element; the
+        graphic, uniform and partition families count instead.
+        """
+        cur: frozenset = frozenset()
+        for e in elems:
+            cand = cur | {e}
+            if self._indep(cand):
+                cur = cand
+        return len(cur)
+
     def circuit(self, indep, e: int) -> tuple[int, ...] | None:
         """Members of independent indep (e not in it) on the circuit of indep + e.
 
@@ -112,14 +125,20 @@ class GraphicMatroid(Matroid):
     Vertices are 1..vertices; edge k (0-based) is ground element k.  Parallel
     edges and self-loops are allowed; a self-loop is never independent.
 
+    The rank is one union-find pass over the relabelled vertices, counting
+    the edges that join two components; a set is independent when all of
+    its edges do.
+
     circuit(indep, e) walks a rooted spanning forest of indep: up[x] is
     (parent vertex, edge) for a child x and None for a root, over the
-    relabelled vertices.  The last FORESTS forests are memoized by part.  A
-    part missing from the memo is derived from a memoized one it differs
-    from by at most two edges: a cut drops the pointer carrying an edge
-    (by edge id, so parallel edges stay apart), and a link re-roots one
-    endpoint's tree at that endpoint and hangs it under the other.  With
-    no part that close, one breadth-first search builds the forest.
+    relabelled vertices.  It climbs from both endpoints in turn, each
+    marking its way, and stops where one side reaches the other's mark:
+    their nearest common ancestor.  The last FORESTS forests are memoized
+    by part.  A part missing from the memo is derived from a memoized one
+    it differs from by at most two edges: a cut drops the pointer carrying
+    an edge (by edge id, so parallel edges stay apart), and a link re-roots
+    one endpoint's tree at that endpoint and hangs it under the other.
+    With no part that close, one breadth-first search builds the forest.
     """
 
     kind = "graphic"
@@ -144,44 +163,43 @@ class GraphicMatroid(Matroid):
         self._forests: dict[frozenset, list] = {}  # part -> up, least recently used first
 
     def _indep(self, elems: frozenset) -> bool:
-        parent = list(range(self._touched))
+        return self._rank(elems) == len(elems)
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+    def _rank(self, elems: Collection[int]) -> int:
+        parent = list(range(self._touched))  # union-find with path halving
+        ends, joins = self._ends, 0
         for e in elems:
-            u, v = self._ends[e]
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                return False
-            parent[ru] = rv
-        return True
+            u, v = ends[e]
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
+                joins += 1
+        return joins
 
     def circuit(self, indep, e: int) -> tuple[int, ...] | None:
-        # e closes a circuit with the forest path between its endpoints:
-        # mark u's way to its root, then climb from v to the first mark.
+        # e closes a circuit with the forest path between its endpoints.
+        # Each side keeps the edges it climbed and, per vertex it passed,
+        # how many of them lead there; the sides swap after every step.
         up = self._forest(frozenset(indep))
         u, v = self._ends[e]
         if u == v:
             return ()
-        mark, path = {u: 0}, []  # vertex -> how many edges of path lead to it
-        step = up[u]
-        while step is not None:
-            x, f = step
-            path.append(f)
-            mark[x] = len(path)
-            step = up[x]
-        rest = []
-        while v not in mark:
-            step = up[v]
-            if step is None:
-                return None
-            v, f = step
-            rest.append(f)
-        return tuple(sorted(path[:mark[v]] + rest))
+        step, mark, path = up[u], {u: 0}, []
+        other, other_mark, other_path = up[v], {v: 0}, []
+        while step is not None or other is not None:
+            if step is not None:
+                x, f = step
+                path.append(f)
+                if x in other_mark:
+                    return tuple(sorted(path + other_path[:other_mark[x]]))
+                mark[x] = len(path)
+                step = up[x]
+            step, mark, path, other, other_mark, other_path = (
+                other, other_mark, other_path, step, mark, path)
+        return None  # both sides stopped at roots: different trees
 
     def _forest(self, part: frozenset) -> list:
         forests = self._forests
@@ -275,7 +293,12 @@ class UniformMatroid(Matroid):
     def _indep(self, elems: frozenset) -> bool:
         return len(elems) <= self.r
 
+    def _rank(self, elems: Collection[int]) -> int:
+        return min(len(elems), self.r)
+
     def circuit(self, indep, e: int) -> tuple[int, ...] | None:
+        if len(indep) > self.r:
+            raise InputError("circuit needs an independent set")
         return None if len(indep) < self.r else tuple(sorted(indep))
 
 
@@ -304,10 +327,19 @@ class PartitionMatroid(Matroid):
                 return False
         return True
 
+    def _rank(self, elems: Collection[int]) -> int:
+        used = [0] * len(self.capacities)
+        for e in elems:
+            used[self.blocks[e]] += 1
+        return sum(map(min, used, self.capacities))
+
     def circuit(self, indep, e: int) -> tuple[int, ...] | None:
+        # Only e's block is gathered, so only its overflow is caught.
         b = self.blocks[e]
         same = tuple(sorted(x for x in indep if self.blocks[x] == b))
-        return same if len(same) >= self.capacities[b] else None
+        if len(same) > self.capacities[b]:
+            raise InputError("circuit needs an independent set")
+        return same if len(same) == self.capacities[b] else None
 
 
 class LinearGf2Matroid(Matroid):
@@ -463,19 +495,14 @@ class OracleMatroid(Matroid):
 
 
 def rank(m: Matroid, s: Subset01) -> int:
-    """Size of a maximum independent subset of s, by greedy insertion."""
+    """Size of a maximum independent subset of s."""
     if s.d != m.d:
         raise InputError(f"subset length {s.d} != ground size {m.d}")
-    cur: frozenset = frozenset()
-    for e in s.indices():
-        cand = cur | {e}
-        if m._indep(cand):
-            cur = cand
-    return len(cur)
+    return m._rank(s.indices())
 
 
 def full_rank(m: Matroid) -> int:
-    return rank(m, Subset01.full(m.d))
+    return m._rank(range(m.d))
 
 
 def check_weight_guard(values: Iterable[int]) -> None:

@@ -107,6 +107,36 @@ def test_union_rejects_a_dependent_part():
         UnionMatroid(NoCircuits(3, 1), 2).decompose([1, 1, 0])
 
 
+class MiscountingUnion(UnionMatroid):
+    """A broken augmentation: every part it changes drops its new copy of e
+    (drop=True) or holds the changed part's new members twice over, in an
+    unchanged part too (drop=False)."""
+
+    def __init__(self, part, n, drop):
+        super().__init__(part, n)
+        self.drop = drop
+
+    def _try_augment(self, parts, e, *rest):
+        grown = super()._try_augment(parts, e, *rest)
+        if grown is None:
+            return None
+        if self.drop:
+            return tuple(p if p is q else p - {e} for p, q in zip(grown, parts))
+        k = next(k for k, (p, q) in enumerate(zip(grown, parts)) if p is not q)
+        return tuple(p | grown[k] if j == (k + 1) % len(grown) else p
+                     for j, p in enumerate(grown))
+
+
+@pytest.mark.parametrize("drop", [True, False], ids=["dropped", "duplicated"])
+def test_union_rejects_miscounted_parts(drop):
+    # Rank 3 on 3 elements, so every part stays independent and only the
+    # multiplicities are wrong.
+    with pytest.raises(InternalError, match="multiplicities differ"):
+        MiscountingUnion(UniformMatroid(3, 3), 2, drop).grow([0, 1])
+    with pytest.raises(InternalError, match="multiplicities differ"):
+        MiscountingUnion(UniformMatroid(3, 3), 2, drop).decompose([1, 1, 0])
+
+
 def test_union_decomposition_invariants():
     rng = random.Random(8)
     for _ in range(40):

@@ -100,6 +100,43 @@ def test_every_family_builds_its_own_circuit():
     assert {cls for cls in families if "circuit" not in vars(cls)} == {OracleMatroid}
 
 
+def test_graphic_circuit_climbs_to_the_nearest_common_ancestor():
+    # Two trees rooted at vertices 1 and 8: the path 1-2-3-4-5 with the
+    # branch 2-6-7, and the edge 8-9.  The circuit climbs from both
+    # endpoints in turn; each case below meets in a different place.
+    tree = [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (6, 7), (8, 9)]
+    cases = {
+        (3, 5): (2, 3),              # u an ancestor of v
+        (5, 3): (2, 3),              # v an ancestor of u
+        (1, 4): (0, 1, 2),           # u at the root
+        (5, 1): (0, 1, 2, 3),        # v at the root
+        (5, 7): (1, 2, 3, 4, 5),     # the two sides meet at 2
+        (7, 9): None,                # different trees
+        (8, 1): None,                # two roots
+        (3, 4): (2,),                # parallel to edge 2
+        (9, 8): (6,),                # parallel to the edge below a root
+        (6, 6): (),                  # self-loop
+    }
+    m = GraphicMatroid(9, tree + list(cases))
+    part = frozenset(range(len(tree)))
+    up = m._forest(part)
+    assert up[m._ends[0][0]] is None and up[m._ends[6][0]] is None  # roots 1 and 8
+    for e, want in enumerate(cases.values(), start=len(tree)):
+        assert m.circuit(part, e) == want
+        assert Matroid.circuit(m, part, e) == want
+
+
+def test_uniform_and_partition_circuits_refuse_a_dependent_set():
+    with pytest.raises(InputError):
+        UniformMatroid(4, 2).circuit({0, 1, 2}, 3)
+    assert UniformMatroid(4, 2).circuit({0, 1}, 3) == (0, 1)
+    m = PartitionMatroid([0, 0, 0, 1], [1, 1])
+    with pytest.raises(InputError):
+        m.circuit({0, 1}, 2)  # block 0 holds two members against a capacity of 1
+    assert m.circuit({0}, 2) == (0,)
+    assert m.circuit({0}, 3) is None
+
+
 def test_graphic_triangle_examples():
     assert TRIANGLE.is_independent(Subset01([1, 1, 0]))
     assert not TRIANGLE.is_independent(Subset01([1, 1, 1]))

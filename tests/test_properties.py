@@ -8,15 +8,20 @@ from hypothesis import given, settings, strategies as st
 from matroid_shift import (
     GraphicMatroid,
     InputError,
+    InternalError,
     LinearGf2Matroid,
     Matrix01,
     Matroid,
     ProfitMatrix,
     ShuffleMatroid,
+    Subset01,
     TransversalMatroid,
+    UniformMatroid,
     UnionMatroid,
     brute_shuffle_membership,
     enumerate_members,
+    full_rank,
+    rank,
     solve_shuffling,
 )
 from matroid_shift.matroids import greedy_in_order
@@ -93,6 +98,8 @@ def wide_matroid(rng: random.Random, kind: str):
     d = rng.randint(1, 14)
     if kind == "graphic":
         return random_multigraph(rng, d)
+    if kind == "uniform":
+        return UniformMatroid(d, rng.randint(0, d))
     if kind == "linear_gf2":
         nrows = rng.randint(1, 8)
         return LinearGf2Matroid([[rng.randint(0, 1) for _ in range(nrows)] for _ in range(d)])
@@ -101,13 +108,14 @@ def wide_matroid(rng: random.Random, kind: str):
                                for _ in range(d)], agents)
 
 
-@pytest.mark.parametrize("kind", ["graphic", "linear_gf2", "transversal"])
+@pytest.mark.parametrize("kind", ["graphic", "uniform", "linear_gf2", "transversal"])
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_direct_circuit_matches_oracle_fallback_on_wide_matroids(kind, seed, data):
     # One forest (graphic, on multigraphs with self-loops), one matching
-    # (transversal) or one echelon basis (GF(2)) per circuit must give the
-    # circuit that the oracle finds with |indep| + 1 calls.
+    # (transversal), one echelon basis (GF(2)) or one count (uniform) per
+    # circuit must give the circuit that the oracle finds with |indep| + 1
+    # calls.
     m = wide_matroid(random.Random(seed), kind)
     order = data.draw(st.permutations(range(m.d)), label="order")
     indep: frozenset = frozenset()
@@ -233,3 +241,83 @@ def test_count_greedy_equals_cell_greedy(kind, seed, data):
     order = sorted(range(m.d * n), key=lambda f: (-w[f], f % n, f // n))
     cells = greedy_in_order(ShuffleMatroid(m, n), order, w, force_basis=bases)
     assert solve_shuffling(m, n, cbar, bases) == Matrix01.from_flat(m.d, n, cells)
+
+
+def reference_grow(union: UnionMatroid, elements, parts=None):
+    """UnionMatroid.grow without the refusal of reached elements: every
+    distinct element is searched until it fails itself, and every step
+    recounts all parts against the counts."""
+    if parts is None:
+        parts = tuple(frozenset() for _ in range(union.n))
+    counts, refused = [0] * union.d, set()
+    for p in parts:
+        for x in p:
+            counts[x] += 1
+    for e in elements:
+        grown = None if e in refused else union._try_augment(parts, e, set())
+        if grown is None:
+            refused.add(e)
+            continue
+        counts[e] += 1
+        recount = [0] * union.d
+        for p, q in zip(grown, parts):
+            if p is not q and not union.part._indep(p):
+                raise InternalError("augmentation left a dependent part")
+            for x in p:
+                recount[x] += 1
+        if recount != counts:
+            raise InternalError("part multiplicities differ from the requested counts")
+        parts = grown
+        if sum(counts) == union.cap:
+            break
+    return counts, parts
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_grow_equals_reference_grow(kind, seed, data):
+    # From empty parts or parts grown before, with repeated elements: the
+    # same counts and the same parts, part by part.
+    m = random_matroid(random.Random(seed), dmax=6, kind=kind)
+    n = data.draw(st.integers(1, 3), label="n")
+    elements = st.lists(st.integers(0, m.d - 1), max_size=m.d * n + 4)
+    parts = None
+    if data.draw(st.booleans(), label="start grown"):
+        _, parts = UnionMatroid(m, n).grow(data.draw(elements, label="start"))
+    sequence = data.draw(elements, label="elements")
+    got = UnionMatroid(m, n).grow(sequence, parts)
+    assert got == reference_grow(UnionMatroid(m, n), sequence, parts)
+
+
+def greedy_rank(m: Matroid, elems) -> int:
+    """Size of a maximum independent subset of elems, by greedy insertion."""
+    cur: frozenset = frozenset()
+    for e in elems:
+        if m._indep(cur | {e}):
+            cur |= {e}
+    return len(cur)
+
+
+@pytest.mark.parametrize("kind", FAMILIES + ("multigraph", "two_multigraphs", "huge_labels"))
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_rank_equals_greedy_rank(kind, seed, data):
+    # Multigraphs with parallel edges and self-loops, often disconnected;
+    # two of them side by side; and one whose vertices carry labels up to a
+    # declared count of 10**9.
+    rng = random.Random(seed)
+    if kind == "multigraph":
+        m = random_multigraph(rng, rng.randint(1, 14))
+    elif kind == "two_multigraphs":
+        a, b = random_multigraph(rng, rng.randint(1, 7)), random_multigraph(rng, rng.randint(1, 7))
+        m = GraphicMatroid(a.vertices + b.vertices,
+                           a.edges + tuple((u + a.vertices, v + a.vertices) for u, v in b.edges))
+    elif kind == "huge_labels":
+        g = random_multigraph(rng, rng.randint(1, 14))
+        m = GraphicMatroid(10**9, [(10**9 + 1 - u, 10**9 + 1 - v) for u, v in g.edges])
+    else:
+        m = random_matroid(rng, dmax=8, kind=kind)
+    assert full_rank(m) == greedy_rank(m, range(m.d))
+    s = data.draw(st.sets(st.integers(0, m.d - 1)), label="s")
+    assert rank(m, Subset01.from_indices(m.d, s)) == greedy_rank(m, sorted(s))
