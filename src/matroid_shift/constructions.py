@@ -131,16 +131,18 @@ class UnionMatroid(Matroid):
     decompose(r) finds n independent parts holding element i in exactly r[i]
     of them (a plain set is the 0/1 case), and circuits(parts, rows) tells
     for each row whether the parts can take one more copy of it.  All three
-    rest on one exchange search, _search(parts, e): matroid partitioning
-    (Knuth, 1973) by a breadth-first search from a new copy of e.  Its arcs
-    lead from x to the members of the circuit x closes in each part lacking
-    it, whichever part holds x, so one node per element finds the same
-    first path as one node per copy.  _try_augment replays the path to the
-    first element that fits straight into a part; when none does, the
-    elements the search reached are the circuit, and none of them fits
-    either.  decompose grows r from the last vector it accepted and
-    memoizes its answers by count tuple (grow keeps nothing), so an
-    instance is mutable: use one per run, on one thread.
+    rest on one exchange graph: matroid partitioning (Knuth, 1973).  Its
+    arcs lead from x to the members of the circuit x closes in each part
+    lacking it, whichever part holds x, so one node per element finds the
+    same first path as one node per copy.  grow augments by _search(parts,
+    e), a breadth-first search from a new copy of e, and _try_augment
+    replays its path to the first element that fits straight into a part;
+    when none does, the elements the search reached are the circuit, and
+    none of them fits either.  circuits answers all its rows from one pass
+    over the same arcs, without a search per row.  Circuit answers are
+    memoized per part, and decompose grows r from the last vector it
+    accepted and memoizes its answers by count tuple (grow keeps nothing),
+    so an instance is mutable: use one per run, on one thread.
     """
 
     kind = "oracle_composite"
@@ -158,7 +160,7 @@ class UnionMatroid(Matroid):
         self._indep_cache: dict[tuple, tuple] = {zero: empty}
         self._dep_cache: set = set()
         self._last = (zero, empty)  # the last vector decompose accepted, and its parts
-        self._circuits: dict = {}  # (part, element) -> Matroid.circuit answer
+        self._circuits: dict = {}  # part -> {element: Matroid.circuit answer}
 
     def _indep(self, elems: frozenset) -> bool:
         return self.decompose([int(e in elems) for e in range(self.d)]) is not None
@@ -260,12 +262,15 @@ class UnionMatroid(Matroid):
         """
         parent: dict[int, tuple[int, int] | None] = {e: None}
         queue = deque([e])
+        memos = self._memos(parts)
         while queue:
             x = queue.popleft()
-            for k, p in enumerate(parts):
+            for k, (p, known) in enumerate(memos):
                 if x in p:
                     continue
-                members = self._circuit(p, x)
+                members = known.get(x, False)
+                if members is False:
+                    members = known[x] = self.part.circuit(p, x)
                 if members is None:
                     return (x, k), parent
                 for v in members:
@@ -279,21 +284,73 @@ class UnionMatroid(Matroid):
         else the ascending elements the parts hold on the circuit it closes.
 
         An element i is on that circuit exactly when the counts plus a copy
-        of j less a copy of i decompose, that is when the search from a new
-        copy of j, which finds no element that fits, reaches i.
+        of j less a copy of i decompose, that is when the exchange search
+        from a new copy of j reaches i and no element that fits.  One pass
+        answers every row: it takes each reached element's arcs once, marks
+        the elements that fit straight into a part, and sweeps back along
+        the arcs from them to mark every element that reaches one.  A row
+        that reaches no fit answers the held elements of its forward
+        closure; the closure of a row reached from a later row is taken
+        whole, so the rows of one strongly connected component share it.
         """
+        rows = list(rows)
+        memos = self._memos(parts)
+        succ: dict[int, list[int]] = {}  # reached element that fits straight into no part -> its arcs
+        fits = set()
+        todo, seen = rows[:], set(rows)
+        while todo:
+            x = todo.pop()
+            arcs = []
+            for p, known in memos:
+                if x in p:
+                    continue
+                members = known.get(x, False)
+                if members is False:
+                    members = known[x] = self.part.circuit(p, x)
+                if members is None:
+                    fits.add(x)
+                    break
+                arcs += members
+            else:
+                succ[x] = arcs
+                for v in arcs:
+                    if v not in seen:
+                        seen.add(v)
+                        todo.append(v)
+        pred: dict[int, list[int]] = {}
+        for x, arcs in succ.items():
+            for v in arcs:
+                pred.setdefault(v, []).append(x)
+        todo = list(fits)
+        while todo:
+            for x in pred.get(todo.pop(), ()):
+                if x not in fits:
+                    fits.add(x)
+                    todo.append(x)
         held = set().union(*parts)
         out: dict[int, tuple[int, ...] | None] = {}
+        closure: dict[int, set] = {}  # row answered -> its forward closure
         for j in rows:
-            fit, parent = self._search(parts, j)
-            out[j] = None if fit is not None else tuple(sorted(held.intersection(parent)))
+            if j in fits:
+                out[j] = None
+                continue
+            reach, todo = {j}, [j]
+            while todo:
+                for v in succ[todo.pop()]:
+                    if v in reach:
+                        continue
+                    if v in closure:
+                        reach |= closure[v]
+                    else:
+                        reach.add(v)
+                        todo.append(v)
+            closure[j] = reach
+            out[j] = tuple(sorted(held & reach))
         return out
 
-    def _circuit(self, p: frozenset, x: int) -> tuple[int, ...] | None:
-        members = self._circuits.get((p, x), False)
-        if members is False:
-            members = self._circuits[p, x] = self.part.circuit(p, x)
-        return members
+    def _memos(self, parts: tuple) -> list[tuple[frozenset, dict]]:
+        """Each part with its memo of Matroid.circuit answers, by element."""
+        return [(p, self._circuits.setdefault(p, {})) for p in parts]
 
     def _check_partition(self, e: int, parts: tuple, before: tuple) -> None:
         # Parts reused from before were checked when they were built, so the
@@ -323,7 +380,7 @@ class ShuffleMatroid(Matroid):
     sums are a sum of n independent sets of S.  The n-union of S decides that
     on counts.  The cells of a row are parallel elements, so the intersection
     solver works on row counts and asks the union for its row circuits
-    directly (UnionMatroid.circuits, one exchange search per row); circuit
+    directly (UnionMatroid.circuits, one pass for all rows); circuit
     queries here take the generic Matroid.circuit.  Like UnionMatroid, an
     instance carries mutable caches: keep it on a single thread.
     """

@@ -7,16 +7,17 @@ shifted OPTIMAL VALUE is a weighted matroid intersection over the two shuffle
 matroids.  A row's cells are parallel in both of them and its shifted
 profits are nonincreasing, so the intersection runs on row counts: each
 stage has at most two nodes per row (its next copy and its last copy), and
-each factor's n-union gives every row's circuit by one exchange search of
-its parts per row (UnionMatroid.circuits).  The arcs come from those
-circuits only: the swaps into a source and out of a sink are never on a
-cheapest, fewest-hop path, since such a path would close a cycle, and no
-cycle has negative cost (Frank, 1981).  Each stage labels the nodes with
-(cost, hops) by one Bellman-Ford pass, then walks tight arcs to the
-lexicographically smallest cheapest path.  Recovering a feasible witness is
-open in general; it is provided here for matchings in bipartite graphs, where
-an n-edge-coloring of the row-sum multigraph splits the optimal matrix into n
-matchings.
+each factor's n-union gives every row's circuit from one pass over the
+exchange arcs of its parts (UnionMatroid.circuits).  The arcs come from
+those circuits only: the swaps into a source and out of a sink are never
+on a cheapest, fewest-hop path, since such a path would close a cycle, and
+no cycle has negative cost (Frank, 1981).  Each stage labels the nodes
+with (cost, hops) by one Bellman-Ford pass, then walks tight arcs to the
+lexicographically smallest cheapest path.  The stages stop at the first
+path that gains nothing: the gains never rise.  Recovering a feasible
+witness is open in general; it is provided here for matchings in bipartite
+graphs, where an n-edge-coloring of the row-sum multigraph splits the
+optimal matrix into n matchings.
 """
 
 from __future__ import annotations
@@ -63,12 +64,19 @@ class BipartiteGraph:
 
 
 def degree_matroids(g: BipartiteGraph) -> tuple[PartitionMatroid, PartitionMatroid]:
-    """The two partition matroids whose common independent sets are matchings."""
-    left_blocks = [l - 1 for l, _ in g.edges]
-    right_blocks = [r - 1 for _, r in g.edges]
-    m1 = PartitionMatroid(left_blocks, [1] * g.left)
-    m2 = PartitionMatroid(right_blocks, [1] * g.right)
-    return m1, m2
+    """The two partition matroids whose common independent sets are matchings.
+
+    A side's blocks are the vertices its edges touch, numbered 0.. in
+    increasing order, so their memory follows the edges and not the
+    declared side sizes; a side whose every vertex has an edge keeps
+    vertex v as block v - 1.
+    """
+    def blocks(ends: Sequence[int]) -> PartitionMatroid:
+        label = {v: b for b, v in enumerate(sorted(set(ends)))}
+        return PartitionMatroid([label[v] for v in ends], [1] * len(label))
+
+    left, right = zip(*g.edges)
+    return blocks(left), blocks(right)
 
 
 class IntersectionInstance:
@@ -105,8 +113,11 @@ def weighted_matroid_intersection_max(m1: Matroid, m2: Matroid, w: Sequence[int]
     along a cheapest source-to-sink path of the exchange digraph (cost =
     weight given up minus weight gained), ties broken by fewest arcs then
     lexicographically smallest path, which keeps the current set extreme
-    and the search free of negative cycles (Frank, 1981).  The best weight
-    over all stages, including the empty set at 0, is returned as its cells.
+    and the search free of negative cycles (Frank, 1981).  So the best
+    weight of a k-set is concave in k: the stage gains never rise, and the
+    stages stop, before applying it, at the first path that gains nothing.
+    The set then held is the first of greatest weight over all stages (the
+    empty set, at 0, included), and it is returned as its cells.
     """
     if m1.d != m2.d:
         raise InputError(f"ground sizes differ: {m1.d} vs {m2.d}")
@@ -119,24 +130,25 @@ def weighted_matroid_intersection_max(m1: Matroid, m2: Matroid, w: Sequence[int]
         raise InputError("weights must be nonincreasing along each row")
     check_weight_guard(w)
 
-    def prefixes(r: tuple) -> list[int]:
-        return [i * n + j for i, c in enumerate(r) for j in range(c)]
-
     unions = (UnionMatroid(m1, n), UnionMatroid(m2, n))
     r = (0,) * d
-    best_weight, best_r = 0, r
     while True:
         path = _augmenting_path(*unions, r, w)
         if path is None:
             break
-        counts = list(r)
+        counts, gained = list(r), 0
         for node in path:
-            counts[node >> 1] += -1 if node & 1 else 1
+            i = node >> 1
+            if node & 1:  # the row gives up its last copy
+                counts[i] -= 1
+                gained -= w[i * n + counts[i]]
+            else:  # the row takes its next copy
+                gained += w[i * n + counts[i]]
+                counts[i] += 1
+        if gained <= 0:
+            break  # the gains never rise, so no later stage beats r
         r = tuple(counts)
-        weight = sum(w[f] for f in prefixes(r))
-        if weight > best_weight:
-            best_weight, best_r = weight, r
-    return Subset01.from_indices(d * n, prefixes(best_r))
+    return Subset01.from_indices(d * n, [i * n + j for i, c in enumerate(r) for j in range(c)])
 
 
 def _augmenting_path(u1: UnionMatroid, u2: UnionMatroid, r: tuple, w: Sequence[int]) -> list[int] | None:

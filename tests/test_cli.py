@@ -368,6 +368,22 @@ def test_intersect_value_bipartite(files, capsys):
     assert len(report["columns"]) == 2
 
 
+def test_intersect_value_bipartite_with_huge_declared_sides(files, capsys):
+    # The degree matroids' blocks follow the vertices the edges touch, so a
+    # declared side of 10**12 allocates nothing and changes no answer.
+    edges = [[1, 1], [1, 2], [2, 1], [3, 2], [3, 3]]
+    profits = files("c.json", {"d": 5, "n": 2, "rows": [[4, 1], [3, 3], [2, 0], [5, 2], [1, 1]]})
+    reports = []
+    for left, right in ((3, 3), (10**12, 10**12)):
+        graph = files("g.json", {"left": left, "right": right, "edges": edges})
+        code, report, _ = run_main(capsys, ["intersect-value", "--bipartite", graph, profits,
+                                            "--recheck"])
+        assert code == 0
+        reports.append(report)
+    assert reports[1]["value"] == reports[0]["value"]
+    assert reports[1]["columns"] == reports[0]["columns"]
+
+
 def test_fiber_roundtrip(files, capsys):
     matroid = files("u21.json", U21)
     matrix = files("x.json", {"d": 2, "n": 2, "rows": [[1, 0], [1, 0]]})

@@ -225,6 +225,50 @@ def test_shuffle_circuit_matches_oracle_fallback(kind, seed, data):
         assert circuits[j] == want
 
 
+def reference_circuits(union: UnionMatroid, parts, rows):
+    """UnionMatroid.circuits by one exchange search per row."""
+    held = set().union(*parts)
+    out = {}
+    for j in rows:
+        fit, parent = union._search(parts, j)
+        out[j] = None if fit is not None else tuple(sorted(held.intersection(parent)))
+    return out
+
+
+@pytest.mark.parametrize("kind", FAMILIES + ("multigraph",))
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1))
+def test_circuits_equal_reference_circuits(kind, seed):
+    # Two sets of parts: grown from repeated elements, then often grown
+    # again from those parts (as decompose does), so counts reach n; and
+    # random independent sets, which often block a row in every part yet
+    # free a place for it by an exchange.  The rows come in any order, so a
+    # row's search often reaches a row answered before it.  Multigraphs
+    # bring parallel edges and self-loops.  One pass over the rows must
+    # answer each as its own search does.
+    rng = random.Random(seed)
+    m = random_multigraph(rng, rng.randint(1, 12)) if kind == "multigraph" else random_matroid(rng, dmax=8, kind=kind)
+    n = rng.randint(1, 3)
+    union = UnionMatroid(m, n)
+
+    def elements():
+        return [rng.randrange(m.d) for _ in range(rng.randint(0, m.d * n + 4))]
+
+    def independent():
+        part: frozenset = frozenset()
+        for e in rng.sample(range(m.d), rng.randint(0, m.d)):
+            if m._indep(part | {e}):
+                part |= {e}
+        return part
+
+    _, grown = union.grow(elements())
+    if rng.random() < 0.5:
+        _, grown = union.grow(elements(), grown)
+    for parts in (grown, tuple(independent() for _ in range(n))):
+        rows = rng.sample(range(m.d), rng.randint(1, m.d))
+        assert union.circuits(parts, rows) == reference_circuits(UnionMatroid(m, n), parts, rows)
+
+
 @pytest.mark.parametrize("kind", FAMILIES)
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
