@@ -22,7 +22,7 @@ from collections import deque
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalError
-from .matroids import Matroid, Subset01, full_rank
+from .matroids import Matroid, PartitionMatroid, Subset01, full_rank
 
 
 class Matrix01:
@@ -129,8 +129,8 @@ class UnionMatroid(Matroid):
 
     grow(elements) adds one copy of each element in turn where it fits,
     decompose(r) finds n independent parts holding element i in exactly r[i]
-    of them (a plain set is the 0/1 case), and circuits(parts, rows) tells
-    for each row whether the parts can take one more copy of it.  All three
+    of them (a plain set is the 0/1 case), and circuits(r, rows) tells for
+    each row whether r can take one more copy of it.  grow and decompose
     rest on one exchange graph: matroid partitioning (Knuth, 1973).  Its
     arcs lead from x to the members of the circuit x closes in each part
     lacking it, whichever part holds x, so one node per element finds the
@@ -138,11 +138,20 @@ class UnionMatroid(Matroid):
     e), a breadth-first search from a new copy of e, and _try_augment
     replays its path to the first element that fits straight into a part;
     when none does, the elements the search reached are the circuit, and
-    none of them fits either.  circuits answers all its rows from one pass
-    over the same arcs, without a search per row.  Circuit answers are
-    memoized per part, and decompose grows r from the last vector it
-    accepted and memoizes its answers by count tuple (grow keeps nothing),
-    so an instance is mutable: use one per run, on one thread.
+    none of them fits either.
+
+    circuits needs no parts for a partition part: the union of n copies of
+    a partition matroid with block capacities c_B is the partition matroid
+    on counts with every r[i] <= n and every block sum at most n * c_B
+    (deal a block's copies round-robin over the n parts), so it answers
+    from block sums.  Every other family (uniform, transversal, graphic,
+    GF(2), oracles) decomposes r and answers all the rows from one closure
+    pass over the exchange arcs, without a search per row.
+
+    Circuit answers are memoized per part, and decompose grows r from the
+    last vector it accepted and memoizes its answers by count tuple (grow
+    keeps nothing), so an instance is mutable: use one per run, on one
+    thread.
     """
 
     kind = "oracle_composite"
@@ -161,6 +170,11 @@ class UnionMatroid(Matroid):
         self._dep_cache: set = set()
         self._last = (zero, empty)  # the last vector decompose accepted, and its parts
         self._circuits: dict = {}  # part -> {element: Matroid.circuit answer}
+        self._members = None  # block -> its ascending elements, for a partition part
+        if isinstance(part, PartitionMatroid):
+            self._members = [[] for _ in part.capacities]
+            for i, b in enumerate(part.blocks):
+                self._members[b].append(i)
 
     def _indep(self, elems: frozenset) -> bool:
         return self.decompose([int(e in elems) for e in range(self.d)]) is not None
@@ -279,20 +293,37 @@ class UnionMatroid(Matroid):
                         queue.append(v)
         return None, parent
 
-    def circuits(self, parts: tuple, rows: Iterable[int]) -> dict[int, tuple[int, ...] | None]:
-        """For each row j: None if the parts can take one more copy of j,
-        else the ascending elements the parts hold on the circuit it closes.
+    def circuits(self, r: Sequence[int], rows: Iterable[int]) -> dict[int, tuple[int, ...] | None]:
+        """For each row j: None if the count vector r can take one more copy
+        of j, else the ascending rows i with r[i] > 0 on the circuit it closes.
 
-        An element i is on that circuit exactly when the counts plus a copy
-        of j less a copy of i decompose, that is when the exchange search
-        from a new copy of j reaches i and no element that fits.  One pass
-        answers every row: it takes each reached element's arcs once, marks
-        the elements that fit straight into a part, and sweeps back along
-        the arcs from them to mark every element that reaches one.  A row
-        that reaches no fit answers the held elements of its forward
-        closure; the closure of a row reached from a later row is taken
-        whole, so the rows of one strongly connected component share it.
+        Row i is on that circuit exactly when r plus a copy of j less a copy
+        of i decomposes.  r itself must decompose; if it does not, an
+        augmentation left the union, and InternalError is raised.
+
+        A partition part answers from block sums (see the class notes): row
+        j fits when r[j] < n and its block sums below n * c_B; a row at n
+        copies closes (j,); otherwise the circuit is the rows of j's block
+        that r holds.  Dealt round-robin, a block's copies give no part two
+        copies of one row or more than c_B of the block.
+
+        Every other family decomposes r and answers from one pass over the
+        exchange arcs of the parts: it takes each reached element's arcs
+        once, marks the elements that fit straight into a part, and sweeps
+        back along the arcs from them to mark every element that reaches
+        one.  A row that reaches no fit answers the held elements of its
+        forward closure; the closure of a row reached from a later row is
+        taken whole, so the rows of one strongly connected component share
+        it.
         """
+        r = tuple(r)
+        if len(r) != self.d or min(r) < 0:
+            raise InputError(f"count vector {list(r)} does not fit ground size {self.d}")
+        if self._members is not None:
+            return self._block_circuits(r, rows)
+        parts = self.decompose(r)
+        if parts is None:
+            raise InternalError("augmentation left the intersection")
         rows = list(rows)
         memos = self._memos(parts)
         succ: dict[int, list[int]] = {}  # reached element that fits straight into no part -> its arcs
@@ -346,6 +377,29 @@ class UnionMatroid(Matroid):
                         todo.append(v)
             closure[j] = reach
             out[j] = tuple(sorted(held & reach))
+        return out
+
+    def _block_circuits(self, r: tuple, rows: Iterable[int]) -> dict[int, tuple[int, ...] | None]:
+        """circuits for a partition part, from the block sums of r."""
+        n, blocks = self.n, self.part.blocks
+        room = [n * c for c in self.part.capacities]  # copies each block can still take
+        for i, c in enumerate(r):
+            room[blocks[i]] -= c
+        if max(r) > n or min(room) < 0:
+            raise InternalError("augmentation left the intersection")
+        out: dict[int, tuple[int, ...] | None] = {}
+        full: dict[int, tuple[int, ...]] = {}  # full block -> the rows r holds in it
+        for j in rows:
+            b = blocks[j]
+            if r[j] == n:
+                out[j] = (j,)
+            elif room[b]:
+                out[j] = None
+            else:
+                circuit = full.get(b)
+                if circuit is None:
+                    circuit = full[b] = tuple(i for i in self._members[b] if r[i])
+                out[j] = circuit
         return out
 
     def _memos(self, parts: tuple) -> list[tuple[frozenset, dict]]:

@@ -7,8 +7,14 @@ shifted OPTIMAL VALUE is a weighted matroid intersection over the two shuffle
 matroids.  A row's cells are parallel in both of them and its shifted
 profits are nonincreasing, so the intersection runs on row counts: each
 stage has at most two nodes per row (its next copy and its last copy), and
-each factor's n-union gives every row's circuit from one pass over the
-exchange arcs of its parts (UnionMatroid.circuits).  The arcs come from
+each factor's n-union gives every row's circuit from the row counts
+(UnionMatroid.circuits).  The n-union of a partition matroid with block
+capacities c_B is the partition matroid on counts with r[i] <= n and each
+block summing to at most n * c_B (deal a block's copies round-robin over
+the n parts), so a partition factor answers from block sums; uniform and
+transversal factors decompose the counts and take one closure pass over
+the exchange arcs of the parts.  The same call checks that the counts
+are still in the union.  The arcs come from
 those circuits only: the swaps into a source and out of a sink are never
 on a cheapest, fewest-hop path, since such a path would close a cycle, and
 no cycle has negative cost (Frank, 1981).  Each stage labels the nodes
@@ -157,9 +163,6 @@ def _augmenting_path(u1: UnionMatroid, u2: UnionMatroid, r: tuple, w: Sequence[i
     # parallel to these and never cheaper.  A path alternates between the
     # two kinds, so ordering nodes by row orders paths as their cells.
     n = u1.n
-    parts1, parts2 = u1.decompose(r), u2.decompose(r)
-    if parts1 is None or parts2 is None:
-        raise InternalError("augmentation left the intersection")
     outside = [i for i, c in enumerate(r) if c < n]
     inside = [2 * i + 1 for i, c in enumerate(r) if c]
     # Arcs: x->y when x is on the circuit y closes in I in the first shuffle
@@ -174,11 +177,11 @@ def _augmenting_path(u1: UnionMatroid, u2: UnionMatroid, r: tuple, w: Sequence[i
     # those arcs, its nodes keep their labels, and the walk below returns
     # the same path.  Circuits are ascending and outside is visited in
     # order, so every successor list is ascending.
-    c1 = u1.circuits(parts1, outside)
+    # Both calls come first: each checks that r is still in its union.
+    c1, c2 = u1.circuits(r, outside), u2.circuits(r, outside)
     sources = [2 * y for y in outside if c1[y] is None]
     if not sources:
         return None
-    c2 = u2.circuits(parts2, outside)
     sinks = [2 * y for y in outside if c2[y] is None]
     succ: dict[int, list[int]] = {x: [] for x in inside}
     cost = {x: w[(x >> 1) * n + r[x >> 1] - 1] for x in inside}

@@ -334,12 +334,20 @@ class PartitionMatroid(Matroid):
         return sum(map(min, used, self.capacities))
 
     def circuit(self, indep, e: int) -> tuple[int, ...] | None:
-        # Only e's block is gathered, so only its overflow is caught.
-        b = self.blocks[e]
-        same = tuple(sorted(x for x in indep if self.blocks[x] == b))
-        if len(same) > self.capacities[b]:
+        # One pass counts every block indep touches, so an overflow in any
+        # of them is caught, and gathers the members of e's block.
+        blocks, caps = self.blocks, self.capacities
+        b = blocks[e]
+        used: dict[int, int] = {}
+        same = []
+        for x in indep:
+            c = blocks[x]
+            used[c] = used.get(c, 0) + 1
+            if c == b:
+                same.append(x)
+        if any(k > caps[c] for c, k in used.items()):
             raise InputError("circuit needs an independent set")
-        return same if len(same) == self.capacities[b] else None
+        return tuple(sorted(same)) if len(same) == caps[b] else None
 
 
 class LinearGf2Matroid(Matroid):

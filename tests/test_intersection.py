@@ -20,6 +20,7 @@ from matroid_shift import (
     PartitionMatroid,
     ProfitMatrix,
     ShuffleMatroid,
+    TransversalMatroid,
     UniformMatroid,
     brute_shifted,
     common_members,
@@ -350,6 +351,50 @@ def test_row_engine_matches_cell_reference(family):
 
     check()
     assert max(longest) >= 3
+
+
+def random_loaded_partition_matroid(rng, d):
+    # Several elements per block, capacities 0-3 (0: loops).
+    nb = rng.randint(2, 5)
+    return PartitionMatroid([rng.randrange(nb) for _ in range(d)],
+                            [rng.randint(0, 3) for _ in range(nb)])
+
+
+@pytest.mark.parametrize("family", ["partition", "partition-transversal"])
+def test_block_sum_circuits_match_the_generic_union(family):
+    # A partition union answers its circuits from block sums; OracleMatroid
+    # wrappers of the same oracles take the decomposition and closure pass.
+    # Every stage must see the same row counts and pick the same path, and
+    # some paths must exchange (three nodes or more), where ties matter.
+    rng = random.Random(21)
+    search = intersection._augmenting_path
+    longest = 0
+    for _ in range(300):
+        d, n = rng.randint(2, 16), rng.randint(1, 4)
+        m1 = random_loaded_partition_matroid(rng, d)
+        if family == "partition":
+            m2 = random_loaded_partition_matroid(rng, d)
+        else:
+            agents = rng.randint(1, 4)
+            m2 = TransversalMatroid([rng.sample(range(agents), rng.randint(0, agents))
+                                     for _ in range(d)], agents)
+        w = shifted_weights(rng, d, n)
+
+        def run(pair):
+            stages = []
+
+            def recorded(u1, u2, r, w):
+                stages.append((r, search(u1, u2, r, w)))
+                return stages[-1][1]
+
+            with mock.patch.object(intersection, "_augmenting_path", recorded):
+                got = weighted_matroid_intersection_max(*pair, w, n)
+            return got, stages
+
+        got = run((m1, m2))
+        assert got == run(tuple(OracleMatroid(d, m._indep) for m in (m1, m2)))
+        longest = max(longest, *(len(path or ()) for _, path in got[1]))
+    assert longest >= 3
 
 
 def test_intersection_instance_rejects_kinds():

@@ -135,6 +135,11 @@ def test_uniform_and_partition_circuits_refuse_a_dependent_set():
         m.circuit({0, 1}, 2)  # block 0 holds two members against a capacity of 1
     assert m.circuit({0}, 2) == (0,)
     assert m.circuit({0}, 3) is None
+    # An overflow outside e's block is refused too.
+    with pytest.raises(InputError):
+        PartitionMatroid([0, 1], [1, 0]).circuit({1}, 0)
+    with pytest.raises(InputError):
+        m.circuit({0, 1}, 3)
 
 
 def test_graphic_triangle_examples():

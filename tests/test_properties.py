@@ -12,6 +12,7 @@ from matroid_shift import (
     LinearGf2Matroid,
     Matrix01,
     Matroid,
+    PartitionMatroid,
     ProfitMatrix,
     ShuffleMatroid,
     Subset01,
@@ -210,7 +211,7 @@ def test_shuffle_circuit_matches_oracle_fallback(kind, seed, data):
     union = UnionMatroid(m, n)
     grown = data.draw(st.lists(st.integers(0, m.d - 1), max_size=m.d * n), label="grown")
     r, parts = union.grow(grown)
-    circuits = union.circuits(parts, range(m.d))
+    circuits = union.circuits(r, range(m.d))
 
     def decomposes(counts):
         return UnionMatroid(m, n).decompose(counts) is not None
@@ -235,6 +236,19 @@ def reference_circuits(union: UnionMatroid, parts, rows):
     return out
 
 
+def union_matroid_draw(rng: random.Random, kind: str) -> Matroid:
+    if kind == "multigraph":
+        return random_multigraph(rng, rng.randint(1, 12))
+    if kind == "partition":
+        # Several elements per block, capacities 0-3, and always a block
+        # of capacity 0, whose elements are loops.
+        nb = rng.randint(1, 4)
+        caps = [rng.randint(0, 3) for _ in range(nb - 1)] + [0]
+        rng.shuffle(caps)
+        return PartitionMatroid([rng.randrange(nb) for _ in range(rng.randint(1, 12))], caps)
+    return random_matroid(rng, dmax=8, kind=kind)
+
+
 @pytest.mark.parametrize("kind", FAMILIES + ("multigraph",))
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1))
@@ -242,13 +256,15 @@ def test_circuits_equal_reference_circuits(kind, seed):
     # Two sets of parts: grown from repeated elements, then often grown
     # again from those parts (as decompose does), so counts reach n; and
     # random independent sets, which often block a row in every part yet
-    # free a place for it by an exchange.  The rows come in any order, so a
-    # row's search often reaches a row answered before it.  Multigraphs
-    # bring parallel edges and self-loops.  One pass over the rows must
-    # answer each as its own search does.
+    # free a place for it by an exchange.  circuits gets only their counts.
+    # The rows come in any order, so a row's search often reaches a row
+    # answered before it.  Multigraphs bring parallel edges and self-loops,
+    # partitions blocks of capacity 0; a partition answers from its block
+    # sums.  One pass over the rows must answer each as its own search
+    # over the parts does.
     rng = random.Random(seed)
-    m = random_multigraph(rng, rng.randint(1, 12)) if kind == "multigraph" else random_matroid(rng, dmax=8, kind=kind)
-    n = rng.randint(1, 3)
+    m = union_matroid_draw(rng, kind)
+    n = rng.randint(1, 4 if kind == "partition" else 3)
     union = UnionMatroid(m, n)
 
     def elements():
@@ -266,7 +282,40 @@ def test_circuits_equal_reference_circuits(kind, seed):
         _, grown = union.grow(elements(), grown)
     for parts in (grown, tuple(independent() for _ in range(n))):
         rows = rng.sample(range(m.d), rng.randint(1, m.d))
-        assert union.circuits(parts, rows) == reference_circuits(UnionMatroid(m, n), parts, rows)
+        r = [sum(i in p for p in parts) for i in range(m.d)]
+        assert union.circuits(r, rows) == reference_circuits(UnionMatroid(m, n), parts, rows)
+
+
+@pytest.mark.parametrize("kind", FAMILIES + ("multigraph",))
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1))
+def test_circuits_refuse_counts_that_do_not_decompose(kind, seed):
+    # A count vector outside the union means an augmentation went wrong:
+    # circuits raises InternalError on it, on the block path too (a block
+    # over n times its capacity, or a row over n copies).
+    rng = random.Random(seed)
+    m = union_matroid_draw(rng, kind)
+    n = rng.randint(1, 3)
+    union = UnionMatroid(m, n)
+    for _ in range(4):
+        r = [rng.randint(0, n + 1) for _ in range(m.d)]
+        if UnionMatroid(m, n).decompose(r) is None:
+            with pytest.raises(InternalError, match="left the intersection"):
+                union.circuits(r, range(m.d))
+        else:
+            assert set(union.circuits(r, range(m.d))) == set(range(m.d))
+
+
+def test_partition_union_circuits_from_block_sums():
+    # Blocks {0, 1, 2} (capacity 1), {3} (capacity 0, a loop) and {4}
+    # (capacity 2); n = 2.
+    union = UnionMatroid(PartitionMatroid([0, 0, 0, 1, 2], [1, 0, 2]), 2)
+    assert union.circuits([1, 0, 1, 0, 2], range(5)) == {
+        0: (0, 2), 1: (0, 2), 2: (0, 2), 3: (), 4: (4,)}
+    assert union.circuits([1, 0, 0, 0, 1], [1, 4]) == {1: None, 4: None}
+    for r in ([2, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 3]):
+        with pytest.raises(InternalError):
+            union.circuits(r, [0])
 
 
 @pytest.mark.parametrize("kind", FAMILIES)
