@@ -2,12 +2,15 @@
 
 Everything here answers by definition: list the members of a set system by
 filtering the power set through the independence oracle, then scan all
-multisets of n members.  Size guards are hard errors, never silent
+multisets of n members with one iterative walk (_multisets), whose picks
+are nondecreasing and come in lexicographic order; an optimum's witness is
+the first one in that order.  Size guards are hard errors, never silent
 truncation.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 from typing import Sequence
 
@@ -69,89 +72,81 @@ def _witness(sys: ExplicitSetSystem, picks: tuple[int, ...]) -> Matrix01:
     )
 
 
+def _multisets(members: Sequence[Sequence[int]], n: int, cap: Sequence[int] | None = None):
+    """Yield (counts, picks) for every multiset of n members.
+
+    picks lists the member indices, nondecreasing, in lexicographic order;
+    counts[i] is the multiplicity of element i.  Both lists are updated in
+    place, so read them before the next step.  With cap, a pick that lifts
+    some counts[i] above cap[i] is skipped with everything below it.  The
+    stack is picks itself: no recursion, whatever n is.
+    """
+    supports = [[i for i, b in enumerate(z) if b] for z in members]
+    counts = [0] * (len(members[0]) if members else 0)
+    picks: list[int] = []
+    k = 0  # the next member to try at depth len(picks)
+    while True:
+        if k < len(members):
+            for i in supports[k]:
+                counts[i] += 1
+            if cap is None or all(counts[i] <= cap[i] for i in supports[k]):
+                picks.append(k)
+                if len(picks) < n:
+                    continue
+                yield counts, picks
+                picks.pop()
+        elif picks:
+            k = picks.pop()
+        else:
+            return
+        for i in supports[k]:
+            counts[i] -= 1
+        k += 1
+
+
 def brute_shifted(sys: ExplicitSetSystem, n: int, c: ProfitMatrix) -> tuple[int, Matrix01]:
     """Exact shifted optimum over all multisets of n members.
 
     Row i of the shifted witness is 1 exactly in its first count_i columns,
     so the objective is the sum of prefix sums of the shifted profit rows at
-    the member-multiplicity counts.
+    the member-multiplicity counts.  The witness is the first optimum found.
     """
     if c.d != sys.d or c.n != int(n) or int(n) < 1:
         raise InputError(f"profits {c.d}x{c.n} do not match d={sys.d}, n={n}")
     n = int(n)
+    if not sys.members:
+        raise InputError("the set system has no members")
     _check_multiset_guard(len(sys), n)
-    cbar = c.shifted()
-    prefix = [[0] * (n + 1) for _ in range(sys.d)]
-    for i in range(sys.d):
-        for j in range(n):
-            prefix[i][j + 1] = prefix[i][j] + cbar.rows[i][j]
-
-    members = sys.members
-    d = sys.d
-    counts = [0] * d
-    best: list = [None, None]
-    picks: list[int] = []
-
-    def recurse(start: int, remaining: int) -> None:
-        if remaining == 0:
-            value = sum(prefix[i][counts[i]] for i in range(d))
-            if best[0] is None or value > best[0]:
-                best[0], best[1] = value, tuple(picks)
-            return
-        for k in range(start, len(members)):
-            zk = members[k]
-            for i in range(d):
-                counts[i] += zk[i]
-            picks.append(k)
-            recurse(k, remaining - 1)
-            picks.pop()
-            for i in range(d):
-                counts[i] -= zk[i]
-
-    recurse(0, n)
-    return best[0], _witness(sys, best[1])
+    prefix = [list(accumulate(row, initial=0)) for row in c.shifted().rows]
+    best, witness = None, None
+    for counts, picks in _multisets(sys.members, n):
+        value = sum(p[k] for p, k in zip(prefix, counts))
+        if best is None or value > best:
+            best, witness = value, tuple(picks)
+    return best, _witness(sys, witness)
 
 
 def brute_lexmin(sys: ExplicitSetSystem, n: int) -> tuple[tuple[int, ...], Matrix01]:
-    """Exact lexicographically minimal vulnerability vector over member multisets."""
+    """Exact lexicographically minimal vulnerability vector over member
+    multisets; the witness is the first optimum found."""
     if int(n) < 1:
         raise InputError(f"copy count must be >= 1, got {n}")
     n = int(n)
+    if not sys.members:
+        raise InputError("the set system has no members")
     _check_multiset_guard(len(sys), n)
-    members = sys.members
-    d = sys.d
-    counts = [0] * d
-    best: list = [None, None]
-    picks: list[int] = []
-
-    def recurse(start: int, remaining: int) -> None:
-        if remaining == 0:
-            hist = [0] * (n + 1)
-            for cnt in counts:
-                hist[cnt] += 1
-            vuln = [0] * n
-            running = 0
-            for k in range(n, 0, -1):
-                running += hist[k]
-                vuln[k - 1] = running
-            # Minimizing the reversed tuple in ordinary lex order minimizes
-            # the last vulnerability entry first.
-            key = tuple(reversed(vuln))
-            if best[0] is None or key < best[0]:
-                best[0], best[1] = key, tuple(picks)
-            return
-        for k in range(start, len(members)):
-            zk = members[k]
-            for i in range(d):
-                counts[i] += zk[i]
-            picks.append(k)
-            recurse(k, remaining - 1)
-            picks.pop()
-            for i in range(d):
-                counts[i] -= zk[i]
-
-    recurse(0, n)
-    return tuple(reversed(best[0])), _witness(sys, best[1])
+    best, witness = None, None
+    for counts, picks in _multisets(sys.members, n):
+        hist = [0] * (n + 1)
+        for cnt in counts:
+            hist[cnt] += 1
+        # The vulnerability vector reversed: entry k counts the elements in
+        # at least n - k picks, so ordinary lex order minimizes the last
+        # vulnerability entry first.
+        key = tuple(accumulate(hist[:0:-1]))
+        if best is None or key < best:
+            best, witness = key, tuple(picks)
+    return tuple(reversed(best)), _witness(sys, witness)
 
 
 def brute_shuffle_membership(sys: ExplicitSetSystem, n: int, x: Matrix01) -> bool:
@@ -161,28 +156,8 @@ def brute_shuffle_membership(sys: ExplicitSetSystem, n: int, x: Matrix01) -> boo
         raise InputError(f"matrix {x.d}x{x.n} does not match d={sys.d}, n={n}")
     n = int(n)
     _check_multiset_guard(len(sys), n)
-    target = x.row_sums()
-    members = sys.members
-    d = sys.d
-    counts = [0] * d
-
-    def recurse(start: int, remaining: int) -> bool:
-        if remaining == 0:
-            return all(counts[i] == target[i] for i in range(d))
-        for k in range(start, len(members)):
-            zk = members[k]
-            ok = True
-            for i in range(d):
-                counts[i] += zk[i]
-                if counts[i] > target[i]:
-                    ok = False
-            if ok and recurse(k, remaining - 1):
-                return True
-            for i in range(d):
-                counts[i] -= zk[i]
-        return False
-
-    return recurse(0, n)
+    target = list(x.row_sums())
+    return any(counts == target for counts, _ in _multisets(sys.members, n, cap=target))
 
 
 def common_members(m1: Matroid, m2: Matroid) -> ExplicitSetSystem:

@@ -143,24 +143,6 @@ def parse_graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:
     return vertices, edges
 
 
-def graph_is_connected(vertices: int, edges) -> bool:
-    # Fewer than vertices - 1 edges cannot connect the graph; checking that
-    # first keeps the union-find below as large as the edge list.
-    if len(edges) < vertices - 1:
-        return False
-    parent = list(range(vertices + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        parent[find(u)] = find(v)
-    return len({find(v) for v in range(1, vertices + 1)}) == 1
-
-
 def _solution_fields(sol: ShiftedSolution) -> dict:
     fields = {"n": sol.y.n, "value": sol.value, "vulnerability": list(sol.vuln),
               "columns": _columns_1based(sol.y)}
@@ -209,10 +191,12 @@ def cmd_lexmin_trees(args) -> tuple[dict, int]:
     if args.n < 1:
         raise InputError(f"--n must be >= 1, got {args.n}")
     vertices, edges = parse_graph_file(args.graph)
-    if not graph_is_connected(vertices, edges):
+    # Fewer than vertices - 1 edges cannot connect the graph; checking that
+    # before building the matroid keeps memory proportional to the edges.
+    m = GraphicMatroid(vertices, edges) if len(edges) >= vertices - 1 else None
+    if m is None or full_rank(m) != vertices - 1:
         print("graph not connected", file=sys.stderr)
         return {}, EXIT_DISCONNECTED
-    m = GraphicMatroid(vertices, edges)
     return _run(args, "lexmin-trees", {"vertices": vertices, "edges": edges, "n": args.n},
                 lambda: solve_lexmin(m, args.n), _solution_fields,
                 brute=lambda: {"vulnerability": list(

@@ -148,8 +148,9 @@ class UnionMatroid(Matroid):
     GF(2), oracles) decomposes r and answers all the rows from one closure
     pass over the exchange arcs, without a search per row.
 
-    Circuit answers are memoized per part, and decompose grows r from the
-    last vector it accepted and memoizes its answers by count tuple (grow
+    Circuit answers are memoized per part that the union holds now (a
+    replaced part drops its table), and decompose grows r from the last
+    vector it accepted and memoizes its answers by count tuple (grow
     keeps nothing), so an instance is mutable: use one per run, on one
     thread.
     """
@@ -169,7 +170,7 @@ class UnionMatroid(Matroid):
         self._indep_cache: dict[tuple, tuple] = {zero: empty}
         self._dep_cache: set = set()
         self._last = (zero, empty)  # the last vector decompose accepted, and its parts
-        self._circuits: dict = {}  # part -> {element: Matroid.circuit answer}
+        self._circuits: dict = {}  # held part -> {element: Matroid.circuit answer}
         self._members = None  # block -> its ascending elements, for a partition part
         if isinstance(part, PartitionMatroid):
             self._members = [[] for _ in part.capacities]
@@ -403,8 +404,11 @@ class UnionMatroid(Matroid):
         return out
 
     def _memos(self, parts: tuple) -> list[tuple[frozenset, dict]]:
-        """Each part with its memo of Matroid.circuit answers, by element."""
-        return [(p, self._circuits.setdefault(p, {})) for p in parts]
+        """Each part with its memo of Matroid.circuit answers, by element;
+        the tables of parts no longer held are dropped."""
+        old = self._circuits
+        self._circuits = {p: old.get(p, {}) for p in parts}
+        return [(p, self._circuits[p]) for p in parts]
 
     def _check_partition(self, e: int, parts: tuple, before: tuple) -> None:
         # Parts reused from before were checked when they were built, so the

@@ -15,6 +15,7 @@ when the highest index where they differ has the smaller f entry.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
 from .constructions import Matrix01, UnionMatroid
@@ -230,9 +231,10 @@ def solve_shifted_small(vectors: Sequence[Sequence[int]], n: int, c: ProfitMatri
     """Shifted optimization over an explicit list of integer vectors.
 
     The objective value depends only on how many columns equal each listed
-    vector, so all count tuples (n_1, .., n_m) summing to n are enumerated,
-    each evaluated directly as cbar . ybar with y built in block order.
-    Feasible for small m: the number of tuples is at most (n+1)^(m-1).
+    vector, so all C(m+n-1, n) multisets of n of the m vectors are scanned,
+    each evaluated directly as cbar . ybar with y built in block order.  The
+    answer is the first optimum in ascending order of count tuples
+    (n_1, .., n_m), which is the last one in the scan.
     """
     members = tuple(tuple(int(v) for v in z) for z in vectors)
     if not members:
@@ -251,36 +253,20 @@ def solve_shifted_small(vectors: Sequence[Sequence[int]], n: int, c: ProfitMatri
         raise OverflowGuardError("profits times vector magnitudes exceed the exact guard")
 
     cbar = c.shifted()
-    best_value = None
-    best_counts = None
-    for counts in _count_tuples(len(members), n):
+    best_value = best_picks = None
+    for picks in combinations_with_replacement(range(len(members)), n):
         value = 0
         for i in range(d):
-            vals = sorted(
-                (z[i] for z, cnt in zip(members, counts) for _ in range(cnt)),
-                reverse=True,
-            )
+            vals = sorted((members[k][i] for k in picks), reverse=True)
             value += sum(cj * vj for cj, vj in zip(cbar.rows[i], vals))
-        if best_value is None or value > best_value:
-            best_value, best_counts = value, counts
+        if best_value is None or value >= best_value:
+            best_value, best_picks = value, picks
 
-    y_rows = tuple(
-        tuple(z[i] for z, cnt in zip(members, best_counts) for _ in range(cnt))
-        for i in range(d)
-    )
+    y_rows = tuple(tuple(members[k][i] for k in best_picks) for i in range(d))
     if all(v in (0, 1) for r in y_rows for v in r):
         y = Matrix01(y_rows)
         return ShiftedSolution(y, best_value, vulnerability_vector(y))
     return ShiftedSolution(y_rows, best_value, None)
-
-
-def _count_tuples(m: int, n: int):
-    if m == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _count_tuples(m - 1, n - first):
-            yield (first,) + rest
 
 
 def _check_dims(S: Matroid, n: int, c: ProfitMatrix) -> None:

@@ -20,6 +20,19 @@ K4 = GraphicMatroid(4, [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
 PATH3_EDGES = [(1, 2), (2, 3), (3, 4)]  # a tree: unique spanning tree
 
 
+def grid_graph(a: int, b: int) -> GraphicMatroid:
+    # Edges in the order the benchmark's grids list them, before relabelling.
+    idx = lambda i, j: i * b + j + 1  # noqa: E731
+    edges = []
+    for i in range(a):
+        for j in range(b):
+            if j + 1 < b:
+                edges.append((idx(i, j), idx(i, j + 1)))
+            if i + 1 < a:
+                edges.append((idx(i, j), idx(i + 1, j)))
+    return GraphicMatroid(a * b, edges)
+
+
 def family_corpus(max_d: int = 4):
     """Hand-picked instances covering all five families plus degenerate cases."""
     out = [

@@ -78,6 +78,46 @@ def test_brute_shuffle_membership_examples():
     assert not brute_shuffle_membership(bases, 2, Matrix01([[1, 1], [1, 0]]))
 
 
+def test_brute_shifted_takes_the_first_optimum_in_scan_order():
+    # Every multiset of two members is worth 2; the scan meets picks (0, 0) first.
+    pair = ExplicitSetSystem(2, [(1, 0), (0, 1)])
+    value, witness = brute_shifted(pair, 2, ProfitMatrix([[1, 1], [1, 1]]))
+    assert value == 2
+    assert witness == Matrix01([[1, 1], [0, 0]])
+
+
+def test_brute_lexmin_takes_the_first_optimum_in_scan_order():
+    # Both one-member multisets have vulnerability (1,); member 0 comes first.
+    pair = ExplicitSetSystem(2, [(1, 0), (0, 1)])
+    assert brute_lexmin(pair, 1) == ((1,), Matrix01([[1], [0]]))
+
+
+def test_brute_shuffle_membership_walks_past_pruned_branches():
+    # Row sums (1, 2, 1): picks (1, 2) match, after the walk has cut
+    # (0, 0), (0, 1), (0, 3) and (1, 1), which overshoot a row.
+    sysm = ExplicitSetSystem(3, [(1, 1, 0), (1, 1, 1), (0, 1, 0), (1, 0, 1)])
+    assert brute_shuffle_membership(sysm, 2, Matrix01([[1, 0], [1, 1], [1, 0]]))
+    # Row sums (0, 2, 2): only member 2 avoids row 0, and it misses row 2.
+    assert not brute_shuffle_membership(sysm, 2, Matrix01([[0, 0], [1, 1], [1, 1]]))
+
+
+def test_brute_oracles_reject_an_empty_system():
+    empty = ExplicitSetSystem(2, [])
+    with pytest.raises(InputError):
+        brute_shifted(empty, 1, ProfitMatrix([[1], [1]]))
+    with pytest.raises(InputError):
+        brute_lexmin(empty, 1)
+
+
+def test_brute_oracles_take_many_copies():
+    # One multiset of 1200 copies; the scan once recursed once per copy.
+    single = ExplicitSetSystem(2, [(1, 0)])
+    assert brute_lexmin(single, 1200)[0] == (1,) * 1200
+    value, witness = brute_shifted(single, 1200, ProfitMatrix([[1] * 1200, [5] * 1200]))
+    assert value == 1200 and witness.row_sums() == (1200, 0)
+    assert brute_shuffle_membership(single, 1200, witness)
+
+
 def test_multiset_sufficiency():
     # ordered tuples give the same optimum as multisets, evaluated literally
     rng = random.Random(1)

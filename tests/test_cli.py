@@ -1,12 +1,18 @@
 """CLI surface: subcommands, JSON reports, exit codes, verify and recheck."""
 
+import io
 import json
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matroid_shift import Matrix01, cli, solver
 from matroid_shift.cli import main
@@ -462,6 +468,79 @@ def test_n_must_be_ascii_decimal(files, capsys, command, token):
     assert exc.value.code == 3
     assert out.out == ""
     assert "argument --n" in out.err
+
+
+BAD_INPUT_ARGV = {
+    "unreadable-file": ["shifted", "@missing", "@profits"],
+    "invalid-json": ["shifted", "@garbled", "@profits"],
+    "declared-shape": ["shifted", "@matroid", "@short_profits"],
+    "no-problem-line": ["lexmin-trees", "@edge_first", "--n", "1"],
+    "missing-edges": ["lexmin-trees", "@two_of_three", "--n", "1"],
+    "bipartite-with-matroids": ["intersect-value", "@u32", "@u32", "@profits",
+                                "--bipartite", "@k22"],
+    "one-matroid": ["intersect-value", "@u32", "@profits"],
+    "fiber-n-conflict": ["fiber", "@u21", "@matrix", "--n", "3"],
+}
+BAD_INPUT_FILES = {
+    "@garbled": "{not json",
+    "@profits": {"d": 3, "n": 2, "rows": [[1, 0]] * 3},
+    "@matroid": TRIANGLE_MATROID,
+    "@short_profits": {"d": 3, "n": 2, "rows": [[1, 0], [1, 0]]},
+    "@edge_first": "e 1 2\np 2 1\n",
+    "@two_of_three": "p 3 3\ne 1 2\ne 2 3\n",
+    "@u32": U32,
+    "@k22": K22_GRAPH,
+    "@u21": U21,
+    "@matrix": {"d": 2, "n": 2, "rows": [[1, 0], [0, 1]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT_ARGV))
+def test_bad_inputs_exit_3(files, capsys, tmp_path, case):
+    paths = {a: files(a[1:] + ".in", content) for a, content in BAD_INPUT_FILES.items()}
+    paths["@missing"] = str(tmp_path / "missing.json")
+    code, report, err = run_main(capsys, [paths.get(a, a) for a in BAD_INPUT_ARGV[case]])
+    assert code == 3
+    assert report is None
+    assert "input error" in err
+
+
+def test_lexmin_trees_verify_with_many_copies(files, capsys):
+    # The brute-force check once recursed once per copy: a RecursionError.
+    graph = files("edge.graph", "p 2 1\ne 1 2\n")
+    code, report, _ = run_main(capsys, ["lexmin-trees", graph, "--n", "1200", "--verify"])
+    assert code == 0
+    assert report["verification"] == "ok"
+    assert report["vulnerability"] == [1] * 1200
+
+
+def test_shifted_verify_with_many_copies(files, capsys):
+    matroid = files("u11.json", {"kind": "uniform", "d": 1, "params": {"r": 1}})
+    profits = files("c.json", {"d": 1, "n": 1200, "rows": [list(range(1200))]})
+    code, report, _ = run_main(capsys, ["shifted", matroid, profits, "--verify"])
+    assert code == 0
+    assert report["verification"] == "ok"
+    assert report["value"] == sum(range(1200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(vertices=st.integers(1, 6), data=st.data())
+def test_connectivity_matches_networkx(vertices, data):
+    # Multigraphs with loops, parallel edges and declared vertices that no
+    # edge touches; --n 1 solves whenever the graph is connected.  (With no
+    # edges at all the ground set is empty, which exits 3.)
+    end = st.integers(1, vertices)
+    edges = data.draw(st.lists(st.tuples(end, end), min_size=1, max_size=9), label="edges")
+    g = nx.MultiGraph()
+    g.add_nodes_from(range(1, vertices + 1))
+    g.add_edges_from(edges)
+    text = f"p {vertices} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in edges)
+    with tempfile.TemporaryDirectory() as tmp:
+        graph = Path(tmp) / "g.graph"
+        graph.write_text(text)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(["lexmin-trees", str(graph), "--n", "1"])
+    assert code == (0 if nx.is_connected(g) else 2)
 
 
 def test_stdout_is_pure_json(files, capsys):

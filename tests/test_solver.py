@@ -31,7 +31,7 @@ from matroid_shift import (
     solve_shuffling,
     vulnerability_vector,
 )
-from corpora import K4, PATH3_EDGES, TRIANGLE, family_corpus, random_matroid
+from corpora import K4, PATH3_EDGES, TRIANGLE, family_corpus, grid_graph, random_matroid
 
 
 def random_matrix(rng, d, n):
@@ -283,19 +283,6 @@ def test_lexmin_uniform_and_partition_up_to_d6():
             assert solve_lexmin(m, n).vuln == expect
 
 
-def grid_graph(a: int, b: int) -> GraphicMatroid:
-    # Edges in the order the benchmark's grids list them, before relabelling.
-    idx = lambda i, j: i * b + j + 1  # noqa: E731
-    edges = []
-    for i in range(a):
-        for j in range(b):
-            if j + 1 < b:
-                edges.append((idx(i, j), idx(i, j + 1)))
-            if i + 1 < a:
-                edges.append((idx(i, j), idx(i + 1, j)))
-    return GraphicMatroid(a * b, edges)
-
-
 @pytest.mark.parametrize("side, vuln", [(10, (180, 117, 0)), (20, (760, 437, 0))],
                          ids=["10x10", "20x20"])
 def test_lexmin_three_trees_on_grids(side, vuln):
@@ -357,6 +344,21 @@ def test_solve_shifted_small_matches_bruteforce():
         sol = solve_shifted_small(members, n, c)
         expect, _ = brute_shifted(ExplicitSetSystem(d, members), n, c)
         assert sol.value == expect
+
+
+def test_solve_shifted_small_takes_the_first_optimum_in_count_order():
+    # Every multiset ties at 2; the first count tuple in ascending order,
+    # (0, 2), puts both columns on the second vector.
+    sol = solve_shifted_small([(1, 0), (0, 1)], 2, ProfitMatrix([[1, 1], [1, 1]]))
+    assert sol.value == 2
+    assert sol.y == Matrix01([[0, 0], [1, 1]])
+
+
+def test_solve_shifted_small_many_vectors():
+    # One count tuple per vector; the enumeration once recursed once per vector.
+    sol = solve_shifted_small([[1, 0]] * 2000, 1, ProfitMatrix([[3], [1]]))
+    assert sol.value == 3
+    assert sol.y == Matrix01([[1], [0]])
 
 
 def test_solver_input_errors():
