@@ -11,16 +11,14 @@ truncation.
 from __future__ import annotations
 
 from itertools import accumulate
-from math import comb
 from typing import Sequence
 
 from .constructions import Matrix01
 from .errors import GuardError, InputError
 from .matroids import Matroid, Subset01
-from .solver import ProfitMatrix
+from .solver import ProfitMatrix, check_multiset_guard
 
 POWERSET_GUARD = 2**20
-MULTISET_GUARD = 10**7
 
 
 class ExplicitSetSystem:
@@ -55,14 +53,6 @@ def enumerate_members(m: Matroid, bases_only: bool = False) -> ExplicitSetSystem
         top = max(sum(mem) for mem in members)
         members = [mem for mem in members if sum(mem) == top]
     return ExplicitSetSystem(m.d, members)
-
-
-def _check_multiset_guard(count: int, n: int) -> None:
-    if comb(count + n - 1, n) > MULTISET_GUARD:
-        raise GuardError(
-            f"{comb(count + n - 1, n)} multisets of {n} from {count} members "
-            f"exceed the enumeration guard {MULTISET_GUARD}"
-        )
 
 
 def _witness(sys: ExplicitSetSystem, picks: tuple[int, ...]) -> Matrix01:
@@ -116,7 +106,7 @@ def brute_shifted(sys: ExplicitSetSystem, n: int, c: ProfitMatrix) -> tuple[int,
     n = int(n)
     if not sys.members:
         raise InputError("the set system has no members")
-    _check_multiset_guard(len(sys), n)
+    check_multiset_guard(len(sys), n)
     prefix = [list(accumulate(row, initial=0)) for row in c.shifted().rows]
     best, witness = None, None
     for counts, picks in _multisets(sys.members, n):
@@ -134,7 +124,7 @@ def brute_lexmin(sys: ExplicitSetSystem, n: int) -> tuple[tuple[int, ...], Matri
     n = int(n)
     if not sys.members:
         raise InputError("the set system has no members")
-    _check_multiset_guard(len(sys), n)
+    check_multiset_guard(len(sys), n)
     best, witness = None, None
     for counts, picks in _multisets(sys.members, n):
         hist = [0] * (n + 1)
@@ -155,7 +145,7 @@ def brute_shuffle_membership(sys: ExplicitSetSystem, n: int, x: Matrix01) -> boo
     if x.d != sys.d or x.n != int(n) or int(n) < 1:
         raise InputError(f"matrix {x.d}x{x.n} does not match d={sys.d}, n={n}")
     n = int(n)
-    _check_multiset_guard(len(sys), n)
+    check_multiset_guard(len(sys), n)
     target = list(x.row_sums())
     return any(counts == target for counts, _ in _multisets(sys.members, n, cap=target))
 

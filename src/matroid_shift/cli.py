@@ -178,7 +178,7 @@ def _run(args, command: str, inputs: dict, solve, fields, brute=None,
     if report["verification"] == "mismatch":
         print("verification mismatch against brute-force oracle", file=sys.stderr)
         return report, EXIT_VERIFY
-    if args.recheck:
+    if args.recheck and matroids:  # with no matroid there is no column to recheck
         rep = json.loads(json.dumps(report))
         y = _matrix_from_columns(matroids[0].d, rep["n"], rep["columns"])
         validate(y, matroids, rank=full_rank(matroids[0]) if bases else None,
@@ -191,13 +191,19 @@ def cmd_lexmin_trees(args) -> tuple[dict, int]:
     if args.n < 1:
         raise InputError(f"--n must be >= 1, got {args.n}")
     vertices, edges = parse_graph_file(args.graph)
+    inputs = {"vertices": vertices, "edges": edges, "n": args.n}
+    if vertices == 1 and not edges:
+        # One vertex is connected and its spanning trees are empty, but a
+        # matroid needs an element: report the n empty trees directly.
+        empty = {"n": args.n, "vulnerability": [0] * args.n, "columns": [[] for _ in range(args.n)]}
+        return _run(args, "lexmin-trees", inputs, lambda: None, lambda _: empty)
     # Fewer than vertices - 1 edges cannot connect the graph; checking that
     # before building the matroid keeps memory proportional to the edges.
     m = GraphicMatroid(vertices, edges) if len(edges) >= vertices - 1 else None
     if m is None or full_rank(m) != vertices - 1:
         print("graph not connected", file=sys.stderr)
         return {}, EXIT_DISCONNECTED
-    return _run(args, "lexmin-trees", {"vertices": vertices, "edges": edges, "n": args.n},
+    return _run(args, "lexmin-trees", inputs,
                 lambda: solve_lexmin(m, args.n), _solution_fields,
                 brute=lambda: {"vulnerability": list(
                     brute_lexmin(enumerate_members(m, bases_only=True), args.n)[0])},

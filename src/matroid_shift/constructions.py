@@ -250,7 +250,7 @@ class UnionMatroid(Matroid):
     def _try_augment(self, parts: tuple, e: int, refused: set) -> tuple | None:
         """parts with one more copy of e, or None after adding every element
         the search reached to refused; unchanged parts are reused."""
-        fit, parent = self._search(parts, e)
+        fit, parent = self._search(parts, e, refused)
         if fit is None:
             refused.update(parent)
             return None
@@ -266,14 +266,17 @@ class UnionMatroid(Matroid):
             x = y
         return tuple(frozenset(new[k]) if k in new else p for k, p in enumerate(parts))
 
-    def _search(self, parts: tuple, e: int) -> tuple[tuple[int, int] | None, dict]:
+    def _search(self, parts: tuple, e: int, refused: set) -> tuple[tuple[int, int] | None, dict]:
         """Breadth-first search from a new copy of e: (fit, parent).
 
         fit is the first element reached that goes straight into a part,
         with that part, or None.  parent maps e to None and every other
         element v reached to (x, k): x displaced v from part k.  A part
         holding x is skipped, since swapping parallel copies never shortens
-        a path.
+        a path.  A refused element is not entered: nothing it reaches fits
+        (see grow), so no element on a path to a fit is reached through it,
+        and the other elements keep their order in the queue.  The fit and
+        its path are those of the search without the pruning.
         """
         parent: dict[int, tuple[int, int] | None] = {e: None}
         queue = deque([e])
@@ -289,7 +292,7 @@ class UnionMatroid(Matroid):
                 if members is None:
                     return (x, k), parent
                 for v in members:
-                    if v not in parent:
+                    if v not in parent and v not in refused:
                         parent[v] = (x, k)
                         queue.append(v)
         return None, parent
@@ -414,6 +417,8 @@ class UnionMatroid(Matroid):
         # Parts reused from before were checked when they were built, so the
         # counts hold one more copy of e exactly when the changed parts hold
         # one more copy of e than the parts they replace, and nothing else.
+        # A family with certificates checks a part by deriving the one that
+        # the next circuit on it reads.
         if len(parts) != len(before):
             raise InternalError("part multiplicities differ from the requested counts")
         change = {e: -1}

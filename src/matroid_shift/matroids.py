@@ -5,9 +5,11 @@ together with an independence test.  Five concrete families are provided
 (graphic, uniform, partition, linear over GF(2), transversal) plus a generic
 wrapper for externally supplied oracles.  On top of the oracle interface sit
 the classic primitives: rank of a subset and the max-weight greedy algorithm.
-The descriptions never change.  GraphicMatroid alone keeps state besides:
-a memo of a constant number of spanning forests for its circuits, which
-never changes an answer but makes an instance belong to one thread.
+The descriptions never change.  The graphic, transversal and GF(2) families
+keep state besides: a memo of a constant number of independence
+certificates (a spanning forest, a matching, an echelon basis), which their
+oracles and circuits read.  It never changes an answer but makes an
+instance belong to one thread.
 
 Elements are 0-based internally; JSON files use 1-based indices throughout.
 """
@@ -69,15 +71,26 @@ class Subset01:
 
 
 class Matroid:
-    """Base class: an independence oracle over ground set {0, .., d-1}."""
+    """Base class: an independence oracle over ground set {0, .., d-1}.
+
+    A family that can prove a set independent by a certificate (_build)
+    answers its oracle and its circuits from _certificate: the last
+    CERTIFICATES certificates are memoized by part, and a part missing from
+    the memo is derived (_derive) from a memoized one it differs from by at
+    most two elements, or else built.  A dependent set has no certificate
+    and never enters the memo.
+    """
 
     kind = "abstract"
+    CERTIFICATES = 16
 
     def __init__(self, d: int):
         d = int(d)
         if d < 1:
             raise InputError(f"ground size must be >= 1, got {d}")
         self.d = d
+        self._certs: dict = {}  # part -> certificate, least recently used first
+        self._recent: tuple | None = None  # (part, certificate) last used
 
     def is_independent(self, s: Subset01) -> bool:
         if s.d != self.d:
@@ -90,8 +103,8 @@ class Matroid:
     def _rank(self, elems: Collection[int]) -> int:
         """Size of a maximum independent subset of the distinct elems.
 
-        This default inserts greedily, one oracle call per element; the
-        graphic, uniform and partition families count instead.
+        This default inserts greedily, one oracle call per element; the five
+        families count in one pass instead.
         """
         cur: frozenset = frozenset()
         for e in elems:
@@ -115,6 +128,42 @@ class Matroid:
             return None
         return tuple(x for x in sorted(s) if self._indep((s - {x}) | {e}))
 
+    def _certificate(self, part: frozenset):
+        """The memoized certificate of part, or None if part is dependent.
+
+        The most recently used part is recognised by identity, without a
+        lookup; a lookup may compare an equal part element by element.
+        """
+        recent = self._recent
+        if recent is not None and recent[0] is part:
+            return recent[1]
+        certs = self._certs
+        cert = certs.pop(part, None)
+        if cert is None:
+            for q in reversed(certs):  # most recently used first
+                if abs(len(q) - len(part)) <= 2 and len(q ^ part) <= 2:
+                    cert = self._derive(certs[q], q - part, part - q, part)
+                    break
+            else:
+                cert = self._build(part)
+            if cert is None:
+                return None
+            if len(certs) >= self.CERTIFICATES:
+                del certs[next(iter(certs))]
+        certs[part] = cert
+        self._recent = (part, cert)
+        return cert
+
+    def _build(self, part: frozenset):
+        """A fresh certificate that part is independent, or None."""
+        raise NotImplementedError
+
+    def _derive(self, cert, removed: frozenset, added: frozenset, part: frozenset):
+        """The certificate of part, given cert of part + removed - added, or
+        None if part is dependent.  cert is never changed.  This default
+        builds afresh."""
+        return self._build(part)
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(d={self.d})"
 
@@ -126,23 +175,22 @@ class GraphicMatroid(Matroid):
     edges and self-loops are allowed; a self-loop is never independent.
 
     The rank is one union-find pass over the relabelled vertices, counting
-    the edges that join two components; a set is independent when all of
-    its edges do.
+    the edges that join two components.
 
-    circuit(indep, e) walks a rooted spanning forest of indep: up[x] is
-    (parent vertex, edge) for a child x and None for a root, over the
-    relabelled vertices.  It climbs from both endpoints in turn, each
-    marking its way, and stops where one side reaches the other's mark:
-    their nearest common ancestor.  The last FORESTS forests are memoized
-    by part.  A part missing from the memo is derived from a memoized one
-    it differs from by at most two edges: a cut drops the pointer carrying
-    an edge (by edge id, so parallel edges stay apart), and a link re-roots
-    one endpoint's tree at that endpoint and hangs it under the other.
-    With no part that close, one breadth-first search builds the forest.
+    The certificate of an independent set is a rooted spanning forest of it:
+    up[x] is (parent vertex, edge) for a child x and None for a root, over
+    the relabelled vertices.  One breadth-first search builds it, and a
+    memoized forest of a nearby set derives it: a cut drops the pointer
+    carrying an edge (by edge id, so parallel edges stay apart), and a link
+    re-roots one endpoint's tree at that endpoint and hangs it under the
+    other.  An edge joining two reached vertices, or linking a tree to
+    itself, closes a cycle: the set is dependent.  circuit(indep, e) climbs
+    indep's forest from both endpoints of e in turn, each marking its way,
+    and stops where one side reaches the other's mark: their nearest common
+    ancestor.
     """
 
     kind = "graphic"
-    FORESTS = 16
 
     def __init__(self, vertices: int, edges: Sequence[tuple[int, int]]):
         super().__init__(len(edges))
@@ -160,10 +208,9 @@ class GraphicMatroid(Matroid):
         self._ends = tuple((label.setdefault(u, len(label)), label.setdefault(v, len(label)))
                            for u, v in self.edges)
         self._touched = len(label)
-        self._forests: dict[frozenset, list] = {}  # part -> up, least recently used first
 
     def _indep(self, elems: frozenset) -> bool:
-        return self._rank(elems) == len(elems)
+        return self._certificate(elems) is not None
 
     def _rank(self, elems: Collection[int]) -> int:
         parent = list(range(self._touched))  # union-find with path halving
@@ -183,7 +230,9 @@ class GraphicMatroid(Matroid):
         # e closes a circuit with the forest path between its endpoints.
         # Each side keeps the edges it climbed and, per vertex it passed,
         # how many of them lead there; the sides swap after every step.
-        up = self._forest(frozenset(indep))
+        up = self._certificate(frozenset(indep))
+        if up is None:
+            raise InputError("circuit needs an independent set")
         u, v = self._ends[e]
         if u == v:
             return ()
@@ -201,26 +250,7 @@ class GraphicMatroid(Matroid):
                 other, other_mark, other_path, step, mark, path)
         return None  # both sides stopped at roots: different trees
 
-    def _forest(self, part: frozenset) -> list:
-        forests = self._forests
-        up = forests.pop(part, None)
-        if up is None:
-            for q in reversed(forests):  # most recently used first
-                if abs(len(q) - len(part)) <= 2 and len(q ^ part) <= 2:
-                    up = forests[q].copy()
-                    for f in q - part:
-                        self._cut(up, f)
-                    for f in part - q:
-                        self._link(up, f)
-                    break
-            else:
-                up = self._build(part)
-            if len(forests) >= self.FORESTS:
-                del forests[next(iter(forests))]
-        forests[part] = up
-        return up
-
-    def _build(self, part: frozenset) -> list:
+    def _build(self, part: frozenset) -> list | None:
         adj: dict[int, list] = {}
         for f in part:
             a, b = self._ends[f]
@@ -240,8 +270,15 @@ class GraphicMatroid(Matroid):
                         up[b] = (a, f)
                         links += 1
                         queue.append(b)
-        if links != len(part):  # some edge of part joins two reached vertices
-            raise InputError("circuit needs an independent set")
+        return up if links == len(part) else None  # else an edge joins two reached vertices
+
+    def _derive(self, up: list, removed: frozenset, added: frozenset, part: frozenset) -> list | None:
+        up = up.copy()
+        for f in removed:
+            self._cut(up, f)
+        for f in added:
+            if not self._link(up, f):
+                return None
         return up
 
     def _cut(self, up: list, f: int) -> None:
@@ -251,13 +288,13 @@ class GraphicMatroid(Matroid):
         else:
             up[b] = None
 
-    def _link(self, up: list, f: int) -> None:
+    def _link(self, up: list, f: int) -> bool:
         # Re-root the tree of the endpoint nearer its root at that endpoint,
-        # then hang it under the other one.
+        # then hang it under the other one; False if both are in one tree.
         a, b = self._ends[f]
         (ra, da), (rb, db) = _root(up, a), _root(up, b)
         if ra == rb:
-            raise InputError("circuit needs an independent set")
+            return False
         if da > db:
             a, b = b, a
         x, step, down = a, up[a], None
@@ -267,6 +304,7 @@ class GraphicMatroid(Matroid):
             x, step = step[0], up[step[0]]
         up[x] = down
         up[a] = (b, f)
+        return True
 
 
 def _root(up: list, x: int) -> tuple[int, int]:
@@ -353,11 +391,12 @@ class PartitionMatroid(Matroid):
 class LinearGf2Matroid(Matroid):
     """Columns of a 0/1 matrix; independence is linear independence over GF(2).
 
-    Both the oracle and the circuit run on one echelon basis of the set,
-    whose reduced rows remember which members sum to them.  The circuit of
-    indep + e is then e's column reduced over that basis: a nonzero
-    remainder means indep + e is independent, and otherwise the members
-    that the reduction used are the circuit.
+    The certificate of an independent set is an echelon basis of it, whose
+    reduced rows remember which members sum to them; a miss in the memo
+    builds it afresh.  The circuit of indep + e is then e's column reduced
+    over that basis: a nonzero remainder means indep + e is independent,
+    and otherwise the members that the reduction used are the circuit.  The
+    rank is one elimination pass.
     """
 
     kind = "linear_gf2"
@@ -381,50 +420,61 @@ class LinearGf2Matroid(Matroid):
         self._masks = tuple(masks)
 
     def _indep(self, elems: frozenset) -> bool:
-        return self._echelon(elems) is not None
+        return self._certificate(elems) is not None
+
+    def _rank(self, elems: Collection[int]) -> int:
+        return self._eliminate({}, elems)
 
     def circuit(self, indep, e: int) -> tuple[int, ...] | None:
-        basis = self._echelon(indep)
+        indep = frozenset(indep)
+        basis = self._certificate(indep)
         if basis is None:
             raise InputError("circuit needs an independent set")
-        v, used = self._masks[e], 0
+        v, used = self._reduce(basis, e)
+        return None if v else tuple(x for x in sorted(indep) if used >> x & 1)
+
+    def _build(self, part: frozenset) -> dict | None:
+        # Leading bit -> (reduced column, bitmask of the members summing to it).
+        basis: dict[int, tuple[int, int]] = {}
+        return basis if self._eliminate(basis, part) == len(part) else None
+
+    def _eliminate(self, basis: dict, elems: Iterable[int]) -> int:
+        """Add to basis the elems whose columns it does not span; their number."""
+        added = 0
+        for e in elems:
+            v, used = self._reduce(basis, e)
+            if v:
+                basis[v.bit_length() - 1] = (v, used)
+                added += 1
+        return added
+
+    def _reduce(self, basis: dict, e: int) -> tuple[int, int]:
+        """e's column reduced over basis, and the bitmask of e and the members
+        the reduction used."""
+        v, used = self._masks[e], 1 << e
         while v:
             row = basis.get(v.bit_length() - 1)
             if row is None:
-                return None
+                break
             v ^= row[0]
             used ^= row[1]
-        return tuple(x for x in sorted(indep) if used >> x & 1)
-
-    def _echelon(self, elems) -> dict | None:
-        # Leading bit -> (reduced column, bitmask of the members summing to
-        # it); None if the members are dependent.
-        basis: dict[int, tuple[int, int]] = {}
-        for e in sorted(elems):
-            v, used = self._masks[e], 1 << e
-            while v:
-                lead = v.bit_length() - 1
-                row = basis.get(lead)
-                if row is None:
-                    basis[lead] = (v, used)
-                    break
-                v ^= row[0]
-                used ^= row[1]
-            if not v:
-                return None
-        return basis
+        return v, used
 
 
 class TransversalMatroid(Matroid):
     """Independent sets admit a system of distinct representatives.
 
     Element i may be represented by any agent in adjacency[i] (0-based agent
-    ids).  Independence is tested by augmenting-path bipartite matching,
-    recomputed per query.  The circuit of indep + e takes one matching of
-    indep and one alternating search from e: a free agent reached means
-    indep + e is independent, and otherwise the elements reached are the
-    circuit, since together with e they have too few agents (Hall's
-    condition) and each of them can hand its agent down the path to e.
+    ids).  The certificate of an independent set is a matching of it, a map
+    from agent to member, found by augmenting paths (_augment); a memoized
+    matching of a nearby set derives it by dropping the members that left
+    and augmenting the new ones.  The rank is one augmenting pass: a member
+    that finds no free agent never will once more are matched.  The circuit
+    of indep + e takes indep's matching and one alternating search from e:
+    a free agent reached means indep + e is independent, and otherwise the
+    elements reached are the circuit, since together with e they have too
+    few agents (Hall's condition) and each of them can hand its agent down
+    the path to e.
     """
 
     kind = "transversal"
@@ -441,10 +491,14 @@ class TransversalMatroid(Matroid):
         self.adjacency = tuple(tuple(sorted(set(int(a) for a in row))) for row in adjacency)
 
     def _indep(self, elems: frozenset) -> bool:
-        return self._matching(elems) is not None
+        return self._certificate(elems) is not None
+
+    def _rank(self, elems: Collection[int]) -> int:
+        match: dict[int, int] = {}
+        return sum(self._augment(match, e) for e in elems)
 
     def circuit(self, indep, e: int) -> tuple[int, ...] | None:
-        match = self._matching(indep)
+        match = self._certificate(frozenset(indep))
         if match is None:
             raise InputError("circuit needs an independent set")
         reached, free = self._alternating_search(match, e)
@@ -452,37 +506,45 @@ class TransversalMatroid(Matroid):
             return None
         return tuple(sorted(match[a] for a in reached))
 
-    def _matching(self, elems) -> dict | None:
-        """Agent -> element, matching every member; None if there is none."""
-        match: dict[int, int] = {}  # agent -> element
-        agent_of: dict[int, int] = {}  # element -> agent
-        for e in sorted(elems):
-            reached, free = self._alternating_search(match, e)
-            if free is None:
-                return None
-            a = free  # flip the path back to e
-            while a is not None:
-                x = reached[a]
-                previous = agent_of.get(x)
-                match[a], agent_of[x] = x, a
-                a = previous
-        return match
+    def _build(self, part: frozenset) -> dict | None:
+        return self._derive({}, frozenset(), part, part)
+
+    def _derive(self, match: dict, removed: frozenset, added: frozenset,
+                part: frozenset) -> dict | None:
+        match = {a: x for a, x in match.items() if x not in removed}
+        return match if all(self._augment(match, e) for e in added) else None
+
+    def _augment(self, match: dict, e: int) -> bool:
+        """Match e as well, flipping the path of one alternating search;
+        False, with match unchanged, if the search finds no free agent."""
+        reached, a = self._alternating_search(match, e)
+        if a is None:
+            return False
+        while a is not None:  # each agent on the path takes the element of the one before
+            before = reached[a]
+            match[a] = e if before is None else match[before]
+            a = before
+        return True
 
     def _alternating_search(self, match: dict, e: int) -> tuple[dict, int | None]:
         # Breadth-first search from the unmatched e for a free agent; returns
-        # (agent -> element it was reached from, the free agent or None).  No
-        # recursion, so long paths cannot overflow.
-        reached: dict[int, int] = {}
-        queue = deque([e])
-        while queue:
-            x = queue.popleft()
+        # (agent -> the matched agent whose element reached it, None for e's
+        # own agents; the free agent or None).  No recursion, so long paths
+        # cannot overflow.
+        reached: dict[int, int | None] = {}
+        queue: deque = deque()
+        x, via = e, None
+        while True:
             for a in self.adjacency[x]:
                 if a not in reached:
-                    reached[a] = x
+                    reached[a] = via
                     if a not in match:
                         return reached, a
-                    queue.append(match[a])
-        return reached, None
+                    queue.append(a)
+            if not queue:
+                return reached, None
+            via = queue.popleft()
+            x = match[via]
 
 
 class OracleMatroid(Matroid):

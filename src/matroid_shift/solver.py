@@ -16,11 +16,16 @@ when the highest index where they differ has the smaller f entry.
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Iterable, Sequence
 
 from .constructions import Matrix01, UnionMatroid
-from .errors import InfeasibleError, InputError, InternalError, OverflowGuardError
+from .errors import GuardError, InfeasibleError, InputError, InternalError, OverflowGuardError
 from .matroids import WEIGHT_GUARD, Matroid, check_weight_guard
+
+# Scans of all multisets of n out of m members (solve_shifted_small and the
+# brute-force oracles) are refused above this many multisets.
+MULTISET_GUARD = 10**7
 
 
 class ProfitMatrix:
@@ -234,7 +239,8 @@ def solve_shifted_small(vectors: Sequence[Sequence[int]], n: int, c: ProfitMatri
     vector, so all C(m+n-1, n) multisets of n of the m vectors are scanned,
     each evaluated directly as cbar . ybar with y built in block order.  The
     answer is the first optimum in ascending order of count tuples
-    (n_1, .., n_m), which is the last one in the scan.
+    (n_1, .., n_m), which is the last one in the scan.  More than
+    MULTISET_GUARD multisets raise GuardError before the scan.
     """
     members = tuple(tuple(int(v) for v in z) for z in vectors)
     if not members:
@@ -251,6 +257,7 @@ def solve_shifted_small(vectors: Sequence[Sequence[int]], n: int, c: ProfitMatri
     total_abs = sum(abs(x) for r in c.rows for x in r)
     if total_abs * max(1, biggest) > WEIGHT_GUARD:
         raise OverflowGuardError("profits times vector magnitudes exceed the exact guard")
+    check_multiset_guard(len(members), n)
 
     cbar = c.shifted()
     best_value = best_picks = None
@@ -267,6 +274,16 @@ def solve_shifted_small(vectors: Sequence[Sequence[int]], n: int, c: ProfitMatri
         y = Matrix01(y_rows)
         return ShiftedSolution(y, best_value, vulnerability_vector(y))
     return ShiftedSolution(y_rows, best_value, None)
+
+
+def check_multiset_guard(count: int, n: int) -> None:
+    """Raise GuardError if there are more than MULTISET_GUARD multisets of n
+    out of count members."""
+    if comb(count + n - 1, n) > MULTISET_GUARD:
+        raise GuardError(
+            f"{comb(count + n - 1, n)} multisets of {n} from {count} members "
+            f"exceed the enumeration guard {MULTISET_GUARD}"
+        )
 
 
 def _check_dims(S: Matroid, n: int, c: ProfitMatrix) -> None:

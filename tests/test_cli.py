@@ -77,6 +77,17 @@ def test_lexmin_trees_single_edge_many_copies(files, capsys):
     assert report["verification"] == "skipped"
 
 
+def test_lexmin_trees_one_vertex_has_empty_trees(files, capsys):
+    # One vertex is connected, with or without a self-loop, and its
+    # spanning trees are empty; without an edge there is no matroid.
+    for name, text in (("point.graph", "p 1 0\n"), ("loop.graph", "p 1 1\ne 1 1\n")):
+        code, report, _ = run_main(capsys, ["lexmin-trees", files(name, text), "--n", "3",
+                                            "--verify", "--recheck"])
+        assert code == 0
+        assert report["vulnerability"] == [0, 0, 0]
+        assert report["columns"] == [[], [], []]
+
+
 def test_lexmin_trees_disconnected(files, capsys):
     graph = files("disc.graph", DISCONNECTED)
     code, report, err = run_main(capsys, ["lexmin-trees", graph, "--n", "2"])

@@ -22,11 +22,13 @@ from matroid_shift import (
     brute_shuffle_membership,
     enumerate_members,
     full_rank,
+    matroid_from_json,
+    matroid_to_json,
     rank,
     solve_shuffling,
 )
 from matroid_shift.matroids import greedy_in_order
-from corpora import FAMILIES, random_matroid
+from corpora import FAMILIES, grid_graph, random_matroid
 from test_constructions import assert_lift_decomposition
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -194,7 +196,63 @@ def test_graphic_forest_index_matches_rebuilt_circuits(seed, data):
                 circuit = m.circuit(forest, e)
                 assert circuit == rebuilt_graphic_circuit(m, forest, e)
                 assert circuit == Matroid.circuit(m, forest, e)
-        assert len(m._forests) <= m.FORESTS
+        assert len(m._certs) <= m.CERTIFICATES
+
+
+def memoless(m: Matroid) -> Matroid:
+    """A copy of m whose certificate memo is empty."""
+    return matroid_from_json(matroid_to_json(m))
+
+
+@pytest.mark.parametrize("kind", ["graphic", "linear_gf2", "transversal"])
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_certificate_memo_answers_as_a_fresh_build(kind, seed, data):
+    # A part changes as the union greedy changes one: an element added,
+    # removed or swapped for one on its circuit, or a jump to any
+    # independent set.  So most certificates derive from a memoized
+    # neighbour, and a bound of 1-4 evicts old ones.  Every oracle and
+    # circuit answer, on the part and on sets one or two elements from it,
+    # must be that of a copy with an empty memo; a dependent set answers
+    # False, is refused by circuit and never enters the memo.  The one-pass
+    # rank of each set must be the greedy rank of Matroid._rank.
+    m = wide_matroid(random.Random(seed), kind)
+    m.CERTIFICATES = data.draw(st.integers(1, 4), label="bound")
+    part: frozenset = frozenset()
+    for _ in range(data.draw(st.integers(1, 20), label="steps")):
+        outside = sorted(set(range(m.d)) - part)
+        move = data.draw(st.sampled_from(("add", "remove", "swap", "jump")), label="move")
+        if move == "jump":
+            part = frozenset()
+            for e in data.draw(st.permutations(range(m.d)), label="order"):
+                if data.draw(st.booleans(), label="take") and memoless(m)._indep(part | {e}):
+                    part |= {e}
+        elif move == "remove" and part:
+            part -= {data.draw(st.sampled_from(sorted(part)), label="x")}
+        elif outside:
+            e = data.draw(st.sampled_from(outside), label="e")
+            circuit = memoless(m).circuit(part, e)
+            if circuit is None:
+                part |= {e}
+            elif move == "swap" and circuit:
+                part = part - {data.draw(st.sampled_from(circuit), label="x")} | {e}
+        near = [part] + [part | {e} for e in range(m.d)]
+        near += [part - {x} | {e} for x in part for e in range(m.d)]
+        near.append(part | set(data.draw(st.lists(st.integers(0, m.d - 1), max_size=2),
+                                         label="two more")))
+        for s in near:
+            assert m._rank(s) == Matroid._rank(memoless(m), sorted(s))
+            indep = m._indep(s)
+            assert indep == memoless(m)._indep(s)
+            if indep:
+                continue
+            assert s not in m._certs
+            with pytest.raises(InputError):
+                m.circuit(s, 0)
+        for e in set(range(m.d)) - part:
+            assert m.circuit(part, e) == memoless(m).circuit(part, e)
+        assert m._indep(part)
+        assert len(m._certs) <= m.CERTIFICATES
 
 
 @pytest.mark.parametrize("kind", FAMILIES)
@@ -231,7 +289,7 @@ def reference_circuits(union: UnionMatroid, parts, rows):
     held = set().union(*parts)
     out = {}
     for j in rows:
-        fit, parent = union._search(parts, j)
+        fit, parent = union._search(parts, j, set())
         out[j] = None if fit is not None else tuple(sorted(held.intersection(parent)))
     return out
 
@@ -381,6 +439,53 @@ def test_grow_equals_reference_grow(kind, seed, data):
     sequence = data.draw(elements, label="elements")
     got = UnionMatroid(m, n).grow(sequence, parts)
     assert got == reference_grow(UnionMatroid(m, n), sequence, parts)
+
+
+class PrunedChecked(UnionMatroid):
+    """A union whose every search runs once more without the pruning at
+    refused elements; both must find the same fit by the same path."""
+
+    pruned = 0  # elements reached only by the unpruned searches
+
+    def _search(self, parts, e, refused):
+        fit, parent = super()._search(parts, e, refused)
+        whole_fit, whole = super()._search(parts, e, set())
+        assert fit == whole_fit
+        if fit is None:
+            assert set(parent) <= set(whole)
+            self.pruned += len(whole) - len(parent)
+            return fit, parent
+        x = fit[0]
+        while x is not None:
+            assert parent[x] == whole[x]
+            x = parent[x] and parent[x][0]
+        return fit, parent
+
+
+@pytest.mark.parametrize("kind", FAMILIES + ("multigraph",))
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_pruned_search_finds_the_unpruned_path(kind, seed, data):
+    # From empty parts or parts grown before, with repeated elements.
+    m = union_matroid_draw(random.Random(seed), kind)
+    n = data.draw(st.integers(1, 3), label="n")
+    elements = st.lists(st.integers(0, m.d - 1), max_size=m.d * n + 4)
+    parts = None
+    if data.draw(st.booleans(), label="start grown"):
+        _, parts = UnionMatroid(m, n).grow(data.draw(elements, label="start"))
+    union = PrunedChecked(m, n)
+    sequence = data.draw(elements, label="elements")
+    assert union.grow(sequence, parts) == reference_grow(UnionMatroid(m, n), sequence, parts)
+
+
+def test_pruned_search_skips_elements_on_a_grid():
+    # The column-order greedy of three trees on a grid meets refused
+    # elements in later searches; skipping them changes no tree.
+    grid = grid_graph(6, 6)
+    union = PrunedChecked(grid, 3)
+    order = list(range(grid.d)) * 3
+    assert union.grow(order) == reference_grow(UnionMatroid(grid, 3), order)
+    assert union.pruned > 0
 
 
 def greedy_rank(m: Matroid, elems) -> int:

@@ -7,6 +7,7 @@ import pytest
 
 from matroid_shift import (
     GraphicMatroid,
+    GuardError,
     InfeasibleError,
     InputError,
     Matrix01,
@@ -31,6 +32,7 @@ from matroid_shift import (
     solve_shuffling,
     vulnerability_vector,
 )
+from matroid_shift import solver
 from corpora import K4, PATH3_EDGES, TRIANGLE, family_corpus, grid_graph, random_matroid
 
 
@@ -359,6 +361,17 @@ def test_solve_shifted_small_many_vectors():
     sol = solve_shifted_small([[1, 0]] * 2000, 1, ProfitMatrix([[3], [1]]))
     assert sol.value == 3
     assert sol.y == Matrix01([[1], [0]])
+
+
+def test_solve_shifted_small_guards_its_enumeration(monkeypatch):
+    # C(203, 4) = 6.8e7 multisets of 4 out of 200 vectors: refused before
+    # the scan starts.
+    def no_scan(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(solver, "combinations_with_replacement", no_scan)
+    with pytest.raises(GuardError, match="enumeration guard"):
+        solve_shifted_small([[1, 0]] * 200, 4, ProfitMatrix([[1] * 4] * 2))
 
 
 def test_solver_input_errors():
