@@ -71,13 +71,19 @@ def _matrix_from_columns(d: int, n: int, columns) -> Matrix01:
     return Matrix01(rows)
 
 
-def _load_json_file(path: str):
+def _read_text(path: str) -> str:
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+
+
+def _load_json_file(path: str):
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also too deep, or over the digit limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -99,7 +105,10 @@ def _load_table(path: str, what: str, cls):
 def _decimal(token: str) -> int | None:
     """The value of a token of ASCII digits only, else None (int() would
     also take signs, underscores and non-ASCII digits)."""
-    return int(token) if token.isascii() and token.isdigit() else None
+    try:
+        return int(token) if token.isascii() and token.isdigit() else None
+    except ValueError as exc:  # over Python's limit on digits
+        raise InputError(f"a number of {len(token)} digits is too long") from exc
 
 
 def _count(token: str) -> int:
@@ -112,12 +121,7 @@ def _count(token: str) -> int:
 
 def parse_graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:
     """DIMACS-adjacent format: 'p V E' then one 'e u v' line per edge."""
-    try:
-        with open(path) as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    lines = [ln.strip() for ln in raw.splitlines()]
+    lines = [ln.strip() for ln in _read_text(path).splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("c")]
     if not lines or not lines[0].startswith("p"):
         raise InputError(f"{path}: first line must be 'p <vertices> <edges>'")

@@ -148,11 +148,14 @@ class UnionMatroid(Matroid):
     GF(2), oracles) decomposes r and answers all the rows from one closure
     pass over the exchange arcs, without a search per row.
 
-    Circuit answers are memoized per part that the union holds now (a
-    replaced part drops its table), and decompose grows r from the last
-    vector it accepted and memoizes its answers by count tuple (grow
-    keeps nothing), so an instance is mutable: use one per run, on one
-    thread.
+    Each part the union holds has a record: its certificate and its memo
+    of circuit answers.  A part that an augmentation or a trim changes
+    derives its certificate from the record of the part it replaces
+    (Matroid._derive), which checks that it is independent; only a part
+    with no held predecessor is built.  decompose grows r from the last
+    vector it accepted and memoizes its answers by count tuple, so an
+    instance is mutable: use one per run, on one thread.  The matroid it
+    unites keeps no state and may be shared.
     """
 
     kind = "oracle_composite"
@@ -170,7 +173,7 @@ class UnionMatroid(Matroid):
         self._indep_cache: dict[tuple, tuple] = {zero: empty}
         self._dep_cache: set = set()
         self._last = (zero, empty)  # the last vector decompose accepted, and its parts
-        self._circuits: dict = {}  # held part -> {element: Matroid.circuit answer}
+        self._records: dict = {}  # held part -> (certificate, {element: circuit answer})
         self._members = None  # block -> its ascending elements, for a partition part
         if isinstance(part, PartitionMatroid):
             self._members = [[] for _ in part.capacities]
@@ -206,7 +209,10 @@ class UnionMatroid(Matroid):
                     if excess.get(x):
                         excess[x] -= 1
                         drop.add(x)
-                trimmed.append(p - drop if drop else p)
+                if drop:
+                    q, p = p, p - drop
+                    self._hold(p, q, drop, ())
+                trimmed.append(p)
             parts = tuple(trimmed)
         missing = [i for i, (c, t) in enumerate(zip(last, r)) for _ in range(t - c)]
         got, parts = self.grow(missing, parts)
@@ -283,12 +289,12 @@ class UnionMatroid(Matroid):
         memos = self._memos(parts)
         while queue:
             x = queue.popleft()
-            for k, (p, known) in enumerate(memos):
+            for k, (p, cert, known) in enumerate(memos):
                 if x in p:
                     continue
                 members = known.get(x, False)
                 if members is False:
-                    members = known[x] = self.part.circuit(p, x)
+                    members = known[x] = self.part._circuit(cert, p, x)
                 if members is None:
                     return (x, k), parent
                 for v in members:
@@ -336,12 +342,12 @@ class UnionMatroid(Matroid):
         while todo:
             x = todo.pop()
             arcs = []
-            for p, known in memos:
+            for p, cert, known in memos:
                 if x in p:
                     continue
                 members = known.get(x, False)
                 if members is False:
-                    members = known[x] = self.part.circuit(p, x)
+                    members = known[x] = self.part._circuit(cert, p, x)
                 if members is None:
                     fits.add(x)
                     break
@@ -406,32 +412,42 @@ class UnionMatroid(Matroid):
                 out[j] = circuit
         return out
 
-    def _memos(self, parts: tuple) -> list[tuple[frozenset, dict]]:
-        """Each part with its memo of Matroid.circuit answers, by element;
-        the tables of parts no longer held are dropped."""
-        old = self._circuits
-        self._circuits = {p: old.get(p, {}) for p in parts}
-        return [(p, self._circuits[p]) for p in parts]
+    def _memos(self, parts: tuple) -> list[tuple[frozenset, object, dict]]:
+        """Each part with its certificate and its memo of circuit answers,
+        by element.  A part not held is built afresh; the records of parts
+        no longer held are dropped."""
+        records = self._records
+        for p in parts:
+            if p not in records:
+                self._hold(p, None, (), ())
+        self._records = {p: records[p] for p in parts}
+        return [(p, *records[p]) for p in parts]
+
+    def _hold(self, p: frozenset, q, removed, added) -> None:
+        """Hold part p = q - removed + added, deriving its certificate from
+        the record of q, or building it if q is not held."""
+        record = self._records.get(q)
+        cert = (self.part._build(p) if record is None
+                else self.part._derive(record[0], removed, added, p))
+        if cert is None:
+            raise InternalError("augmentation left a dependent part")
+        self._records[p] = (cert, {})
 
     def _check_partition(self, e: int, parts: tuple, before: tuple) -> None:
         # Parts reused from before were checked when they were built, so the
         # counts hold one more copy of e exactly when the changed parts hold
         # one more copy of e than the parts they replace, and nothing else.
-        # A family with certificates checks a part by deriving the one that
-        # the next circuit on it reads.
         if len(parts) != len(before):
             raise InternalError("part multiplicities differ from the requested counts")
-        change = {e: -1}
+        gained, lost = [], [e]
         for p, q in zip(parts, before):
             if p is q:
                 continue
-            if not self.part._indep(p):
-                raise InternalError("augmentation left a dependent part")
-            for x in p - q:
-                change[x] = change.get(x, 0) + 1
-            for x in q - p:
-                change[x] = change.get(x, 0) - 1
-        if any(change.values()):
+            removed, added = q - p, p - q
+            self._hold(p, q, removed, added)
+            gained += added
+            lost += removed
+        if sorted(gained) != sorted(lost):
             raise InternalError("part multiplicities differ from the requested counts")
 
 
@@ -444,8 +460,9 @@ class ShuffleMatroid(Matroid):
     on counts.  The cells of a row are parallel elements, so the intersection
     solver works on row counts and asks the union for its row circuits
     directly (UnionMatroid.circuits, one pass for all rows); circuit
-    queries here take the generic Matroid.circuit.  Like UnionMatroid, an
-    instance carries mutable caches: keep it on a single thread.
+    queries here take the generic Matroid.circuit.  Its union keeps the
+    decompositions and the records of its parts, so an instance is mutable:
+    keep it on a single thread.  S itself keeps no state and may be shared.
     """
 
     kind = "oracle_composite"

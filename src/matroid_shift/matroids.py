@@ -5,11 +5,10 @@ together with an independence test.  Five concrete families are provided
 (graphic, uniform, partition, linear over GF(2), transversal) plus a generic
 wrapper for externally supplied oracles.  On top of the oracle interface sit
 the classic primitives: rank of a subset and the max-weight greedy algorithm.
-The descriptions never change.  The graphic, transversal and GF(2) families
-keep state besides: a memo of a constant number of independence
-certificates (a spanning forest, a matching, an echelon basis), which their
-oracles and circuits read.  It never changes an answer but makes an
-instance belong to one thread.
+The descriptions never change and keep no other state.  The graphic,
+transversal and GF(2) families prove a set independent by a certificate (a
+spanning forest, a matching, an echelon basis) built per call; the union
+matroid keeps those of its parts, derived from the parts they replace.
 
 Elements are 0-based internally; JSON files use 1-based indices throughout.
 """
@@ -73,24 +72,20 @@ class Subset01:
 class Matroid:
     """Base class: an independence oracle over ground set {0, .., d-1}.
 
-    A family that can prove a set independent by a certificate (_build)
-    answers its oracle and its circuits from _certificate: the last
-    CERTIFICATES certificates are memoized by part, and a part missing from
-    the memo is derived (_derive) from a memoized one it differs from by at
-    most two elements, or else built.  A dependent set has no certificate
-    and never enters the memo.
+    A certificate proves a set independent: _build makes one, _derive makes
+    one from the certificate of a set a few elements away, and _circuit
+    answers a circuit from one in hand.  The graphic, transversal and GF(2)
+    families define all three; by default the certificate is the set
+    itself, checked by the oracle, and _circuit asks circuit.
     """
 
     kind = "abstract"
-    CERTIFICATES = 16
 
     def __init__(self, d: int):
         d = int(d)
         if d < 1:
             raise InputError(f"ground size must be >= 1, got {d}")
         self.d = d
-        self._certs: dict = {}  # part -> certificate, least recently used first
-        self._recent: tuple | None = None  # (part, certificate) last used
 
     def is_independent(self, s: Subset01) -> bool:
         if s.d != self.d:
@@ -118,45 +113,19 @@ class Matroid:
 
         Ascending; None if indep + e is independent.  This fallback asks the
         oracle once per member, |indep| + 1 calls in all.  Every concrete
-        family overrides it with a direct construction (a forest path, a
-        block, an alternating search over one matching, a reduction over one
-        echelon basis), so only OracleMatroid and the derived matroids that
-        have no construction of their own fall back to it.
+        family overrides it with a direct construction (a block, a count, a
+        forest path, an alternating search over one matching, a reduction
+        over one echelon basis), so only OracleMatroid and the derived
+        matroids that have no construction of their own fall back to it.
         """
         s = frozenset(indep)
         if self._indep(s | {e}):
             return None
         return tuple(x for x in sorted(s) if self._indep((s - {x}) | {e}))
 
-    def _certificate(self, part: frozenset):
-        """The memoized certificate of part, or None if part is dependent.
-
-        The most recently used part is recognised by identity, without a
-        lookup; a lookup may compare an equal part element by element.
-        """
-        recent = self._recent
-        if recent is not None and recent[0] is part:
-            return recent[1]
-        certs = self._certs
-        cert = certs.pop(part, None)
-        if cert is None:
-            for q in reversed(certs):  # most recently used first
-                if abs(len(q) - len(part)) <= 2 and len(q ^ part) <= 2:
-                    cert = self._derive(certs[q], q - part, part - q, part)
-                    break
-            else:
-                cert = self._build(part)
-            if cert is None:
-                return None
-            if len(certs) >= self.CERTIFICATES:
-                del certs[next(iter(certs))]
-        certs[part] = cert
-        self._recent = (part, cert)
-        return cert
-
     def _build(self, part: frozenset):
-        """A fresh certificate that part is independent, or None."""
-        raise NotImplementedError
+        """A certificate that part is independent, or None if it is not."""
+        return part if self._indep(part) else None
 
     def _derive(self, cert, removed: frozenset, added: frozenset, part: frozenset):
         """The certificate of part, given cert of part + removed - added, or
@@ -164,8 +133,21 @@ class Matroid:
         builds afresh."""
         return self._build(part)
 
+    def _circuit(self, cert, indep: frozenset, e: int) -> tuple[int, ...] | None:
+        """circuit(indep, e), given the certificate of indep."""
+        return self.circuit(indep, e)
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(d={self.d})"
+
+
+def _certified_circuit(m: Matroid, indep, e: int) -> tuple[int, ...] | None:
+    """Matroid.circuit from a certificate of indep built for the call."""
+    indep = frozenset(indep)
+    cert = m._build(indep)
+    if cert is None:
+        raise InputError("circuit needs an independent set")
+    return m._circuit(cert, indep, e)
 
 
 class GraphicMatroid(Matroid):
@@ -174,19 +156,19 @@ class GraphicMatroid(Matroid):
     Vertices are 1..vertices; edge k (0-based) is ground element k.  Parallel
     edges and self-loops are allowed; a self-loop is never independent.
 
-    The rank is one union-find pass over the relabelled vertices, counting
-    the edges that join two components.
+    The rank, and with it the oracle, is one union-find pass over the
+    relabelled vertices, counting the edges that join two components.
 
     The certificate of an independent set is a rooted spanning forest of it:
     up[x] is (parent vertex, edge) for a child x and None for a root, over
-    the relabelled vertices.  One breadth-first search builds it, and a
-    memoized forest of a nearby set derives it: a cut drops the pointer
-    carrying an edge (by edge id, so parallel edges stay apart), and a link
-    re-roots one endpoint's tree at that endpoint and hangs it under the
-    other.  An edge joining two reached vertices, or linking a tree to
-    itself, closes a cycle: the set is dependent.  circuit(indep, e) climbs
-    indep's forest from both endpoints of e in turn, each marking its way,
-    and stops where one side reaches the other's mark: their nearest common
+    the relabelled vertices.  One breadth-first search builds it, and the
+    forest of a nearby set derives it: a cut drops the pointer carrying an
+    edge (by edge id, so parallel edges stay apart), and a link re-roots one
+    endpoint's tree at that endpoint and hangs it under the other.  An edge
+    joining two reached vertices, or linking a tree to itself, closes a
+    cycle: the set is dependent.  The circuit of indep + e climbs indep's
+    forest from both endpoints of e in turn, each marking its way, and
+    stops where one side reaches the other's mark: their nearest common
     ancestor.
     """
 
@@ -210,7 +192,9 @@ class GraphicMatroid(Matroid):
         self._touched = len(label)
 
     def _indep(self, elems: frozenset) -> bool:
-        return self._certificate(elems) is not None
+        return self._rank(elems) == len(elems)  # a third of the time of _build
+
+    circuit = _certified_circuit
 
     def _rank(self, elems: Collection[int]) -> int:
         parent = list(range(self._touched))  # union-find with path halving
@@ -226,13 +210,10 @@ class GraphicMatroid(Matroid):
                 joins += 1
         return joins
 
-    def circuit(self, indep, e: int) -> tuple[int, ...] | None:
+    def _circuit(self, up: list, indep: frozenset, e: int) -> tuple[int, ...] | None:
         # e closes a circuit with the forest path between its endpoints.
         # Each side keeps the edges it climbed and, per vertex it passed,
         # how many of them lead there; the sides swap after every step.
-        up = self._certificate(frozenset(indep))
-        if up is None:
-            raise InputError("circuit needs an independent set")
         u, v = self._ends[e]
         if u == v:
             return ()
@@ -392,8 +373,8 @@ class LinearGf2Matroid(Matroid):
     """Columns of a 0/1 matrix; independence is linear independence over GF(2).
 
     The certificate of an independent set is an echelon basis of it, whose
-    reduced rows remember which members sum to them; a miss in the memo
-    builds it afresh.  The circuit of indep + e is then e's column reduced
+    reduced rows remember which members sum to them; it is always built
+    afresh.  The circuit of indep + e is then e's column reduced
     over that basis: a nonzero remainder means indep + e is independent,
     and otherwise the members that the reduction used are the circuit.  The
     rank is one elimination pass.
@@ -420,16 +401,14 @@ class LinearGf2Matroid(Matroid):
         self._masks = tuple(masks)
 
     def _indep(self, elems: frozenset) -> bool:
-        return self._certificate(elems) is not None
+        return self._build(elems) is not None
+
+    circuit = _certified_circuit
 
     def _rank(self, elems: Collection[int]) -> int:
         return self._eliminate({}, elems)
 
-    def circuit(self, indep, e: int) -> tuple[int, ...] | None:
-        indep = frozenset(indep)
-        basis = self._certificate(indep)
-        if basis is None:
-            raise InputError("circuit needs an independent set")
+    def _circuit(self, basis: dict, indep: frozenset, e: int) -> tuple[int, ...] | None:
         v, used = self._reduce(basis, e)
         return None if v else tuple(x for x in sorted(indep) if used >> x & 1)
 
@@ -466,9 +445,9 @@ class TransversalMatroid(Matroid):
 
     Element i may be represented by any agent in adjacency[i] (0-based agent
     ids).  The certificate of an independent set is a matching of it, a map
-    from agent to member, found by augmenting paths (_augment); a memoized
-    matching of a nearby set derives it by dropping the members that left
-    and augmenting the new ones.  The rank is one augmenting pass: a member
+    from agent to member, found by augmenting paths (_augment); the matching
+    of a nearby set derives it by dropping the members that left and
+    augmenting the new ones.  The rank is one augmenting pass: a member
     that finds no free agent never will once more are matched.  The circuit
     of indep + e takes indep's matching and one alternating search from e:
     a free agent reached means indep + e is independent, and otherwise the
@@ -491,16 +470,15 @@ class TransversalMatroid(Matroid):
         self.adjacency = tuple(tuple(sorted(set(int(a) for a in row))) for row in adjacency)
 
     def _indep(self, elems: frozenset) -> bool:
-        return self._certificate(elems) is not None
+        return self._build(elems) is not None
+
+    circuit = _certified_circuit
 
     def _rank(self, elems: Collection[int]) -> int:
         match: dict[int, int] = {}
         return sum(self._augment(match, e) for e in elems)
 
-    def circuit(self, indep, e: int) -> tuple[int, ...] | None:
-        match = self._certificate(frozenset(indep))
-        if match is None:
-            raise InputError("circuit needs an independent set")
+    def _circuit(self, match: dict, indep: frozenset, e: int) -> tuple[int, ...] | None:
         reached, free = self._alternating_search(match, e)
         if free is not None:
             return None

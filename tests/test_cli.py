@@ -32,7 +32,9 @@ K22_GRAPH = {"left": 2, "right": 2, "edges": [[1, 1], [1, 2], [2, 1], [2, 2]]}
 def files(tmp_path):
     def write(name, content):
         p = tmp_path / name
-        if isinstance(content, str):
+        if isinstance(content, bytes):
+            p.write_bytes(content)
+        elif isinstance(content, str):
             p.write_text(content)
         else:
             p.write_text(json.dumps(content))
@@ -463,8 +465,8 @@ def test_recheck_catches_a_corrupt_report(files, capsys, monkeypatch, command):
     assert "self-check failed" in err
 
 
-@pytest.mark.parametrize("token", ["\uff12", "+2", "2_0", " 2"],
-                         ids=["full-width", "plus", "underscore", "space"])
+@pytest.mark.parametrize("token", ["\uff12", "+2", "2_0", " 2", "2" * 5000],
+                         ids=["full-width", "plus", "underscore", "space", "over-digit-limit"])
 @pytest.mark.parametrize("command", sorted(CHECKED_ARGV))
 def test_n_must_be_ascii_decimal(files, capsys, command, token):
     # int() read each token as a number, so --n accepted it and, unless it
@@ -491,6 +493,14 @@ BAD_INPUT_ARGV = {
                                 "--bipartite", "@k22"],
     "one-matroid": ["intersect-value", "@u32", "@profits"],
     "fiber-n-conflict": ["fiber", "@u21", "@matrix", "--n", "3"],
+    "undecodable-graph": ["lexmin-trees", "@undecodable", "--n", "1"],
+    "undecodable-matroid": ["shifted", "@undecodable", "@profits"],
+    "undecodable-profits": ["shifted", "@u32", "@undecodable"],
+    "undecodable-matrix": ["fiber", "@u21", "@undecodable"],
+    "undecodable-bipartite": ["intersect-value", "--bipartite", "@undecodable", "@profits"],
+    "deeply-nested-json": ["shifted", "@deep", "@profits"],
+    "json-integer-over-digit-limit": ["shifted", "@huge_integer", "@profits"],
+    "graph-token-over-digit-limit": ["lexmin-trees", "@huge_token", "--n", "1"],
 }
 BAD_INPUT_FILES = {
     "@garbled": "{not json",
@@ -503,6 +513,10 @@ BAD_INPUT_FILES = {
     "@k22": K22_GRAPH,
     "@u21": U21,
     "@matrix": {"d": 2, "n": 2, "rows": [[1, 0], [0, 1]]},
+    "@undecodable": b"p 2 1\ne 1 2\n\xff\n",  # not UTF-8
+    "@deep": "[" * 100_000 + "]" * 100_000,  # deeper than the recursion limit
+    "@huge_integer": "[" + "9" * 5000 + "]",  # over Python's 4300-digit limit
+    "@huge_token": "p 2 1\ne 1 " + "2" * 5000 + "\n",
 }
 
 

@@ -1,5 +1,6 @@
 """Lift, union and shuffle oracles, decompositions, and rank identities."""
 
+import copy
 import random
 from collections import Counter
 
@@ -23,7 +24,8 @@ from matroid_shift import (
     weighted_matroid_intersection_max,
 )
 from matroid_shift import intersection
-from corpora import K4, TRIANGLE, family_corpus, grid_graph, random_matroid, random_sbo_matroid
+from corpora import (FAMILIES, K4, TRIANGLE, family_corpus, grid_graph, random_matroid,
+                     random_sbo_matroid)
 from test_matroids import assert_matroid_axioms
 
 
@@ -101,7 +103,7 @@ def test_circuit_memo_holds_only_the_union_parts(monkeypatch, side):
 
     def recorded(self, parts):
         out = memos(self, parts)
-        sizes.append(len(self._circuits))
+        sizes.append(len(self._records))
         return out
 
     monkeypatch.setattr(UnionMatroid, "_memos", recorded)
@@ -110,6 +112,29 @@ def test_circuit_memo_holds_only_the_union_parts(monkeypatch, side):
     counts, _ = union.grow(list(range(grid.d)) * n)
     assert sum(counts) == n * (side * side - 1)
     assert sizes and max(sizes) <= n
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_one_matroid_serves_interleaved_unions(kind):
+    # A matroid keeps no state, so two unions that grow on it in turn, one
+    # element each, end where two unions on separate copies of it end.
+    rng = random.Random(17)
+    for _ in range(20):
+        m = random_matroid(rng, dmax=6, kind=kind)
+        n = rng.randint(1, 3)
+        runs = [[rng.randrange(m.d) for _ in range(m.d * n)] for _ in range(2)]
+        second, parts, taken = UnionMatroid(m, n), None, []
+
+        def interleaved():
+            nonlocal parts
+            for e, f in zip(*runs):
+                _, parts = second.grow([f], parts)
+                taken.append(f)
+                yield e
+
+        got = UnionMatroid(m, n).grow(interleaved())
+        assert got == UnionMatroid(copy.deepcopy(m), n).grow(runs[0])
+        assert parts == UnionMatroid(copy.deepcopy(m), n).grow(taken)[1]
 
 
 class NoCircuits(UniformMatroid):

@@ -119,7 +119,7 @@ def test_graphic_circuit_climbs_to_the_nearest_common_ancestor():
     }
     m = GraphicMatroid(9, tree + list(cases))
     part = frozenset(range(len(tree)))
-    up = m._certificate(part)
+    up = m._build(part)
     assert up[m._ends[0][0]] is None and up[m._ends[6][0]] is None  # roots 1 and 8
     for e, want in enumerate(cases.values(), start=len(tree)):
         assert m.circuit(part, e) == want

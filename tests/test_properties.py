@@ -1,5 +1,6 @@
 """Property tests over random matroids of every family, run by hypothesis."""
 
+import copy
 import random
 
 import pytest
@@ -22,8 +23,6 @@ from matroid_shift import (
     brute_shuffle_membership,
     enumerate_members,
     full_rank,
-    matroid_from_json,
-    matroid_to_json,
     rank,
     solve_shuffling,
 )
@@ -165,11 +164,9 @@ def rebuilt_graphic_circuit(m: GraphicMatroid, indep, e: int) -> tuple[int, ...]
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_graphic_forest_index_matches_rebuilt_circuits(seed, data):
-    # One instance follows a forest through added, removed and swapped
-    # edges, so most forests derive from a memoized one by cuts and links,
-    # and through jumps to any forest, which rebuild.  Every circuit must
-    # equal the per-call search and the oracle fallback, and the memo must
-    # stay within its bound.
+    # A forest follows added, removed and swapped edges, and jumps to any
+    # forest.  Every circuit must equal the per-call search and the oracle
+    # fallback.
     rng = random.Random(seed)
     m = random_multigraph(rng, rng.randint(1, 14))
     forest: frozenset = frozenset()
@@ -196,63 +193,47 @@ def test_graphic_forest_index_matches_rebuilt_circuits(seed, data):
                 circuit = m.circuit(forest, e)
                 assert circuit == rebuilt_graphic_circuit(m, forest, e)
                 assert circuit == Matroid.circuit(m, forest, e)
-        assert len(m._certs) <= m.CERTIFICATES
-
-
-def memoless(m: Matroid) -> Matroid:
-    """A copy of m whose certificate memo is empty."""
-    return matroid_from_json(matroid_to_json(m))
 
 
 @pytest.mark.parametrize("kind", ["graphic", "linear_gf2", "transversal"])
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_certificate_memo_answers_as_a_fresh_build(kind, seed, data):
-    # A part changes as the union greedy changes one: an element added,
-    # removed or swapped for one on its circuit, or a jump to any
-    # independent set.  So most certificates derive from a memoized
-    # neighbour, and a bound of 1-4 evicts old ones.  Every oracle and
-    # circuit answer, on the part and on sets one or two elements from it,
-    # must be that of a copy with an empty memo; a dependent set answers
-    # False, is refused by circuit and never enters the memo.  The one-pass
-    # rank of each set must be the greedy rank of Matroid._rank.
+def test_derive_answers_as_a_fresh_build(kind, seed, data):
+    # A part p changes from an independent q as the union greedy changes
+    # one: an element added, removed or swapped for another, or a jump to
+    # any set; p may be dependent.  The certificate derived from q's must
+    # be None exactly when p is dependent (by the one-pass rank), leave q's
+    # unchanged, and answer every circuit on p as a fresh build and the
+    # oracle fallback do.  The one-pass rank of p must be the greedy rank
+    # of Matroid._rank, and circuit must refuse a dependent p.
     m = wide_matroid(random.Random(seed), kind)
-    m.CERTIFICATES = data.draw(st.integers(1, 4), label="bound")
-    part: frozenset = frozenset()
+    q: frozenset = frozenset()
     for _ in range(data.draw(st.integers(1, 20), label="steps")):
-        outside = sorted(set(range(m.d)) - part)
         move = data.draw(st.sampled_from(("add", "remove", "swap", "jump")), label="move")
+        p = q
         if move == "jump":
-            part = frozenset()
-            for e in data.draw(st.permutations(range(m.d)), label="order"):
-                if data.draw(st.booleans(), label="take") and memoless(m)._indep(part | {e}):
-                    part |= {e}
-        elif move == "remove" and part:
-            part -= {data.draw(st.sampled_from(sorted(part)), label="x")}
-        elif outside:
-            e = data.draw(st.sampled_from(outside), label="e")
-            circuit = memoless(m).circuit(part, e)
-            if circuit is None:
-                part |= {e}
-            elif move == "swap" and circuit:
-                part = part - {data.draw(st.sampled_from(circuit), label="x")} | {e}
-        near = [part] + [part | {e} for e in range(m.d)]
-        near += [part - {x} | {e} for x in part for e in range(m.d)]
-        near.append(part | set(data.draw(st.lists(st.integers(0, m.d - 1), max_size=2),
-                                         label="two more")))
-        for s in near:
-            assert m._rank(s) == Matroid._rank(memoless(m), sorted(s))
-            indep = m._indep(s)
-            assert indep == memoless(m)._indep(s)
-            if indep:
-                continue
-            assert s not in m._certs
+            p = frozenset(data.draw(st.sets(st.integers(0, m.d - 1)), label="p"))
+        elif move != "add" and q:
+            p -= {data.draw(st.sampled_from(sorted(q)), label="x")}
+        if move in ("add", "swap"):
+            p |= {data.draw(st.integers(0, m.d - 1), label="e")}
+        cert = m._build(q)
+        before = copy.deepcopy(cert)
+        derived = m._derive(cert, q - p, p - q, p)
+        assert cert == before
+        assert m._rank(p) == Matroid._rank(m, sorted(p))
+        if m._rank(p) < len(p):
+            assert derived is None and m._build(p) is None and not m._indep(p)
             with pytest.raises(InputError):
-                m.circuit(s, 0)
-        for e in set(range(m.d)) - part:
-            assert m.circuit(part, e) == memoless(m).circuit(part, e)
-        assert m._indep(part)
-        assert len(m._certs) <= m.CERTIFICATES
+                m.circuit(p, 0)
+            continue
+        assert derived is not None and m._indep(p)
+        built = m._build(p)
+        for e in set(range(m.d)) - p:
+            circuit = m._circuit(derived, p, e)
+            assert circuit == m._circuit(built, p, e) == Matroid.circuit(m, p, e)
+            assert m.circuit(p, e) == circuit
+        q = p
 
 
 @pytest.mark.parametrize("kind", FAMILIES)

@@ -1,5 +1,6 @@
 """Shift calculus and the shifted / lexicographic / explicit-list solvers."""
 
+import copy
 import itertools
 import random
 
@@ -30,10 +31,12 @@ from matroid_shift import (
     solve_shifted,
     solve_shifted_small,
     solve_shuffling,
+    validate,
     vulnerability_vector,
 )
 from matroid_shift import solver
-from corpora import K4, PATH3_EDGES, TRIANGLE, family_corpus, grid_graph, random_matroid
+from corpora import (FAMILIES, K4, PATH3_EDGES, TRIANGLE, family_corpus, grid_graph,
+                     random_matroid)
 
 
 def random_matrix(rng, d, n):
@@ -372,6 +375,22 @@ def test_solve_shifted_small_guards_its_enumeration(monkeypatch):
     monkeypatch.setattr(solver, "combinations_with_replacement", no_scan)
     with pytest.raises(GuardError, match="enumeration guard"):
         solve_shifted_small([[1, 0]] * 200, 4, ProfitMatrix([[1] * 4] * 2))
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_solvers_leave_the_matroid_unchanged(kind):
+    # A matroid is a description: no solver, check or greedy changes it.
+    rng = random.Random(23)
+    for _ in range(10):
+        m = random_matroid(rng, dmax=6, kind=kind)
+        n = rng.randint(1, 3)
+        state = copy.deepcopy(vars(m))
+        c = ProfitMatrix([[rng.randint(-3, 5) for _ in range(n)] for _ in range(m.d)])
+        y = solve_shifted(m, n, c).y
+        solve_lexmin(m, n)
+        validate(solve_fiber(m, n, shift(y)), [m], x=y)
+        greedy_max(m, [rng.randint(-3, 5) for _ in range(m.d)])
+        assert vars(m) == state
 
 
 def test_solver_input_errors():

@@ -40,6 +40,11 @@ def test_tracer_counts_engine_spans_and_restores_the_package(tmp_path, capsys):
                                      "edges": [[1, 1], [1, 2], [2, 1], [2, 2]]}))
     profits = tmp_path / "c.json"
     profits.write_text(json.dumps({"d": 4, "n": 2, "rows": [[3, 1], [2, 2], [1, 0], [5, 4]]}))
+    # fiber decomposes, so the tracer's memo probe reads the union's caches.
+    matroid = tmp_path / "u32.json"
+    matroid.write_text(json.dumps({"kind": "uniform", "d": 3, "params": {"r": 2}}))
+    matrix = tmp_path / "x.json"
+    matrix.write_text(json.dumps({"d": 3, "n": 2, "rows": [[1, 0], [1, 1], [1, 0]]}))
     main = cli.main
     tracer = load_tracer().Tracer()
     tracer.install()
@@ -47,7 +52,8 @@ def test_tracer_counts_engine_spans_and_restores_the_package(tmp_path, capsys):
         assert cli.main is not main
         for call, argv in enumerate([["lexmin-trees", str(graph), "--n", "2"],
                                      ["intersect-value", "--bipartite", str(bipartite),
-                                      str(profits)]]):
+                                      str(profits)],
+                                     ["fiber", str(matroid), str(matrix)]]):
             tracer.begin_call(call)
             assert cli.main(argv) == 0
             tracer.end_call()
@@ -57,4 +63,5 @@ def test_tracer_counts_engine_spans_and_restores_the_package(tmp_path, capsys):
     assert cli.main is main
     summary = tracer.summary(1)
     assert summary["constructions.augmentations"] > 0
+    assert summary["constructions.cache_entries_max"] > 0
     assert summary["intersection.stages"] > 0
