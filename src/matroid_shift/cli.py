@@ -123,9 +123,9 @@ def parse_graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:
     """DIMACS-adjacent format: 'p V E' then one 'e u v' line per edge."""
     lines = [ln.strip() for ln in _read_text(path).splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("c")]
-    if not lines or not lines[0].startswith("p"):
+    head = lines[0].split() if lines else []
+    if not head or head[0] != "p":
         raise InputError(f"{path}: first line must be 'p <vertices> <edges>'")
-    head = lines[0].split()
     counts = [_decimal(t) for t in head[1:]]
     if len(head) != 3 or None in counts:
         raise InputError(f"{path}: malformed problem line {lines[0]!r}")

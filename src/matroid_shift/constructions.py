@@ -460,7 +460,8 @@ class ShuffleMatroid(Matroid):
     on counts.  The cells of a row are parallel elements, so the intersection
     solver works on row counts and asks the union for its row circuits
     directly (UnionMatroid.circuits, one pass for all rows); circuit
-    queries here take the generic Matroid.circuit.  Its union keeps the
+    queries here certify the matrix by one decompose and ask the oracle
+    once per member (the Matroid defaults).  Its union keeps the
     decompositions and the records of its parts, so an instance is mutable:
     keep it on a single thread.  S itself keeps no state and may be shared.
     """

@@ -5,10 +5,11 @@ together with an independence test.  Five concrete families are provided
 (graphic, uniform, partition, linear over GF(2), transversal) plus a generic
 wrapper for externally supplied oracles.  On top of the oracle interface sit
 the classic primitives: rank of a subset and the max-weight greedy algorithm.
-The descriptions never change and keep no other state.  The graphic,
-transversal and GF(2) families prove a set independent by a certificate (a
-spanning forest, a matching, an echelon basis) built per call; the union
-matroid keeps those of its parts, derived from the parts they replace.
+The descriptions never change and keep no other state.  A circuit query
+certifies its set independent and answers from that certificate, which the
+graphic, transversal and GF(2) families make (a spanning forest, a
+matching, an echelon basis) per call; the union matroid keeps those of its
+parts, derived from the parts they replace.
 
 Elements are 0-based internally; JSON files use 1-based indices throughout.
 """
@@ -74,9 +75,12 @@ class Matroid:
 
     A certificate proves a set independent: _build makes one, _derive makes
     one from the certificate of a set a few elements away, and _circuit
-    answers a circuit from one in hand.  The graphic, transversal and GF(2)
-    families define all three; by default the certificate is the set
-    itself, checked by the oracle, and _circuit asks circuit.
+    answers a circuit from one in hand.  circuit is the one public way in:
+    it builds the certificate, refuses a dependent set, and asks _circuit.
+    The graphic, transversal and GF(2) families define all three hooks,
+    uniform and partition matroids only _circuit.  By default the
+    certificate is the set itself, checked by the oracle, and _circuit asks
+    the oracle once per member.
     """
 
     kind = "abstract"
@@ -111,17 +115,15 @@ class Matroid:
     def circuit(self, indep, e: int) -> tuple[int, ...] | None:
         """Members of independent indep (e not in it) on the circuit of indep + e.
 
-        Ascending; None if indep + e is independent.  This fallback asks the
-        oracle once per member, |indep| + 1 calls in all.  Every concrete
-        family overrides it with a direct construction (a block, a count, a
-        forest path, an alternating search over one matching, a reduction
-        over one echelon basis), so only OracleMatroid and the derived
-        matroids that have no construction of their own fall back to it.
+        Ascending; None if indep + e is independent.  InputError if indep is
+        dependent: _build certifies it, and _circuit answers from that
+        certificate.
         """
-        s = frozenset(indep)
-        if self._indep(s | {e}):
-            return None
-        return tuple(x for x in sorted(s) if self._indep((s - {x}) | {e}))
+        indep = frozenset(indep)
+        cert = self._build(indep)
+        if cert is None:
+            raise InputError("circuit needs an independent set")
+        return self._circuit(cert, indep, e)
 
     def _build(self, part: frozenset):
         """A certificate that part is independent, or None if it is not."""
@@ -134,20 +136,19 @@ class Matroid:
         return self._build(part)
 
     def _circuit(self, cert, indep: frozenset, e: int) -> tuple[int, ...] | None:
-        """circuit(indep, e), given the certificate of indep."""
-        return self.circuit(indep, e)
+        """circuit(indep, e), given the certificate of indep.
+
+        This default asks the oracle once per member, |indep| + 1 calls in
+        all; the five families answer from a construction instead (a count,
+        a block, a forest path, an alternating search over one matching, a
+        reduction over one echelon basis).
+        """
+        if self._indep(indep | {e}):
+            return None
+        return tuple(x for x in sorted(indep) if self._indep((indep - {x}) | {e}))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(d={self.d})"
-
-
-def _certified_circuit(m: Matroid, indep, e: int) -> tuple[int, ...] | None:
-    """Matroid.circuit from a certificate of indep built for the call."""
-    indep = frozenset(indep)
-    cert = m._build(indep)
-    if cert is None:
-        raise InputError("circuit needs an independent set")
-    return m._circuit(cert, indep, e)
 
 
 class GraphicMatroid(Matroid):
@@ -193,8 +194,6 @@ class GraphicMatroid(Matroid):
 
     def _indep(self, elems: frozenset) -> bool:
         return self._rank(elems) == len(elems)  # a third of the time of _build
-
-    circuit = _certified_circuit
 
     def _rank(self, elems: Collection[int]) -> int:
         parent = list(range(self._touched))  # union-find with path halving
@@ -315,9 +314,7 @@ class UniformMatroid(Matroid):
     def _rank(self, elems: Collection[int]) -> int:
         return min(len(elems), self.r)
 
-    def circuit(self, indep, e: int) -> tuple[int, ...] | None:
-        if len(indep) > self.r:
-            raise InputError("circuit needs an independent set")
+    def _circuit(self, cert, indep: frozenset, e: int) -> tuple[int, ...] | None:
         return None if len(indep) < self.r else tuple(sorted(indep))
 
 
@@ -352,21 +349,11 @@ class PartitionMatroid(Matroid):
             used[self.blocks[e]] += 1
         return sum(map(min, used, self.capacities))
 
-    def circuit(self, indep, e: int) -> tuple[int, ...] | None:
-        # One pass counts every block indep touches, so an overflow in any
-        # of them is caught, and gathers the members of e's block.
-        blocks, caps = self.blocks, self.capacities
+    def _circuit(self, cert, indep: frozenset, e: int) -> tuple[int, ...] | None:
+        blocks = self.blocks
         b = blocks[e]
-        used: dict[int, int] = {}
-        same = []
-        for x in indep:
-            c = blocks[x]
-            used[c] = used.get(c, 0) + 1
-            if c == b:
-                same.append(x)
-        if any(k > caps[c] for c, k in used.items()):
-            raise InputError("circuit needs an independent set")
-        return tuple(sorted(same)) if len(same) == caps[b] else None
+        same = [x for x in indep if blocks[x] == b]
+        return tuple(sorted(same)) if len(same) == self.capacities[b] else None
 
 
 class LinearGf2Matroid(Matroid):
@@ -402,8 +389,6 @@ class LinearGf2Matroid(Matroid):
 
     def _indep(self, elems: frozenset) -> bool:
         return self._build(elems) is not None
-
-    circuit = _certified_circuit
 
     def _rank(self, elems: Collection[int]) -> int:
         return self._eliminate({}, elems)
@@ -472,8 +457,6 @@ class TransversalMatroid(Matroid):
     def _indep(self, elems: frozenset) -> bool:
         return self._build(elems) is not None
 
-    circuit = _certified_circuit
-
     def _rank(self, elems: Collection[int]) -> int:
         match: dict[int, int] = {}
         return sum(self._augment(match, e) for e in elems)
@@ -529,7 +512,9 @@ class OracleMatroid(Matroid):
     """Wraps an externally supplied independence oracle (oracle_composite kind).
 
     The callable receives a frozenset of 0-based element indices.  The caller
-    is responsible for the function actually describing a matroid.
+    is responsible for the function actually describing a matroid.  Its
+    circuits come from the Matroid defaults: one oracle call to certify the
+    set, then one per member and one for the set plus e.
     """
 
     kind = "oracle_composite"

@@ -488,6 +488,7 @@ BAD_INPUT_ARGV = {
     "invalid-json": ["shifted", "@garbled", "@profits"],
     "declared-shape": ["shifted", "@matroid", "@short_profits"],
     "no-problem-line": ["lexmin-trees", "@edge_first", "--n", "1"],
+    "problem-line-token-not-p": ["lexmin-trees", "@px_line", "--n", "1"],
     "missing-edges": ["lexmin-trees", "@two_of_three", "--n", "1"],
     "bipartite-with-matroids": ["intersect-value", "@u32", "@u32", "@profits",
                                 "--bipartite", "@k22"],
@@ -508,6 +509,7 @@ BAD_INPUT_FILES = {
     "@matroid": TRIANGLE_MATROID,
     "@short_profits": {"d": 3, "n": 2, "rows": [[1, 0], [1, 0]]},
     "@edge_first": "e 1 2\np 2 1\n",
+    "@px_line": "px 2 1\ne 1 2\n",
     "@two_of_three": "p 3 3\ne 1 2\ne 2 3\n",
     "@u32": U32,
     "@k22": K22_GRAPH,

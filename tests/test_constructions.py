@@ -140,7 +140,7 @@ def test_one_matroid_serves_interleaved_unions(kind):
 class NoCircuits(UniformMatroid):
     """A broken oracle whose circuit never reports a dependent set."""
 
-    def circuit(self, indep, e):
+    def _circuit(self, cert, indep, e):
         return None
 
 

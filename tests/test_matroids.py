@@ -1,20 +1,26 @@
 """Matroid families, axioms, rank, and the greedy algorithm."""
 
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import matroid_shift
 from matroid_shift import (
     GraphicMatroid,
     InputError,
+    LiftMatroid,
     LinearGf2Matroid,
     Matroid,
     OracleMatroid,
     OverflowGuardError,
     PartitionMatroid,
+    ShuffleMatroid,
     Subset01,
     TransversalMatroid,
     UniformMatroid,
+    UnionMatroid,
     full_rank,
     greedy_max,
     matroid_from_json,
@@ -91,13 +97,47 @@ def test_transversal_circuit_on_long_chain():
     assert TransversalMatroid(adjacency + [[d]], d + 1).circuit(frozenset(range(d)), d) is None
 
 
+def package_classes() -> set:
+    """Every class that a module of the package defines."""
+    classes = set()
+    for info in pkgutil.iter_modules(matroid_shift.__path__):
+        module = importlib.import_module(f"matroid_shift.{info.name}")
+        classes |= {cls for cls in vars(module).values()
+                    if isinstance(cls, type) and cls.__module__ == module.__name__}
+    return classes
+
+
 def test_every_family_builds_its_own_circuit():
-    # The Matroid.circuit fallback asks the oracle |indep| + 1 times; no
-    # family that a solver reaches may fall back to it.
-    families = {cls for cls in Matroid.__subclasses__() if cls.__module__ == Matroid.__module__}
-    assert families == {GraphicMatroid, UniformMatroid, PartitionMatroid, LinearGf2Matroid,
-                        TransversalMatroid, OracleMatroid}
-    assert {cls for cls in families if "circuit" not in vars(cls)} == {OracleMatroid}
+    # Matroid.circuit is the only public circuit: it certifies the set and
+    # answers through _circuit, which each of the five families defines,
+    # so the |indep| + 1 oracle calls of the default serve only the
+    # matroids that have no construction of their own.
+    classes = package_classes()
+    assert {cls for cls in classes if "circuit" in vars(cls)} == {Matroid}
+    families = {GraphicMatroid, UniformMatroid, PartitionMatroid, LinearGf2Matroid,
+                TransversalMatroid}
+    assert all("_circuit" in vars(cls) for cls in families)
+
+
+def test_every_matroid_refuses_a_dependent_circuit_set():
+    u31 = UniformMatroid(3, 1)
+    queries = {  # a matroid, a dependent set of it, an element outside that set
+        GraphicMatroid: (GraphicMatroid(3, [(1, 2), (2, 3), (1, 3), (1, 2)]), {0, 1, 2}, 3),
+        UniformMatroid: (u31, {0, 1}, 2),
+        PartitionMatroid: (PartitionMatroid([0, 0, 1], [1, 1]), {0, 1}, 2),
+        LinearGf2Matroid: (LinearGf2Matroid([[1, 0], [0, 1], [1, 1], [1, 0]]), {0, 1, 2}, 3),
+        TransversalMatroid: (TransversalMatroid([[0], [0], [1]], 2), {0, 1}, 2),
+        OracleMatroid: (OracleMatroid(3, u31._indep), {0, 1}, 2),
+        LiftMatroid: (LiftMatroid(UniformMatroid(2, 1), 2), {0, 2}, 1),  # cells (0, 0), (1, 0)
+        UnionMatroid: (UnionMatroid(u31, 1), {0, 1}, 2),
+        ShuffleMatroid: (ShuffleMatroid(u31, 1), {0, 1}, 2),
+    }
+    assert set(queries) == {
+        cls for cls in package_classes() if issubclass(cls, Matroid) and cls is not Matroid}
+    for m, dependent, e in queries.values():
+        assert not m._indep(frozenset(dependent))
+        with pytest.raises(InputError, match="independent set"):
+            m.circuit(dependent, e)
 
 
 def test_graphic_circuit_climbs_to_the_nearest_common_ancestor():
@@ -123,7 +163,7 @@ def test_graphic_circuit_climbs_to_the_nearest_common_ancestor():
     assert up[m._ends[0][0]] is None and up[m._ends[6][0]] is None  # roots 1 and 8
     for e, want in enumerate(cases.values(), start=len(tree)):
         assert m.circuit(part, e) == want
-        assert Matroid.circuit(m, part, e) == want
+        assert Matroid._circuit(m, part, part, e) == want
 
 
 def test_uniform_and_partition_circuits_refuse_a_dependent_set():

@@ -13,6 +13,7 @@ from matroid_shift import (
     LinearGf2Matroid,
     Matrix01,
     Matroid,
+    OracleMatroid,
     PartitionMatroid,
     ProfitMatrix,
     ShuffleMatroid,
@@ -92,16 +93,26 @@ def test_circuit_matches_oracle_fallback(kind, seed, data):
     if not outside:
         return
     e = data.draw(st.sampled_from(outside), label="e")
-    assert m.circuit(indep, e) == Matroid.circuit(m, indep, e)
+    assert m.circuit(indep, e) == Matroid._circuit(m, indep, indep, e)
 
 
 def wide_matroid(rng: random.Random, kind: str):
     # Up to 14 elements with rank up to about 8, so that circuits can be long.
+    # "oracle" hides a random family behind an OracleMatroid, so that its
+    # circuits come from the Matroid defaults.
+    if kind == "oracle":
+        m = wide_matroid(rng, rng.choice(["graphic", "uniform", "partition", "linear_gf2",
+                                          "transversal"]))
+        return OracleMatroid(m.d, m._indep)
     d = rng.randint(1, 14)
     if kind == "graphic":
         return random_multigraph(rng, d)
     if kind == "uniform":
         return UniformMatroid(d, rng.randint(0, d))
+    if kind == "partition":
+        blocks = rng.randint(1, 4)
+        return PartitionMatroid([rng.randrange(blocks) for _ in range(d)],
+                                [rng.randint(0, 4) for _ in range(blocks)])
     if kind == "linear_gf2":
         nrows = rng.randint(1, 8)
         return LinearGf2Matroid([[rng.randint(0, 1) for _ in range(nrows)] for _ in range(d)])
@@ -110,14 +121,16 @@ def wide_matroid(rng: random.Random, kind: str):
                                for _ in range(d)], agents)
 
 
-@pytest.mark.parametrize("kind", ["graphic", "uniform", "linear_gf2", "transversal"])
+@pytest.mark.parametrize("kind", ["graphic", "uniform", "partition", "linear_gf2", "transversal",
+                                  "oracle"])
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_direct_circuit_matches_oracle_fallback_on_wide_matroids(kind, seed, data):
     # One forest (graphic, on multigraphs with self-loops), one matching
-    # (transversal), one echelon basis (GF(2)) or one count (uniform) per
-    # circuit must give the circuit that the oracle finds with |indep| + 1
-    # calls.
+    # (transversal), one echelon basis (GF(2)), one count (uniform) or one
+    # block (partition) per circuit must give the circuit that the oracle
+    # finds with |indep| + 1 calls; an OracleMatroid asks those calls
+    # itself.
     m = wide_matroid(random.Random(seed), kind)
     order = data.draw(st.permutations(range(m.d)), label="order")
     indep: frozenset = frozenset()
@@ -127,7 +140,7 @@ def test_direct_circuit_matches_oracle_fallback_on_wide_matroids(kind, seed, dat
     indep -= set(data.draw(st.lists(st.sampled_from(order)), label="dropped"))
     for e in sorted(set(range(m.d)) - indep):
         circuit = m.circuit(indep, e)
-        assert circuit == Matroid.circuit(m, indep, e)
+        assert circuit == Matroid._circuit(m, indep, indep, e)
         # A dependent indep is refused, not answered.
         outside = set(range(m.d)) - indep - {e}
         if circuit is not None and outside:
@@ -192,7 +205,7 @@ def test_graphic_forest_index_matches_rebuilt_circuits(seed, data):
             if e not in forest:
                 circuit = m.circuit(forest, e)
                 assert circuit == rebuilt_graphic_circuit(m, forest, e)
-                assert circuit == Matroid.circuit(m, forest, e)
+                assert circuit == Matroid._circuit(m, forest, forest, e)
 
 
 @pytest.mark.parametrize("kind", ["graphic", "linear_gf2", "transversal"])
@@ -231,7 +244,7 @@ def test_derive_answers_as_a_fresh_build(kind, seed, data):
         built = m._build(p)
         for e in set(range(m.d)) - p:
             circuit = m._circuit(derived, p, e)
-            assert circuit == m._circuit(built, p, e) == Matroid.circuit(m, p, e)
+            assert circuit == m._circuit(built, p, e) == Matroid._circuit(m, p, p, e)
             assert m.circuit(p, e) == circuit
         q = p
 
