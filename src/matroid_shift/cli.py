@@ -48,6 +48,10 @@ EXIT_OVERFLOW = 5
 EXIT_KIND = 6
 EXIT_FIBER = 7
 
+# lexmin-trees allocates once per tree before any work, and --n is the one
+# copy count that no input file bounds.
+MAX_TREES = 4096
+
 
 def _fail(code: int, message: str) -> int:
     print(message, file=sys.stderr)
@@ -192,8 +196,8 @@ def _run(args, command: str, inputs: dict, solve, fields, brute=None,
 
 
 def cmd_lexmin_trees(args) -> tuple[dict, int]:
-    if args.n < 1:
-        raise InputError(f"--n must be >= 1, got {args.n}")
+    if not 1 <= args.n <= MAX_TREES:
+        raise InputError(f"--n must be between 1 and {MAX_TREES}, got {args.n}")
     vertices, edges = parse_graph_file(args.graph)
     inputs = {"vertices": vertices, "edges": edges, "n": args.n}
     if vertices == 1 and not edges:

@@ -18,7 +18,6 @@ Matrices over [d] x [n] are flattened row-major: element (i, j) <-> i*n + j
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalError
@@ -263,14 +262,19 @@ class UnionMatroid(Matroid):
         # x goes into part k; then the element that displaced x from a part
         # takes its place there, and so on back to the new copy of e.
         x, k = fit
-        new = {k: set(parts[k]) | {x}}
+        if parent[x] is None:  # e itself fits
+            return parts[:k] + (parts[k] | {x},) + parts[k + 1:]
+        swapped = {k: [x]}  # part -> the elements it loses and gains
         while parent[x] is not None:
             y, k = parent[x]
-            part = new.setdefault(k, set(parts[k]))
-            part.remove(x)
-            part.add(y)
+            swapped.setdefault(k, []).extend((x, y))
             x = y
-        return tuple(frozenset(new[k]) if k in new else p for k, p in enumerate(parts))
+        # A part loses only elements it holds and gains only ones it lacks,
+        # so toggling them builds each changed part once.
+        new = list(parts)
+        for k, elems in swapped.items():
+            new[k] = parts[k] ^ frozenset(elems)
+        return tuple(new)
 
     def _search(self, parts: tuple, e: int, refused: set) -> tuple[tuple[int, int] | None, dict]:
         """Breadth-first search from a new copy of e: (fit, parent).
@@ -285,16 +289,15 @@ class UnionMatroid(Matroid):
         its path are those of the search without the pruning.
         """
         parent: dict[int, tuple[int, int] | None] = {e: None}
-        queue = deque([e])
-        memos = self._memos(parts)
-        while queue:
-            x = queue.popleft()
+        queue = [e]  # the loop reads it in order while it grows
+        memos, circuit = self._memos(parts), self.part._circuit
+        for x in queue:
             for k, (p, cert, known) in enumerate(memos):
                 if x in p:
                     continue
                 members = known.get(x, False)
                 if members is False:
-                    members = known[x] = self.part._circuit(cert, p, x)
+                    members = known[x] = circuit(cert, p, x)
                 if members is None:
                     return (x, k), parent
                 for v in members:

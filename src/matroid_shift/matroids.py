@@ -168,9 +168,10 @@ class GraphicMatroid(Matroid):
     endpoint's tree at that endpoint and hangs it under the other.  An edge
     joining two reached vertices, or linking a tree to itself, closes a
     cycle: the set is dependent.  The circuit of indep + e climbs indep's
-    forest from both endpoints of e in turn, each marking its way, and
-    stops where one side reaches the other's mark: their nearest common
-    ancestor.
+    forest from both endpoints of e in turn, marking the vertices passed,
+    and stops at the first vertex one side reaches that the other side
+    marked: their nearest common ancestor.  Then it collects the edges
+    from each endpoint up to it.
     """
 
     kind = "graphic"
@@ -211,24 +212,36 @@ class GraphicMatroid(Matroid):
 
     def _circuit(self, up: list, indep: frozenset, e: int) -> tuple[int, ...] | None:
         # e closes a circuit with the forest path between its endpoints.
-        # Each side keeps the edges it climbed and, per vertex it passed,
-        # how many of them lead there; the sides swap after every step.
+        # The two sides climb in turn, a and b their next steps, and mark
+        # the vertices they pass in one set: a side never passes a vertex
+        # twice, so the first marked vertex it reaches is the other side's.
         u, v = self._ends[e]
         if u == v:
             return ()
-        step, mark, path = up[u], {u: 0}, []
-        other, other_mark, other_path = up[v], {v: 0}, []
-        while step is not None or other is not None:
-            if step is not None:
-                x, f = step
+        seen = {u, v}
+        a, b = up[u], up[v]
+        while a is not None or b is not None:
+            if a is not None:
+                x = a[0]
+                if x in seen:
+                    break
+                seen.add(x)
+                a = up[x]
+            if b is not None:
+                x = b[0]
+                if x in seen:
+                    break
+                seen.add(x)
+                b = up[x]
+        else:
+            return None  # both sides stopped at roots: different trees
+        path = []
+        for y in (u, v):  # the edges from each endpoint up to x
+            while y != x:
+                y, f = up[y]
                 path.append(f)
-                if x in other_mark:
-                    return tuple(sorted(path + other_path[:other_mark[x]]))
-                mark[x] = len(path)
-                step = up[x]
-            step, mark, path, other, other_mark, other_path = (
-                other, other_mark, other_path, step, mark, path)
-        return None  # both sides stopped at roots: different trees
+        path.sort()
+        return tuple(path)
 
     def _build(self, part: frozenset) -> list | None:
         adj: dict[int, list] = {}

@@ -502,6 +502,8 @@ BAD_INPUT_ARGV = {
     "deeply-nested-json": ["shifted", "@deep", "@profits"],
     "json-integer-over-digit-limit": ["shifted", "@huge_integer", "@profits"],
     "graph-token-over-digit-limit": ["lexmin-trees", "@huge_token", "--n", "1"],
+    "trees-over-limit": ["lexmin-trees", "@edge", "--n", "4097"],
+    "trees-far-over-limit": ["lexmin-trees", "@edge", "--n", "99999999999"],
 }
 BAD_INPUT_FILES = {
     "@garbled": "{not json",
@@ -511,6 +513,7 @@ BAD_INPUT_FILES = {
     "@edge_first": "e 1 2\np 2 1\n",
     "@px_line": "px 2 1\ne 1 2\n",
     "@two_of_three": "p 3 3\ne 1 2\ne 2 3\n",
+    "@edge": "p 2 1\ne 1 2\n",
     "@u32": U32,
     "@k22": K22_GRAPH,
     "@u21": U21,

@@ -94,6 +94,28 @@ def test_union_augment_reuses_unchanged_parts():
     grown = u.decompose([1, 1, 1, 0])
     assert sum(p is q for p, q in zip(parts, grown)) == 2
 
+    # A triangle on 1, 2, 3 with edge 3 parallel to edge 0.  Edge 2 closes
+    # a circuit in both spanning trees and part 2 holds it, so its path
+    # takes edge 0 out of part 0 and into part 2; part 1 is not on it.
+    u = UnionMatroid(GraphicMatroid(3, [(1, 2), (2, 3), (1, 3), (1, 2)]), 3)
+    parts = (frozenset({0, 1}), frozenset({1, 3}), frozenset({2}))
+    fit, parent = u._search(parts, 2, set())
+    x, k = fit
+    gave, took = {}, {k: {x}}  # part -> the elements the path takes out of it / puts in
+    while parent[x] is not None:
+        y, k = parent[x]
+        gave.setdefault(k, set()).add(x)
+        took.setdefault(k, set()).add(y)
+        x = y
+    assert sorted(took) == [0, 2]
+    _, grown = u.grow([2], parts)
+    assert grown == (frozenset({1, 2}), parts[1], frozenset({0, 2}))
+    for k, (p, q) in enumerate(zip(grown, parts)):
+        if k in took:
+            assert p is not q and p == q - gave.get(k, set()) | took[k]
+        else:
+            assert p is q
+
 
 @pytest.mark.parametrize("side", [4, 8, 12])
 def test_circuit_memo_holds_only_the_union_parts(monkeypatch, side):

@@ -178,12 +178,29 @@ def rebuilt_graphic_circuit(m: GraphicMatroid, indep, e: int) -> tuple[int, ...]
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_graphic_forest_index_matches_rebuilt_circuits(seed, data):
     # A forest follows added, removed and swapped edges, and jumps to any
-    # forest.  Every circuit must equal the per-call search and the oracle
-    # fallback.
+    # forest.  Every circuit, from a fresh build and from the forest derived
+    # step by step, must equal the per-call search and the oracle fallback.
+    # Grids and paths with a few chords, of 30 or more vertices, start from
+    # a random spanning tree and give long climbs; small multigraphs give
+    # loops and parallel edges.
     rng = random.Random(seed)
-    m = random_multigraph(rng, rng.randint(1, 14))
+    shape = data.draw(st.sampled_from(("multigraph", "grid", "path")), label="shape")
+    if shape == "grid":
+        m = grid_graph(5, rng.randint(6, 7))
+    elif shape == "path":
+        vertices = rng.randint(30, 40)
+        m = GraphicMatroid(vertices, [(v, v + 1) for v in range(1, vertices)]
+                           + [(rng.randint(1, vertices), rng.randint(1, vertices)) for _ in range(3)])
+    else:
+        m = random_multigraph(rng, rng.randint(1, 14))
     forest: frozenset = frozenset()
+    if shape != "multigraph":  # a random spanning tree, so the climbs start long
+        for e in rng.sample(range(m.d), m.d):
+            if m._indep(forest | {e}):
+                forest |= {e}
+    up = m._build(forest)
     for _ in range(data.draw(st.integers(1, 25), label="steps")):
+        before = forest
         outside = [e for e in range(m.d) if e not in forest]
         move = data.draw(st.sampled_from(("add", "remove", "swap", "jump")), label="move")
         if move == "jump":
@@ -201,11 +218,13 @@ def test_graphic_forest_index_matches_rebuilt_circuits(seed, data):
                 forest |= {e}
             elif move == "swap" and circuit:
                 forest = forest - {data.draw(st.sampled_from(circuit), label="x")} | {e}
+        up = m._derive(up, before - forest, forest - before, forest)
         for e in range(m.d):
             if e not in forest:
                 circuit = m.circuit(forest, e)
                 assert circuit == rebuilt_graphic_circuit(m, forest, e)
                 assert circuit == Matroid._circuit(m, forest, forest, e)
+                assert circuit == m._circuit(up, forest, e)
 
 
 @pytest.mark.parametrize("kind", ["graphic", "linear_gf2", "transversal"])

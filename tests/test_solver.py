@@ -1,7 +1,9 @@
 """Shift calculus and the shifted / lexicographic / explicit-list solvers."""
 
 import copy
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -288,13 +290,21 @@ def test_lexmin_uniform_and_partition_up_to_d6():
             assert solve_lexmin(m, n).vuln == expect
 
 
-@pytest.mark.parametrize("side, vuln", [(10, (180, 117, 0)), (20, (760, 437, 0))],
-                         ids=["10x10", "20x20"])
-def test_lexmin_three_trees_on_grids(side, vuln):
+@pytest.mark.parametrize("side, vuln, digest", [
+    (10, (180, 117, 0), "4567fc65de42d82b"),
+    (20, (760, 437, 0), "1e97a0a238724982"),
+    (30, (1740, 957, 0), "aeca3e09298c86a2"),
+    (60, (7080, 3717, 0), "abf6eb54b80d0274"),
+], ids=["10x10", "20x20", "30x30", "60x60"])
+def test_lexmin_three_trees_on_grids(side, vuln, digest):
     # Values from the circuit search that rebuilt each forest per call; the
     # 20x20 grid (d=760) drives the forest index through about 37 k circuits.
+    # The digest pins the witness columns, whose forest paths grow long at
+    # scale: sha256 of the JSON list of 0-based column index lists.
     sol = solve_lexmin(grid_graph(side, side), 3)
     assert sol.vuln == vuln
+    cols = [list(col.indices()) for col in sol.y.columns()]
+    assert hashlib.sha256(json.dumps(cols).encode()).hexdigest()[:16] == digest
 
 
 def test_lexmin_big_weight_equivalence():
