@@ -135,8 +135,9 @@ class UnionMatroid(Matroid):
     lacking it, whichever part holds x, so one node per element finds the
     same first path as one node per copy.  grow augments by _search(parts,
     e), a breadth-first search from a new copy of e, and _try_augment
-    replays its path to the first element that fits straight into a part;
-    when none does, the elements the search reached are the circuit, and
+    replays its path to the first element that fits straight into a part,
+    checking that the parts gain one copy of e and keep every other count;
+    when none fits, the elements the search reached are the circuit, and
     none of them fits either.
 
     circuits needs no parts for a partition part: the union of n copies of
@@ -148,13 +149,14 @@ class UnionMatroid(Matroid):
     pass over the exchange arcs, without a search per row.
 
     Each part the union holds has a record: its certificate and its memo
-    of circuit answers.  A part that an augmentation or a trim changes
-    derives its certificate from the record of the part it replaces
-    (Matroid._derive), which checks that it is independent; only a part
-    with no held predecessor is built.  decompose grows r from the last
-    vector it accepted and memoizes its answers by count tuple, so an
-    instance is mutable: use one per run, on one thread.  The matroid it
-    unites keeps no state and may be shared.
+    of circuit answers.  _replace is the one step that changes parts, for
+    an augmentation and for decompose's trim: each part must hold what it
+    loses and lack what it gains, and the new part's certificate is derived
+    from the record of the part it replaces (Matroid._derive checks it is
+    independent), or built if that part is not held.  decompose grows r
+    from the last vector it accepted and memoizes its answers by count
+    tuple, so an instance is mutable: use one per run, on one thread.  The
+    matroid it unites keeps no state and may be shared.
     """
 
     kind = "oracle_composite"
@@ -201,18 +203,16 @@ class UnionMatroid(Matroid):
         last, parts = self._last
         excess = {i: c - t for i, (c, t) in enumerate(zip(last, r)) if c > t}
         if excess:
-            trimmed = []
-            for p in parts:
-                drop = set()
+            changes = {}  # part -> (the copies it drops, nothing gained)
+            for k, p in enumerate(parts):
+                drop = []
                 for x in p:
                     if excess.get(x):
                         excess[x] -= 1
-                        drop.add(x)
+                        drop.append(x)
                 if drop:
-                    q, p = p, p - drop
-                    self._hold(p, q, drop, ())
-                trimmed.append(p)
-            parts = tuple(trimmed)
+                    changes[k] = (drop, ())
+            parts = self._replace(parts, changes)
         missing = [i for i, (c, t) in enumerate(zip(last, r)) for _ in range(t - c)]
         got, parts = self.grow(missing, parts)
         if tuple(got) != r:
@@ -236,16 +236,19 @@ class UnionMatroid(Matroid):
         counts, refused = [0] * self.d, set()
         for p in parts:
             for x in p:
+                if not 0 <= x < self.d:
+                    raise InputError(f"part element {x} out of range for d={self.d}")
                 counts[x] += 1
         total = sum(counts)
         for e in elements:
+            if not 0 <= e < self.d:
+                raise InputError(f"element {e} out of range for d={self.d}")
             if e in refused:
                 continue
             grown = self._try_augment(parts, e, refused)
             if grown is None:
                 continue
             counts[e] += 1
-            self._check_partition(e, grown, parts)
             parts = grown
             total += 1
             if total == self.cap:
@@ -262,19 +265,19 @@ class UnionMatroid(Matroid):
         # x goes into part k; then the element that displaced x from a part
         # takes its place there, and so on back to the new copy of e.
         x, k = fit
-        if parent[x] is None:  # e itself fits
-            return parts[:k] + (parts[k] | {x},) + parts[k + 1:]
-        swapped = {k: [x]}  # part -> the elements it loses and gains
+        changes = {k: ([], [x])}  # part -> (the elements it loses, the ones it gains)
         while parent[x] is not None:
             y, k = parent[x]
-            swapped.setdefault(k, []).extend((x, y))
+            lost, gained = changes.setdefault(k, ([], []))
+            lost.append(x)
+            gained.append(y)
             x = y
-        # A part loses only elements it holds and gains only ones it lacks,
-        # so toggling them builds each changed part once.
-        new = list(parts)
-        for k, elems in swapped.items():
-            new[k] = parts[k] ^ frozenset(elems)
-        return tuple(new)
+        # The copy balance: the parts gain every element of the chain and
+        # lose all but its last, so as multisets the elements gained are
+        # those lost plus one copy of e exactly when the chain ends at e.
+        if x != e:
+            raise InternalError("part multiplicities differ from the requested counts")
+        return self._replace(parts, changes)
 
     def _search(self, parts: tuple, e: int, refused: set) -> tuple[tuple[int, int] | None, dict]:
         """Breadth-first search from a new copy of e: (fit, parent).
@@ -329,15 +332,16 @@ class UnionMatroid(Matroid):
         taken whole, so the rows of one strongly connected component share
         it.
         """
-        r = tuple(r)
+        r, rows = tuple(r), list(rows)
         if len(r) != self.d or min(r) < 0:
             raise InputError(f"count vector {list(r)} does not fit ground size {self.d}")
+        if rows and not 0 <= min(rows) <= max(rows) < self.d:
+            raise InputError(f"rows must lie in 0..{self.d - 1}")
         if self._members is not None:
             return self._block_circuits(r, rows)
         parts = self.decompose(r)
         if parts is None:
             raise InternalError("augmentation left the intersection")
-        rows = list(rows)
         memos = self._memos(parts)
         succ: dict[int, list[int]] = {}  # reached element that fits straight into no part -> its arcs
         fits = set()
@@ -417,41 +421,31 @@ class UnionMatroid(Matroid):
 
     def _memos(self, parts: tuple) -> list[tuple[frozenset, object, dict]]:
         """Each part with its certificate and its memo of circuit answers,
-        by element.  A part not held is built afresh; the records of parts
-        no longer held are dropped."""
+        by element.  A part not held is built afresh (replaced by itself);
+        the records of parts no longer held are dropped."""
+        self._replace(parts, {k: ((), ()) for k, p in enumerate(parts) if p not in self._records})
         records = self._records
-        for p in parts:
-            if p not in records:
-                self._hold(p, None, (), ())
         self._records = {p: records[p] for p in parts}
         return [(p, *records[p]) for p in parts]
 
-    def _hold(self, p: frozenset, q, removed, added) -> None:
-        """Hold part p = q - removed + added, deriving its certificate from
-        the record of q, or building it if q is not held."""
-        record = self._records.get(q)
-        cert = (self.part._build(p) if record is None
-                else self.part._derive(record[0], removed, added, p))
-        if cert is None:
-            raise InternalError("augmentation left a dependent part")
-        self._records[p] = (cert, {})
-
-    def _check_partition(self, e: int, parts: tuple, before: tuple) -> None:
-        # Parts reused from before were checked when they were built, so the
-        # counts hold one more copy of e exactly when the changed parts hold
-        # one more copy of e than the parts they replace, and nothing else.
-        if len(parts) != len(before):
-            raise InternalError("part multiplicities differ from the requested counts")
-        gained, lost = [], [e]
-        for p, q in zip(parts, before):
-            if p is q:
-                continue
-            removed, added = q - p, p - q
-            self._hold(p, q, removed, added)
-            gained += added
-            lost += removed
-        if sorted(gained) != sorted(lost):
-            raise InternalError("part multiplicities differ from the requested counts")
+    def _replace(self, parts: tuple, changes: dict) -> tuple:
+        """parts with part k less lost and plus gained for each k: (lost,
+        gained) in changes; it must hold each element it loses and lack each
+        one it gains.  Its certificate is derived from the record of the
+        part it replaces, or built if that part is not held; a dependent
+        part raises InternalError.  Other parts stay the same objects."""
+        new, records, part = list(parts), self._records, self.part
+        for k, (lost, gained) in changes.items():
+            q, out = parts[k], frozenset(lost)
+            if not (q >= out and q.isdisjoint(gained)):
+                raise InternalError("part multiplicities differ from the requested counts")
+            p = new[k] = (q - out if out else q).union(gained)
+            record = records.get(q)
+            cert = part._build(p) if record is None else part._derive(record[0], out, gained, p)
+            if cert is None:
+                raise InternalError("augmentation left a dependent part")
+            records[p] = (cert, {})
+        return tuple(new)
 
 
 class ShuffleMatroid(Matroid):

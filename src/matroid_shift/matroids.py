@@ -115,11 +115,13 @@ class Matroid:
     def circuit(self, indep, e: int) -> tuple[int, ...] | None:
         """Members of independent indep (e not in it) on the circuit of indep + e.
 
-        Ascending; None if indep + e is independent.  InputError if indep is
-        dependent: _build certifies it, and _circuit answers from that
-        certificate.
+        Ascending; None if indep + e is independent.  InputError if an
+        element is outside [d], if e is in indep, or if indep is dependent:
+        _build certifies it, and _circuit answers from that certificate.
         """
         indep = frozenset(indep)
+        if e in indep or not all(0 <= x < self.d for x in indep | {e}):
+            raise InputError(f"circuit needs e outside indep, both within 0..{self.d - 1}")
         cert = self._build(indep)
         if cert is None:
             raise InputError("circuit needs an independent set")

@@ -110,7 +110,10 @@ def validate(y: Matrix01, matroids: Sequence[Matroid], *, rank: int | None = Non
     Every column must be independent in every matroid, and of size rank when
     rank is given (a basis).  When given, value must equal cbar . shift(y),
     vuln the vulnerability vector of y, and x must be equivalent to y.
+    InputError if value is given without cbar.
     """
+    if value is not None and cbar is None:
+        raise InputError("validate needs cbar to check a value")
     for j, col in enumerate(y.columns(), start=1):
         for m in matroids:
             if not m.is_independent(col):

@@ -174,33 +174,59 @@ def test_union_rejects_a_dependent_part():
 
 
 class MiscountingUnion(UnionMatroid):
-    """A broken augmentation: every part it changes drops its new copy of e
-    (drop=True) or holds the changed part's new members twice over, in an
-    unchanged part too (drop=False)."""
+    """A broken search: its chain ends at another element than e, one that
+    the fit's part lacks (drop=True, so the new copy of e is dropped), or
+    its fit goes into a part that already holds the fitting element
+    (drop=False, so that part would hold it twice)."""
 
     def __init__(self, part, n, drop):
         super().__init__(part, n)
         self.drop = drop
 
-    def _try_augment(self, parts, e, *rest):
-        grown = super()._try_augment(parts, e, *rest)
-        if grown is None:
-            return None
+    def _search(self, parts, e, refused):
+        fit, parent = super()._search(parts, e, refused)
+        if fit is None:
+            return fit, parent
+        x, k = fit
         if self.drop:
-            return tuple(p if p is q else p - {e} for p, q in zip(grown, parts))
-        k = next(k for k, (p, q) in enumerate(zip(grown, parts)) if p is not q)
-        return tuple(p | grown[k] if j == (k + 1) % len(grown) else p
-                     for j, p in enumerate(grown))
+            z = min(set(range(self.d)) - parts[k] - {e})
+            return (z, k), {z: None}
+        k = next((j for j, p in enumerate(parts) if x in p), k)
+        return (x, k), parent
 
 
 @pytest.mark.parametrize("drop", [True, False], ids=["dropped", "duplicated"])
 def test_union_rejects_miscounted_parts(drop):
     # Rank 3 on 3 elements, so every part stays independent and only the
-    # multiplicities are wrong.
+    # multiplicities are wrong: the second copy of 0 is the first one that
+    # a part already holds.
     with pytest.raises(InternalError, match="multiplicities differ"):
-        MiscountingUnion(UniformMatroid(3, 3), 2, drop).grow([0, 1])
+        MiscountingUnion(UniformMatroid(3, 3), 2, drop).grow([0, 0])
     with pytest.raises(InternalError, match="multiplicities differ"):
-        MiscountingUnion(UniformMatroid(3, 3), 2, drop).decompose([1, 1, 0])
+        MiscountingUnion(UniformMatroid(3, 3), 2, drop).decompose([2, 0, 0])
+
+
+def test_union_replace_refuses_bad_changes():
+    u = UnionMatroid(UniformMatroid(3, 3), 2)
+    parts = (frozenset({0}), frozenset())
+    assert u._replace(parts, {}) == parts
+    grown = u._replace(parts, {0: ([0], [1]), 1: ([], [0])})
+    assert grown == (frozenset({1}), frozenset({0}))
+    for changes in ({1: ([0], [])},   # a lost element the part lacks
+                    {0: ([], [0])}):  # a gained element the part holds
+        with pytest.raises(InternalError, match="multiplicities differ"):
+            u._replace(parts, changes)
+    # Each part holds what it loses and lacks what it gains, but the chain
+    # ends at 1, not at the new copy of 2.
+    u._search = lambda parts, e, refused: ((0, 1), {0: (1, 0), 1: None})
+    with pytest.raises(InternalError, match="multiplicities differ"):
+        u._try_augment(parts, 2, set())
+    # A dependent part is refused, derived from a held part or built.
+    u = UnionMatroid(NoCircuits(3, 1), 2)
+    u._memos(parts)
+    for held in (parts, (frozenset({2}), frozenset())):
+        with pytest.raises(InternalError, match="dependent part"):
+            u._replace(held, {0: ([], [1])})
 
 
 def test_union_decomposition_invariants():
@@ -317,6 +343,23 @@ def test_union_rank_check_examples():
     assert union_rank_check(TRIANGLE, 2) == (2, 4)
     assert union_rank_check(UniformMatroid(3, 1), 3) == (1, 3)
     assert union_rank_check(UniformMatroid(2, 0), 2) == (0, 0)
+
+
+def test_union_refuses_elements_outside_the_ground_set():
+    # These once grew a part of negative edges, answered a row -1 and
+    # raised IndexError for a row 7.
+    u = UnionMatroid(TRIANGLE, 2)
+    for elements in ([-1, -2], [0, 3]):
+        with pytest.raises(InputError, match="out of range"):
+            u.grow(elements)
+    for rows in ([-1], [7], [0, 3]):
+        with pytest.raises(InputError, match="rows must lie"):
+            u.circuits([1, 1, 0], rows)
+    for part in ({-1}, {3}):
+        with pytest.raises(InputError, match="out of range"):
+            u.grow([0], (frozenset(part), frozenset()))
+    assert u.circuits([1, 1, 0], []) == {}
+    assert u.grow([0, 1, 2, 0])[0] == [2, 1, 1]
 
 
 def test_lift_dimension_mismatch():

@@ -166,6 +166,14 @@ def test_graphic_circuit_climbs_to_the_nearest_common_ancestor():
         assert Matroid._circuit(m, part, part, e) == want
 
 
+def test_circuit_refuses_bad_arguments():
+    # These once answered (0,), None and an IndexError.
+    for indep, e in [({0, 1}, 0), ({0}, -1), ({0}, 5), ({-1}, 0), ({3}, 0)]:
+        with pytest.raises(InputError):
+            TRIANGLE.circuit(indep, e)
+    assert TRIANGLE.circuit({0, 1}, 2) == (0, 1)
+
+
 def test_uniform_and_partition_circuits_refuse_a_dependent_set():
     with pytest.raises(InputError):
         UniformMatroid(4, 2).circuit({0, 1, 2}, 3)

@@ -403,6 +403,14 @@ def test_solvers_leave_the_matroid_unchanged(kind):
         assert vars(m) == state
 
 
+def test_validate_refuses_a_value_without_profits():
+    # This once raised AttributeError.
+    y = Matrix01([[1], [1], [0]])
+    with pytest.raises(InputError, match="needs cbar"):
+        validate(y, [TRIANGLE], value=3)
+    validate(y, [TRIANGLE], cbar=ProfitMatrix([[1], [2], [3]]), value=3)
+
+
 def test_solver_input_errors():
     with pytest.raises(InputError):
         solve_shifted(TRIANGLE, 2, ProfitMatrix([[1, 1]] * 2))
