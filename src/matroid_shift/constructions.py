@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalError
-from .matroids import Matroid, PartitionMatroid, Subset01, full_rank
+from .matroids import Matroid, PartitionMatroid, Subset01, UniformMatroid, full_rank
 
 
 class Matrix01:
@@ -133,30 +133,33 @@ class UnionMatroid(Matroid):
     rest on one exchange graph: matroid partitioning (Knuth, 1973).  Its
     arcs lead from x to the members of the circuit x closes in each part
     lacking it, whichever part holds x, so one node per element finds the
-    same first path as one node per copy.  grow augments by _search(parts,
-    e), a breadth-first search from a new copy of e, and _try_augment
-    replays its path to the first element that fits straight into a part,
-    checking that the parts gain one copy of e and keep every other count;
-    when none fits, the elements the search reached are the circuit, and
-    none of them fits either.
+    same first path as one node per copy.  grow augments by _search(e), a
+    breadth-first search from a new copy of e, and _try_augment replays
+    its path to the first element that fits straight into a part, checking
+    that the parts gain one copy of e and keep every other count; when
+    none fits, the elements the search reached are the circuit, and none
+    of them fits either.
 
-    circuits needs no parts for a partition part: the union of n copies of
-    a partition matroid with block capacities c_B is the partition matroid
-    on counts with every r[i] <= n and every block sum at most n * c_B
-    (deal a block's copies round-robin over the n parts), so it answers
-    from block sums.  Every other family (uniform, transversal, graphic,
-    GF(2), oracles) decomposes r and answers all the rows from one closure
-    pass over the exchange arcs, without a search per row.
+    circuits needs no parts for a partition or uniform part: the union of
+    n copies of a partition matroid with block capacities c_B is the
+    partition matroid on counts with every r[i] <= n and every block sum at
+    most n * c_B (deal a block's copies round-robin over the n parts), and
+    a uniform matroid of rank c is one block of capacity c, so it answers
+    from block sums.  Every other family (transversal, graphic, GF(2),
+    oracles) brings the parts to r and answers all the rows from one
+    closure pass over the exchange arcs, without a search per row.
 
-    Each part the union holds has a record: its certificate and its memo
-    of circuit answers.  _replace is the one step that changes parts, for
-    an augmentation and for decompose's trim: each part must hold what it
-    loses and lack what it gains, and the new part's certificate is derived
-    from the record of the part it replaces (Matroid._derive checks it is
-    independent), or built if that part is not held.  decompose grows r
-    from the last vector it accepted and memoizes its answers by count
-    tuple, so an instance is mutable: use one per run, on one thread.  The
-    matroid it unites keeps no state and may be shared.
+    The union owns its n parts.  Each is a slot [part, certificate, memo
+    of circuit answers by element], and _counts holds the multiplicities
+    they sum to.  _replace is the one step that changes parts, for an
+    augmentation and for a trim: each part must hold what it loses and
+    lack what it gains; the set is changed in place, its certificate is
+    handed to Matroid._derive (which checks the part is independent), and
+    its memo is cleared.  grow and decompose continue from the parts held,
+    and decompose memoizes its answers by count tuple, so an instance is
+    mutable: use one per run, on one thread.  After an InternalError its
+    parts are undefined.  The matroid it unites keeps no state and may be
+    shared.
     """
 
     kind = "oracle_composite"
@@ -170,16 +173,20 @@ class UnionMatroid(Matroid):
         self.n = n
         self.part_rank = full_rank(part)
         self.cap = n * self.part_rank  # no decomposable vector sums to more
-        zero, empty = (0,) * part.d, tuple(frozenset() for _ in range(n))
-        self._indep_cache: dict[tuple, tuple] = {zero: empty}
+        zero = (0,) * part.d
+        self._indep_cache: dict[tuple, tuple] = {zero: (frozenset(),) * n}
         self._dep_cache: set = set()
-        self._last = (zero, empty)  # the last vector decompose accepted, and its parts
-        self._records: dict = {}  # held part -> (certificate, {element: circuit answer})
-        self._members = None  # block -> its ascending elements, for a partition part
-        if isinstance(part, PartitionMatroid):
-            self._members = [[] for _ in part.capacities]
+        self._counts = list(zero)
+        # One slot per part: [part, certificate, {element: circuit answer}].
+        self._slots = [[set(), part._build(frozenset()), {}] for _ in range(n)]
+        self._blocks = None  # (blocks, capacities, block -> its ascending elements) for block sums
+        if isinstance(part, UniformMatroid):
+            self._blocks = ((0,) * part.d, (part.r,), [range(part.d)])
+        elif isinstance(part, PartitionMatroid):
+            members = [[] for _ in part.capacities]
             for i, b in enumerate(part.blocks):
-                self._members[b].append(i)
+                members[b].append(i)
+            self._blocks = (part.blocks, part.capacities, members)
 
     def _indep(self, elems: frozenset) -> bool:
         return self.decompose([int(e in elems) for e in range(self.d)]) is not None
@@ -196,15 +203,25 @@ class UnionMatroid(Matroid):
             raise InputError(f"count vector {list(r)} does not fit ground size {self.d}")
         if sum(r) > self.cap:
             return None
-        # Start from the last answer less the copies r does not hold, and
-        # grow the copies it lacks.  Each copy finds an augmenting path
-        # exactly when the counts stay decomposable, so r is reached exactly
-        # when it decomposes.
-        last, parts = self._last
-        excess = {i: c - t for i, (c, t) in enumerate(zip(last, r)) if c > t}
+        parts = self._reach(r)
+        if parts is None:
+            self._dep_cache.add(r)
+        else:
+            self._indep_cache[r] = parts
+        return parts
+
+    def _reach(self, r: tuple) -> tuple | None:
+        """Bring the parts to counts r; return them as frozensets, or None.
+
+        The parts held lose the copies r does not hold and grow the copies
+        it lacks.  Each copy finds an augmenting path exactly when the
+        counts stay decomposable, so r is reached exactly when it
+        decomposes; otherwise the parts stop short of it.
+        """
+        excess = {i: c - t for i, (c, t) in enumerate(zip(self._counts, r)) if c > t}
         if excess:
             changes = {}  # part -> (the copies it drops, nothing gained)
-            for k, p in enumerate(parts):
+            for k, (p, _, _) in enumerate(self._slots):
                 drop = []
                 for x in p:
                     if excess.get(x):
@@ -212,56 +229,39 @@ class UnionMatroid(Matroid):
                         drop.append(x)
                 if drop:
                     changes[k] = (drop, ())
-            parts = self._replace(parts, changes)
-        missing = [i for i, (c, t) in enumerate(zip(last, r)) for _ in range(t - c)]
-        got, parts = self.grow(missing, parts)
-        if tuple(got) != r:
-            self._dep_cache.add(r)
-            return None
-        self._indep_cache[r] = parts
-        self._last = (r, parts)
-        return parts
+            self._replace(changes)
+        counts, parts = self.grow([i for i, (c, t) in enumerate(zip(self._counts, r))
+                                   for _ in range(t - c)])
+        return parts if tuple(counts) == r else None
 
-    def grow(self, elements: Iterable[int], parts: tuple | None = None) -> tuple[list[int], tuple]:
-        """Add a copy of each element in turn where it fits; return (counts, parts).
+    def grow(self, elements: Iterable[int]) -> tuple[list[int], tuple]:
+        """Add a copy of each element in turn where it fits, continuing from
+        the parts held; return (counts, the parts as frozensets).
 
-        Growth starts from parts, n independent sets (default: n empty
-        ones).  A refused element is never retried: the counts only grow.
-        A failed search from e refuses every element it reached, too: the
-        search from any of them reaches a subset of the same elements, so
-        it fails as well, now and after any later growth.
+        A refused element is never retried: the counts only grow.  A failed
+        search from e refuses every element it reached, too: the search
+        from any of them reaches a subset of the same elements, so it fails
+        as well, now and after any later growth.
         """
-        if parts is None:
-            parts = tuple(frozenset() for _ in range(self.n))
-        counts, refused = [0] * self.d, set()
-        for p in parts:
-            for x in p:
-                if not 0 <= x < self.d:
-                    raise InputError(f"part element {x} out of range for d={self.d}")
-                counts[x] += 1
-        total = sum(counts)
+        total, refused = sum(self._counts), set()
         for e in elements:
             if not 0 <= e < self.d:
                 raise InputError(f"element {e} out of range for d={self.d}")
-            if e in refused:
+            if e in refused or not self._try_augment(e, refused):
                 continue
-            grown = self._try_augment(parts, e, refused)
-            if grown is None:
-                continue
-            counts[e] += 1
-            parts = grown
             total += 1
             if total == self.cap:
                 break
-        return counts, parts
+        return self._counts[:], tuple(frozenset(p) for p, _, _ in self._slots)
 
-    def _try_augment(self, parts: tuple, e: int, refused: set) -> tuple | None:
-        """parts with one more copy of e, or None after adding every element
-        the search reached to refused; unchanged parts are reused."""
-        fit, parent = self._search(parts, e, refused)
+    def _try_augment(self, e: int, refused: set) -> bool:
+        """Add a copy of e to the parts; False, after adding every element
+        the search reached to refused, if none fits.  Parts off the path
+        keep their slots as they are."""
+        fit, parent = self._search(e, refused)
         if fit is None:
             refused.update(parent)
-            return None
+            return False
         # x goes into part k; then the element that displaced x from a part
         # takes its place there, and so on back to the new copy of e.
         x, k = fit
@@ -277,9 +277,10 @@ class UnionMatroid(Matroid):
         # those lost plus one copy of e exactly when the chain ends at e.
         if x != e:
             raise InternalError("part multiplicities differ from the requested counts")
-        return self._replace(parts, changes)
+        self._replace(changes)
+        return True
 
-    def _search(self, parts: tuple, e: int, refused: set) -> tuple[tuple[int, int] | None, dict]:
+    def _search(self, e: int, refused: set) -> tuple[tuple[int, int] | None, dict]:
         """Breadth-first search from a new copy of e: (fit, parent).
 
         fit is the first element reached that goes straight into a part,
@@ -293,9 +294,9 @@ class UnionMatroid(Matroid):
         """
         parent: dict[int, tuple[int, int] | None] = {e: None}
         queue = [e]  # the loop reads it in order while it grows
-        memos, circuit = self._memos(parts), self.part._circuit
+        slots, circuit = self._slots, self.part._circuit
         for x in queue:
-            for k, (p, cert, known) in enumerate(memos):
+            for k, (p, cert, known) in enumerate(slots):
                 if x in p:
                     continue
                 members = known.get(x, False)
@@ -317,14 +318,15 @@ class UnionMatroid(Matroid):
         of i decomposes.  r itself must decompose; if it does not, an
         augmentation left the union, and InternalError is raised.
 
-        A partition part answers from block sums (see the class notes): row
-        j fits when r[j] < n and its block sums below n * c_B; a row at n
-        copies closes (j,); otherwise the circuit is the rows of j's block
-        that r holds.  Dealt round-robin, a block's copies give no part two
-        copies of one row or more than c_B of the block.
+        A partition or uniform part answers from block sums (see the class
+        notes): row j fits when r[j] < n and its block sums below n * c_B; a
+        row at n copies closes (j,); otherwise the circuit is the rows of
+        j's block that r holds.  Dealt round-robin, a block's copies give no
+        part two copies of one row or more than c_B of the block.
 
-        Every other family decomposes r and answers from one pass over the
-        exchange arcs of the parts: it takes each reached element's arcs
+        Every other family brings the parts to r (not through decompose's
+        memo, whose answer would leave them elsewhere) and answers from one
+        pass over their exchange arcs: it takes each reached element's arcs
         once, marks the elements that fit straight into a part, and sweeps
         back along the arcs from them to mark every element that reaches
         one.  A row that reaches no fit answers the held elements of its
@@ -337,24 +339,23 @@ class UnionMatroid(Matroid):
             raise InputError(f"count vector {list(r)} does not fit ground size {self.d}")
         if rows and not 0 <= min(rows) <= max(rows) < self.d:
             raise InputError(f"rows must lie in 0..{self.d - 1}")
-        if self._members is not None:
+        if self._blocks is not None:
             return self._block_circuits(r, rows)
-        parts = self.decompose(r)
-        if parts is None:
+        if self._reach(r) is None:
             raise InternalError("augmentation left the intersection")
-        memos = self._memos(parts)
+        slots, circuit = self._slots, self.part._circuit
         succ: dict[int, list[int]] = {}  # reached element that fits straight into no part -> its arcs
         fits = set()
         todo, seen = rows[:], set(rows)
         while todo:
             x = todo.pop()
             arcs = []
-            for p, cert, known in memos:
+            for p, cert, known in slots:
                 if x in p:
                     continue
                 members = known.get(x, False)
                 if members is False:
-                    members = known[x] = self.part._circuit(cert, p, x)
+                    members = known[x] = circuit(cert, p, x)
                 if members is None:
                     fits.add(x)
                     break
@@ -375,7 +376,6 @@ class UnionMatroid(Matroid):
                 if x not in fits:
                     fits.add(x)
                     todo.append(x)
-        held = set().union(*parts)
         out: dict[int, tuple[int, ...] | None] = {}
         closure: dict[int, set] = {}  # row answered -> its forward closure
         for j in rows:
@@ -393,13 +393,13 @@ class UnionMatroid(Matroid):
                         reach.add(v)
                         todo.append(v)
             closure[j] = reach
-            out[j] = tuple(sorted(held & reach))
+            out[j] = tuple(sorted(i for i in reach if r[i]))
         return out
 
     def _block_circuits(self, r: tuple, rows: Iterable[int]) -> dict[int, tuple[int, ...] | None]:
-        """circuits for a partition part, from the block sums of r."""
-        n, blocks = self.n, self.part.blocks
-        room = [n * c for c in self.part.capacities]  # copies each block can still take
+        """circuits for a partition or uniform part, from the block sums of r."""
+        n, (blocks, capacities, members) = self.n, self._blocks
+        room = [n * c for c in capacities]  # copies each block can still take
         for i, c in enumerate(r):
             room[blocks[i]] -= c
         if max(r) > n or min(room) < 0:
@@ -415,37 +415,33 @@ class UnionMatroid(Matroid):
             else:
                 circuit = full.get(b)
                 if circuit is None:
-                    circuit = full[b] = tuple(i for i in self._members[b] if r[i])
+                    circuit = full[b] = tuple(i for i in members[b] if r[i])
                 out[j] = circuit
         return out
 
-    def _memos(self, parts: tuple) -> list[tuple[frozenset, object, dict]]:
-        """Each part with its certificate and its memo of circuit answers,
-        by element.  A part not held is built afresh (replaced by itself);
-        the records of parts no longer held are dropped."""
-        self._replace(parts, {k: ((), ()) for k, p in enumerate(parts) if p not in self._records})
-        records = self._records
-        self._records = {p: records[p] for p in parts}
-        return [(p, *records[p]) for p in parts]
-
-    def _replace(self, parts: tuple, changes: dict) -> tuple:
-        """parts with part k less lost and plus gained for each k: (lost,
-        gained) in changes; it must hold each element it loses and lack each
-        one it gains.  Its certificate is derived from the record of the
-        part it replaces, or built if that part is not held; a dependent
-        part raises InternalError.  Other parts stay the same objects."""
-        new, records, part = list(parts), self._records, self.part
+    def _replace(self, changes: dict) -> None:
+        """Change part k by (lost, gained) for each k: (lost, gained) in
+        changes; it must hold each element it loses and lack each one it
+        gains.  Its set is changed in place and its certificate handed to
+        _derive; a dependent part raises InternalError.  Its memo is
+        cleared, and the counts follow.  Other slots stay as they are."""
+        slots, counts, part = self._slots, self._counts, self.part
         for k, (lost, gained) in changes.items():
-            q, out = parts[k], frozenset(lost)
-            if not (q >= out and q.isdisjoint(gained)):
+            slot = slots[k]
+            p = slot[0]
+            if not (p.issuperset(lost) and p.isdisjoint(gained)):
                 raise InternalError("part multiplicities differ from the requested counts")
-            p = new[k] = (q - out if out else q).union(gained)
-            record = records.get(q)
-            cert = part._build(p) if record is None else part._derive(record[0], out, gained, p)
+            p.difference_update(lost)
+            p.update(gained)
+            cert = part._derive(slot[1], lost, gained, p)
             if cert is None:
                 raise InternalError("augmentation left a dependent part")
-            records[p] = (cert, {})
-        return tuple(new)
+            slot[1] = cert
+            slot[2].clear()
+            for x in lost:
+                counts[x] -= 1
+            for x in gained:
+                counts[x] += 1
 
 
 class ShuffleMatroid(Matroid):
@@ -458,9 +454,10 @@ class ShuffleMatroid(Matroid):
     solver works on row counts and asks the union for its row circuits
     directly (UnionMatroid.circuits, one pass for all rows); circuit
     queries here certify the matrix by one decompose and ask the oracle
-    once per member (the Matroid defaults).  Its union keeps the
-    decompositions and the records of its parts, so an instance is mutable:
-    keep it on a single thread.  S itself keeps no state and may be shared.
+    once per member (the Matroid defaults).  Its union memoizes the
+    decompositions and owns the parts it changes in place, so an instance
+    is mutable: keep it on a single thread.  S itself keeps no state and may
+    be shared.
     """
 
     kind = "oracle_composite"

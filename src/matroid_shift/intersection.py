@@ -11,10 +11,10 @@ each factor's n-union gives every row's circuit from the row counts
 (UnionMatroid.circuits).  The n-union of a partition matroid with block
 capacities c_B is the partition matroid on counts with r[i] <= n and each
 block summing to at most n * c_B (deal a block's copies round-robin over
-the n parts), so a partition factor answers from block sums; uniform and
-transversal factors decompose the counts and take one closure pass over
-the exchange arcs of the parts.  The same call checks that the counts
-are still in the union.  The arcs come from
+the n parts), so a partition factor answers from block sums, and so does a
+uniform one (one block); a transversal factor brings its parts to the
+counts and takes one closure pass over their exchange arcs.  The same
+call checks that the counts are still in the union.  The arcs come from
 those circuits only: the swaps into a source and out of a sink are never
 on a cheapest, fewest-hop path, since such a path would close a cycle, and
 no cycle has negative cost (Frank, 1981).  Each stage labels the nodes

@@ -8,8 +8,8 @@ the classic primitives: rank of a subset and the max-weight greedy algorithm.
 The descriptions never change and keep no other state.  A circuit query
 certifies its set independent and answers from that certificate, which the
 graphic, transversal and GF(2) families make (a spanning forest, a
-matching, an echelon basis) per call; the union matroid keeps those of its
-parts, derived from the parts they replace.
+matching, an echelon basis) per call; the union matroid holds one per part
+and hands it to _derive when the part changes.
 
 Elements are 0-based internally; JSON files use 1-based indices throughout.
 """
@@ -131,10 +131,10 @@ class Matroid:
         """A certificate that part is independent, or None if it is not."""
         return part if self._indep(part) else None
 
-    def _derive(self, cert, removed: frozenset, added: frozenset, part: frozenset):
+    def _derive(self, cert, removed: Collection[int], added: Collection[int], part: Collection[int]):
         """The certificate of part, given cert of part + removed - added, or
-        None if part is dependent.  cert is never changed.  This default
-        builds afresh."""
+        None if part is dependent.  cert is handed over: it may be changed,
+        and only the result is used.  This default builds afresh."""
         return self._build(part)
 
     def _circuit(self, cert, indep: frozenset, e: int) -> tuple[int, ...] | None:
@@ -165,9 +165,10 @@ class GraphicMatroid(Matroid):
     The certificate of an independent set is a rooted spanning forest of it:
     up[x] is (parent vertex, edge) for a child x and None for a root, over
     the relabelled vertices.  One breadth-first search builds it, and the
-    forest of a nearby set derives it: a cut drops the pointer carrying an
-    edge (by edge id, so parallel edges stay apart), and a link re-roots one
-    endpoint's tree at that endpoint and hangs it under the other.  An edge
+    forest of a nearby set is changed into it in place: a cut drops the
+    pointer carrying an edge (by edge id, so parallel edges stay apart), and
+    a link re-roots one endpoint's tree at that endpoint and hangs it under
+    the other.  An edge
     joining two reached vertices, or linking a tree to itself, closes a
     cycle: the set is dependent.  The circuit of indep + e climbs indep's
     forest from both endpoints of e in turn, marking the vertices passed,
@@ -267,8 +268,7 @@ class GraphicMatroid(Matroid):
                         queue.append(b)
         return up if links == len(part) else None  # else an edge joins two reached vertices
 
-    def _derive(self, up: list, removed: frozenset, added: frozenset, part: frozenset) -> list | None:
-        up = up.copy()
+    def _derive(self, up: list, removed: Collection[int], added: Collection[int], part) -> list | None:
         for f in removed:
             self._cut(up, f)
         for f in added:
@@ -485,8 +485,8 @@ class TransversalMatroid(Matroid):
     def _build(self, part: frozenset) -> dict | None:
         return self._derive({}, frozenset(), part, part)
 
-    def _derive(self, match: dict, removed: frozenset, added: frozenset,
-                part: frozenset) -> dict | None:
+    def _derive(self, match: dict, removed: Collection[int], added: Collection[int],
+                part: Collection[int]) -> dict | None:
         match = {a: x for a, x in match.items() if x not in removed}
         return match if all(self._augment(match, e) for e in added) else None
 

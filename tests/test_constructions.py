@@ -89,17 +89,13 @@ def test_union_cold_query_above_recursion_limit():
 
 
 def test_union_augment_reuses_unchanged_parts():
-    u = UnionMatroid(UniformMatroid(4, 2), 3)
-    parts = u.decompose([1, 1, 0, 0])
-    grown = u.decompose([1, 1, 1, 0])
-    assert sum(p is q for p, q in zip(parts, grown)) == 2
-
     # A triangle on 1, 2, 3 with edge 3 parallel to edge 0.  Edge 2 closes
     # a circuit in both spanning trees and part 2 holds it, so its path
     # takes edge 0 out of part 0 and into part 2; part 1 is not on it.
     u = UnionMatroid(GraphicMatroid(3, [(1, 2), (2, 3), (1, 3), (1, 2)]), 3)
-    parts = (frozenset({0, 1}), frozenset({1, 3}), frozenset({2}))
-    fit, parent = u._search(parts, 2, set())
+    _, parts = u.grow([0, 1, 1, 3, 2])
+    assert parts == (frozenset({0, 1}), frozenset({1, 3}), frozenset({2}))
+    fit, parent = u._search(2, set())
     x, k = fit
     gave, took = {}, {k: {x}}  # part -> the elements the path takes out of it / puts in
     while parent[x] is not None:
@@ -108,32 +104,42 @@ def test_union_augment_reuses_unchanged_parts():
         took.setdefault(k, set()).add(y)
         x = y
     assert sorted(took) == [0, 2]
-    _, grown = u.grow([2], parts)
+    before = [(cert, known, dict(known)) for _, cert, known in u._slots]
+    _, grown = u.grow([2])
     assert grown == (frozenset({1, 2}), parts[1], frozenset({0, 2}))
+    assert u._counts == [1, 2, 2, 1]
     for k, (p, q) in enumerate(zip(grown, parts)):
-        if k in took:
-            assert p is not q and p == q - gave.get(k, set()) | took[k]
-        else:
-            assert p is q
+        _, cert, known = u._slots[k]
+        if k in took:  # changed in place, its memo cleared
+            assert p == q - gave.get(k, set()) | took[k] and not known
+        else:  # the same certificate and memo, with every answer kept
+            assert cert is before[k][0] and known is before[k][1]
+            assert known == before[k][2] and known
 
 
 @pytest.mark.parametrize("side", [4, 8, 12])
 def test_circuit_memo_holds_only_the_union_parts(monkeypatch, side):
     # The memo once kept a table for every part any search saw: 7,499 of
     # them while the column-order greedy grew three trees on a 50x50 grid.
-    n, sizes, memos = 3, [], UnionMatroid._memos
+    # Now the union holds n slots, and before every search each slot's
+    # memo answers only elements outside its part (a changed part dropped
+    # its answers); at the end every answer is that of a fresh build.
+    n, searches, search = 3, [], UnionMatroid._search
 
-    def recorded(self, parts):
-        out = memos(self, parts)
-        sizes.append(len(self._records))
-        return out
+    def checked(self, e, refused):
+        assert len(self._slots) == n
+        assert all(p.isdisjoint(known) for p, _, known in self._slots)
+        searches.append(e)
+        return search(self, e, refused)
 
-    monkeypatch.setattr(UnionMatroid, "_memos", recorded)
+    monkeypatch.setattr(UnionMatroid, "_search", checked)
     grid = grid_graph(side, side)
     union = UnionMatroid(grid, n)
     counts, _ = union.grow(list(range(grid.d)) * n)
-    assert sum(counts) == n * (side * side - 1)
-    assert sizes and max(sizes) <= n
+    assert sum(counts) == n * (side * side - 1) and searches
+    for p, _, known in union._slots:
+        built = grid._build(frozenset(p))
+        assert all(answer == grid._circuit(built, p, x) for x, answer in known.items())
 
 
 @pytest.mark.parametrize("kind", FAMILIES)
@@ -150,7 +156,7 @@ def test_one_matroid_serves_interleaved_unions(kind):
         def interleaved():
             nonlocal parts
             for e, f in zip(*runs):
-                _, parts = second.grow([f], parts)
+                _, parts = second.grow([f])
                 taken.append(f)
                 yield e
 
@@ -183,15 +189,15 @@ class MiscountingUnion(UnionMatroid):
         super().__init__(part, n)
         self.drop = drop
 
-    def _search(self, parts, e, refused):
-        fit, parent = super()._search(parts, e, refused)
+    def _search(self, e, refused):
+        fit, parent = super()._search(e, refused)
         if fit is None:
             return fit, parent
         x, k = fit
         if self.drop:
-            z = min(set(range(self.d)) - parts[k] - {e})
+            z = min(set(range(self.d)) - self._slots[k][0] - {e})
             return (z, k), {z: None}
-        k = next((j for j, p in enumerate(parts) if x in p), k)
+        k = next((j for j, (p, _, _) in enumerate(self._slots) if x in p), k)
         return (x, k), parent
 
 
@@ -208,25 +214,27 @@ def test_union_rejects_miscounted_parts(drop):
 
 def test_union_replace_refuses_bad_changes():
     u = UnionMatroid(UniformMatroid(3, 3), 2)
-    parts = (frozenset({0}), frozenset())
-    assert u._replace(parts, {}) == parts
-    grown = u._replace(parts, {0: ([0], [1]), 1: ([], [0])})
-    assert grown == (frozenset({1}), frozenset({0}))
-    for changes in ({1: ([0], [])},   # a lost element the part lacks
-                    {0: ([], [0])}):  # a gained element the part holds
+    assert u.grow([0]) == ([1, 0, 0], (frozenset({0}), frozenset()))
+    slots = [slot[:] for slot in u._slots]
+    u._replace({})
+    assert u._slots == slots
+    u._replace({0: ([0], [1]), 1: ([], [0])})
+    assert [p for p, _, _ in u._slots] == [{1}, {0}] and u._counts == [1, 1, 0]
+    for changes in ({0: ([0], [])},   # a lost element the part lacks
+                    {1: ([], [0])}):  # a gained element the part holds
         with pytest.raises(InternalError, match="multiplicities differ"):
-            u._replace(parts, changes)
+            u._replace(changes)
     # Each part holds what it loses and lacks what it gains, but the chain
     # ends at 1, not at the new copy of 2.
-    u._search = lambda parts, e, refused: ((0, 1), {0: (1, 0), 1: None})
+    u._search = lambda e, refused: ((0, 1), {0: (1, 0), 1: None})
     with pytest.raises(InternalError, match="multiplicities differ"):
-        u._try_augment(parts, 2, set())
-    # A dependent part is refused, derived from a held part or built.
-    u = UnionMatroid(NoCircuits(3, 1), 2)
-    u._memos(parts)
-    for held in (parts, (frozenset({2}), frozenset())):
+        u._try_augment(2, set())
+    # A dependent part is refused, from the empty start or a grown part.
+    for start in ([], [0]):
+        u = UnionMatroid(NoCircuits(3, 1), 2)
+        u.grow(start)
         with pytest.raises(InternalError, match="dependent part"):
-            u._replace(held, {0: ([], [1])})
+            u._replace({0: ([], [1, 2])})
 
 
 def test_union_decomposition_invariants():
@@ -355,11 +363,9 @@ def test_union_refuses_elements_outside_the_ground_set():
     for rows in ([-1], [7], [0, 3]):
         with pytest.raises(InputError, match="rows must lie"):
             u.circuits([1, 1, 0], rows)
-    for part in ({-1}, {3}):
-        with pytest.raises(InputError, match="out of range"):
-            u.grow([0], (frozenset(part), frozenset()))
     assert u.circuits([1, 1, 0], []) == {}
-    assert u.grow([0, 1, 2, 0])[0] == [2, 1, 1]
+    # The refusals leave the parts whole, at the counts circuits brought.
+    assert u.grow([2, 0])[0] == [2, 1, 1]
 
 
 def test_lift_dimension_mismatch():

@@ -1,6 +1,5 @@
 """Property tests over random matroids of every family, run by hypothesis."""
 
-import copy
 import random
 
 import pytest
@@ -52,15 +51,19 @@ def test_shuffle_membership_and_decomposition(kind, seed, data):
             assert_lift_decomposition(m, n, x, parts)
 
 
-@pytest.mark.parametrize("kind", FAMILIES)
+@pytest.mark.parametrize("kind", FAMILIES + ("multigraph",))
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_decompose_agrees_with_grow_from_zero(kind, seed, data):
     # One instance answers count vectors that rise and fall, by unit steps
     # and by jumps to any vector (dependent ones and ones above cap too),
-    # each from the last vector it accepted.  A fresh instance growing r
-    # from zero in row order must accept exactly the same vectors.
-    m = random_matroid(random.Random(seed), dmax=5, kind=kind)
+    # each from the parts it holds.  A fresh instance growing r from zero
+    # in row order must accept exactly the same vectors.  After every
+    # query the held parts must sum to _counts, and each part's
+    # certificate, changed in place query after query, must answer every
+    # circuit as a fresh build does: so a derivation that went wrong, or
+    # two parts sharing one certificate, shows.
+    m = union_matroid_draw(random.Random(seed), kind)
     n = data.draw(st.integers(1, 3), label="n")
     union = UnionMatroid(m, n)
     vectors = st.lists(st.integers(0, n + 1), min_size=m.d, max_size=m.d)
@@ -77,6 +80,12 @@ def test_decompose_agrees_with_grow_from_zero(kind, seed, data):
         if parts is not None:
             assert len(parts) == n and all(m._indep(p) for p in parts)
             assert [sum(i in p for p in parts) for i in range(m.d)] == r
+        assert union._counts == [sum(i in p for p, _, _ in union._slots) for i in range(m.d)]
+        for p, cert, _ in union._slots:
+            built = m._build(frozenset(p))
+            assert built is not None
+            for e in set(range(m.d)) - p:
+                assert m._circuit(cert, p, e) == m._circuit(built, frozenset(p), e)
 
 
 @pytest.mark.parametrize("kind", FAMILIES)
@@ -233,13 +242,15 @@ def test_graphic_forest_index_matches_rebuilt_circuits(seed, data):
 def test_derive_answers_as_a_fresh_build(kind, seed, data):
     # A part p changes from an independent q as the union greedy changes
     # one: an element added, removed or swapped for another, or a jump to
-    # any set; p may be dependent.  The certificate derived from q's must
-    # be None exactly when p is dependent (by the one-pass rank), leave q's
-    # unchanged, and answer every circuit on p as a fresh build and the
+    # any set; p may be dependent.  The certificate of q, handed over and
+    # derived from step to step as the union does, must give None exactly
+    # when p is dependent (by the one-pass rank), and otherwise a
+    # certificate that answers every circuit on p as a fresh build and the
     # oracle fallback do.  The one-pass rank of p must be the greedy rank
     # of Matroid._rank, and circuit must refuse a dependent p.
     m = wide_matroid(random.Random(seed), kind)
     q: frozenset = frozenset()
+    cert = m._build(q)
     for _ in range(data.draw(st.integers(1, 20), label="steps")):
         move = data.draw(st.sampled_from(("add", "remove", "swap", "jump")), label="move")
         p = q
@@ -249,15 +260,13 @@ def test_derive_answers_as_a_fresh_build(kind, seed, data):
             p -= {data.draw(st.sampled_from(sorted(q)), label="x")}
         if move in ("add", "swap"):
             p |= {data.draw(st.integers(0, m.d - 1), label="e")}
-        cert = m._build(q)
-        before = copy.deepcopy(cert)
         derived = m._derive(cert, q - p, p - q, p)
-        assert cert == before
         assert m._rank(p) == Matroid._rank(m, sorted(p))
         if m._rank(p) < len(p):
             assert derived is None and m._build(p) is None and not m._indep(p)
             with pytest.raises(InputError):
                 m.circuit(p, 0)
+            cert = m._build(q)  # the handed-over certificate may be spoilt
             continue
         assert derived is not None and m._indep(p)
         built = m._build(p)
@@ -265,7 +274,7 @@ def test_derive_answers_as_a_fresh_build(kind, seed, data):
             circuit = m._circuit(derived, p, e)
             assert circuit == m._circuit(built, p, e) == Matroid._circuit(m, p, p, e)
             assert m.circuit(p, e) == circuit
-        q = p
+        q, cert = p, derived
 
 
 @pytest.mark.parametrize("kind", FAMILIES)
@@ -298,11 +307,13 @@ def test_shuffle_circuit_matches_oracle_fallback(kind, seed, data):
 
 
 def reference_circuits(union: UnionMatroid, parts, rows):
-    """UnionMatroid.circuits by one exchange search per row."""
+    """UnionMatroid.circuits by one exchange search per row, over parts
+    loaded into the empty slots of union."""
+    union._replace({k: ((), sorted(p)) for k, p in enumerate(parts)})
     held = set().union(*parts)
     out = {}
     for j in rows:
-        fit, parent = union._search(parts, j, set())
+        fit, parent = union._search(j, set())
         out[j] = None if fit is not None else tuple(sorted(held.intersection(parent)))
     return out
 
@@ -325,7 +336,7 @@ def union_matroid_draw(rng: random.Random, kind: str) -> Matroid:
 @given(seed=st.integers(0, 2**32 - 1))
 def test_circuits_equal_reference_circuits(kind, seed):
     # Two sets of parts: grown from repeated elements, then often grown
-    # again from those parts (as decompose does), so counts reach n; and
+    # further from the parts held (as decompose does), so counts reach n; and
     # random independent sets, which often block a row in every part yet
     # free a place for it by an exchange.  circuits gets only their counts.
     # The rows come in any order, so a row's search often reaches a row
@@ -350,7 +361,7 @@ def test_circuits_equal_reference_circuits(kind, seed):
 
     _, grown = union.grow(elements())
     if rng.random() < 0.5:
-        _, grown = union.grow(elements(), grown)
+        _, grown = union.grow(elements())
     for parts in (grown, tuple(independent() for _ in range(n))):
         rows = rng.sample(range(m.d), rng.randint(1, m.d))
         r = [sum(i in p for p in parts) for i in range(m.d)]
@@ -407,34 +418,39 @@ def test_count_greedy_equals_cell_greedy(kind, seed, data):
     assert solve_shuffling(m, n, cbar, bases) == Matrix01.from_flat(m.d, n, cells)
 
 
-def reference_grow(union: UnionMatroid, elements, parts=None):
+def reference_grow(union: UnionMatroid, elements):
     """UnionMatroid.grow without the refusal of reached elements: every
     distinct element is searched until it fails itself, and every step
-    recounts all parts against the counts."""
-    if parts is None:
-        parts = tuple(frozenset() for _ in range(union.n))
-    counts, refused = [0] * union.d, set()
-    for p in parts:
-        for x in p:
-            counts[x] += 1
+    recounts all parts against the counts and checks each changed one."""
+    counts, refused = [sum(x in p for p, _, _ in union._slots) for x in range(union.d)], set()
     for e in elements:
-        grown = None if e in refused else union._try_augment(parts, e, set())
-        if grown is None:
+        before = [set(p) for p, _, _ in union._slots]
+        if e in refused or not union._try_augment(e, set()):
             refused.add(e)
             continue
         counts[e] += 1
         recount = [0] * union.d
-        for p, q in zip(grown, parts):
-            if p is not q and not union.part._indep(p):
+        for (p, _, _), q in zip(union._slots, before):
+            if p != q and not union.part._indep(frozenset(p)):
                 raise InternalError("augmentation left a dependent part")
             for x in p:
                 recount[x] += 1
         if recount != counts:
             raise InternalError("part multiplicities differ from the requested counts")
-        parts = grown
         if sum(counts) == union.cap:
             break
-    return counts, parts
+    return counts, tuple(frozenset(p) for p, _, _ in union._slots)
+
+
+def reference_for(union: UnionMatroid, data, elements) -> UnionMatroid:
+    """A fresh union on the same matroid; it and union are both grown from
+    the same drawn elements, or both left empty."""
+    reference = UnionMatroid(union.part, union.n)
+    if data.draw(st.booleans(), label="start grown"):
+        start = data.draw(elements, label="start")
+        union.grow(start)
+        reference.grow(start)
+    return reference
 
 
 @pytest.mark.parametrize("kind", FAMILIES)
@@ -446,12 +462,10 @@ def test_grow_equals_reference_grow(kind, seed, data):
     m = random_matroid(random.Random(seed), dmax=6, kind=kind)
     n = data.draw(st.integers(1, 3), label="n")
     elements = st.lists(st.integers(0, m.d - 1), max_size=m.d * n + 4)
-    parts = None
-    if data.draw(st.booleans(), label="start grown"):
-        _, parts = UnionMatroid(m, n).grow(data.draw(elements, label="start"))
+    union = UnionMatroid(m, n)
+    reference = reference_for(union, data, elements)
     sequence = data.draw(elements, label="elements")
-    got = UnionMatroid(m, n).grow(sequence, parts)
-    assert got == reference_grow(UnionMatroid(m, n), sequence, parts)
+    assert union.grow(sequence) == reference_grow(reference, sequence)
 
 
 class PrunedChecked(UnionMatroid):
@@ -460,9 +474,9 @@ class PrunedChecked(UnionMatroid):
 
     pruned = 0  # elements reached only by the unpruned searches
 
-    def _search(self, parts, e, refused):
-        fit, parent = super()._search(parts, e, refused)
-        whole_fit, whole = super()._search(parts, e, set())
+    def _search(self, e, refused):
+        fit, parent = super()._search(e, refused)
+        whole_fit, whole = super()._search(e, set())
         assert fit == whole_fit
         if fit is None:
             assert set(parent) <= set(whole)
@@ -483,12 +497,10 @@ def test_pruned_search_finds_the_unpruned_path(kind, seed, data):
     m = union_matroid_draw(random.Random(seed), kind)
     n = data.draw(st.integers(1, 3), label="n")
     elements = st.lists(st.integers(0, m.d - 1), max_size=m.d * n + 4)
-    parts = None
-    if data.draw(st.booleans(), label="start grown"):
-        _, parts = UnionMatroid(m, n).grow(data.draw(elements, label="start"))
     union = PrunedChecked(m, n)
+    reference = reference_for(union, data, elements)
     sequence = data.draw(elements, label="elements")
-    assert union.grow(sequence, parts) == reference_grow(UnionMatroid(m, n), sequence, parts)
+    assert union.grow(sequence) == reference_grow(reference, sequence)
 
 
 def test_pruned_search_skips_elements_on_a_grid():

@@ -295,7 +295,8 @@ def test_lexmin_uniform_and_partition_up_to_d6():
     (20, (760, 437, 0), "1e97a0a238724982"),
     (30, (1740, 957, 0), "aeca3e09298c86a2"),
     (60, (7080, 3717, 0), "abf6eb54b80d0274"),
-], ids=["10x10", "20x20", "30x30", "60x60"])
+    (100, (19800, 10197, 0), "dee04cb4ec1b4012"),
+], ids=["10x10", "20x20", "30x30", "60x60", "100x100"])
 def test_lexmin_three_trees_on_grids(side, vuln, digest):
     # Values from the circuit search that rebuilt each forest per call; the
     # 20x20 grid (d=760) drives the forest index through about 37 k circuits.

@@ -63,5 +63,6 @@ def test_tracer_counts_engine_spans_and_restores_the_package(tmp_path, capsys):
     assert cli.main is main
     summary = tracer.summary(1)
     assert summary["constructions.augmentations"] > 0
+    assert summary["constructions.augment_success_ratio"] > 0  # truthy _try_augment results
     assert summary["constructions.cache_entries_max"] > 0
     assert summary["intersection.stages"] > 0
