@@ -301,6 +301,27 @@ def test_tables_reject_non_integer_shape(files, capsys, shape):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "3", None], ids=["float", "bool", "string", "null"])
+def test_tables_name_their_first_non_integer_entry(files, capsys, bad):
+    matroid = files("u21.json", U21)
+    profits = files("c.json", {"d": 2, "n": 2, "rows": [[5, 1], [bad, 0.5]]})
+    code, report, err = run_main(capsys, ["shifted", matroid, profits])
+    assert (code, report) == (3, None)
+    assert f"expected an integer, got {bad!r}" in err
+    matrix = files("x.json", {"d": 2, "n": 2, "rows": [[1, 0], [bad, 0.5]]})
+    code, report, err = run_main(capsys, ["fiber", matroid, matrix])
+    assert (code, report) == (3, None)
+    assert f"expected an integer, got {bad!r}" in err
+
+
+def test_matrix_file_names_its_first_entry_outside_0_1(files, capsys):
+    matroid = files("u21.json", U21)
+    matrix = files("x.json", {"d": 2, "n": 2, "rows": [[1, 0], [-1, 2]]})
+    code, report, err = run_main(capsys, ["fiber", matroid, matrix])
+    assert (code, report) == (3, None)
+    assert "matrix entries must be 0 or 1, got -1" in err
+
+
 @pytest.mark.parametrize("matroid", [
     {"kind": "uniform", "d": 2, "params": {"r": 1.9}},
     {"kind": "uniform", "d": 2, "params": {"r": True}},

@@ -2,6 +2,7 @@
 
 import copy
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -43,6 +44,28 @@ def test_matrix01_validation():
         Matrix01([[0, 1], [1]])
     with pytest.raises(InputError):
         Matrix01([])
+
+
+# Entries outside {0, 1}, each named by the error; [1] is unhashable.
+BAD_BITS = [2, -1, 0.5, float("nan"), None, "1", [1]]
+BAD_BIT_IDS = ["two", "minus-one", "half", "nan", "none", "string", "list"]
+
+
+@pytest.mark.parametrize("bad", BAD_BITS, ids=BAD_BIT_IDS)
+def test_matrix01_names_its_first_bad_entry(bad):
+    with pytest.raises(InputError, match=re.escape(f"matrix entries must be 0 or 1, got {bad!r}")):
+        Matrix01([[1, 0], [bad, 7]])
+    with pytest.raises(InputError, match=re.escape(f"got {bad!r}")):
+        Matrix01(row for row in ([bad, 1], [1]))  # a row before a shorter one
+
+
+def test_matrix01_accepts_bools_and_whole_floats():
+    x = Matrix01([[True, 0], [1.0, False]])
+    assert x.flat_indices() == {0, 2}
+    assert x == Matrix01([[1, 0], [1, 0]])
+    assert Matrix01(iter(r) for r in ([1, 0], [0, 1])).rows == ((1, 0), (0, 1))
+    with pytest.raises(InputError, match="unequal lengths"):
+        Matrix01([[0, 1], [1], [5, 5]])  # row lengths are checked row by row
 
 
 def test_lift_examples():

@@ -3,6 +3,7 @@
 import importlib
 import pkgutil
 import random
+import re
 
 import pytest
 
@@ -27,6 +28,7 @@ from matroid_shift import (
     matroid_to_json,
     rank,
 )
+from matroid_shift.matroids import check_weight_guard
 from corpora import TRIANGLE, family_corpus, random_matroid
 
 
@@ -272,6 +274,38 @@ def test_dimension_mismatch_rejected():
 def test_weight_guard():
     with pytest.raises(OverflowGuardError):
         greedy_max(UniformMatroid(2, 1), [2**61, 5])
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, float("nan"), None, "1", [1]],
+                         ids=["two", "minus-one", "half", "nan", "none", "string", "list"])
+def test_subset_names_its_first_bad_entry(bad):
+    with pytest.raises(InputError, match=re.escape(f"subset entries must be 0 or 1, got {bad!r}")):
+        Subset01([1, 0, bad, 7])
+
+
+def test_subset_accepts_bools_and_whole_floats():
+    s = Subset01([True, 1.0, 0, False])
+    assert s.indices() == (0, 1) and s == Subset01([1, 1, 0, 0])
+    assert Subset01(b for b in (0, 1)).bits == (0, 1)
+
+
+class Count(int):
+    """An int subclass, which weights may be; bool is the one refused."""
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "3"], ids=["bool", "float", "string"])
+def test_weight_guard_names_its_first_non_integer(bad):
+    with pytest.raises(InputError, match=re.escape(f"weights must be integers, got {bad!r}")):
+        check_weight_guard([4, -2, bad, 2.5])
+    with pytest.raises(InputError, match=re.escape(f"got {bad!r}")):
+        check_weight_guard(iter([2**61, bad]))  # the type is checked before the guard
+
+
+def test_weight_guard_accepts_int_subclasses():
+    check_weight_guard([Count(3), -1, 2**61 - 4])
+    check_weight_guard(v for v in (Count(-2), 5))
+    with pytest.raises(OverflowGuardError):
+        check_weight_guard(v for v in (2**60, Count(-2**60), 1))
 
 
 def test_invalid_descriptions_rejected():

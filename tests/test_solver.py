@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -111,6 +112,22 @@ def test_lex_less():
 
 
 # --- shuffling --------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [True, 1.5, "3"], ids=["bool", "float", "string"])
+def test_profit_matrix_names_its_first_non_integer(bad):
+    with pytest.raises(InputError, match=re.escape(f"weights must be integers, got {bad!r}")):
+        ProfitMatrix([[4, 1], [bad, 2.5]])
+
+
+def test_profit_matrix_accepts_int_subclasses():
+    class Count(int):
+        pass
+
+    c = ProfitMatrix(row for row in ([Count(3), 1], (0, Count(-2))))
+    assert c.rows == ((3, 1), (0, -2)) and c.shifted().rows == ((3, 1), (0, -2))
+    with pytest.raises(OverflowGuardError):
+        ProfitMatrix([[2**60, Count(-2**60)], [1, 0]])
+
 
 def test_solve_shuffling_examples():
     u21 = UniformMatroid(2, 1)
