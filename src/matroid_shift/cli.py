@@ -19,6 +19,7 @@ import hashlib
 import json
 import sys
 import time
+from itertools import chain, compress
 
 from .bruteforce import brute_lexmin, brute_shifted, enumerate_members
 from .constructions import Matrix01
@@ -64,7 +65,7 @@ def _digest(payload) -> str:
 
 
 def _columns_1based(y: Matrix01) -> list[list[int]]:
-    return [[i + 1 for i in y.column(k).indices()] for k in range(y.n)]
+    return [list(compress(range(1, y.d + 1), col)) for col in zip(*y.rows)]
 
 
 def _matrix_from_columns(d: int, n: int, columns) -> Matrix01:
@@ -98,8 +99,10 @@ def _load_table(path: str, what: str, cls):
         d, n, rows = obj["d"], obj["n"], [list(r) for r in obj["rows"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad {what} file {path}: {exc}") from exc
-    for v in (d, n, *(x for r in rows for x in r)):
-        json_int(v)
+    values = (d, n, *chain.from_iterable(rows))
+    if not {int}.issuperset(map(type, values)):
+        for v in values:  # name the first that is not an int
+            json_int(v)
     table = cls(rows)
     if table.d != d or table.n != n:
         raise InputError(f"{what} file {path} declares {d}x{n} but lists {table.d}x{table.n}")

@@ -18,10 +18,11 @@ Matrices over [d] x [n] are flattened row-major: element (i, j) <-> i*n + j
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalError
-from .matroids import Matroid, PartitionMatroid, Subset01, UniformMatroid, full_rank
+from .matroids import Matroid, PartitionMatroid, Subset01, UniformMatroid, are_bits, full_rank
 
 
 class Matrix01:
@@ -34,12 +35,13 @@ class Matrix01:
         if not rows or not rows[0]:
             raise InputError("matrix needs at least one row and one column")
         n = len(rows[0])
-        for r in rows:
-            if len(r) != n:
-                raise InputError("matrix rows have unequal lengths")
-            for x in r:
-                if x not in (0, 1):
-                    raise InputError(f"matrix entries must be 0 or 1, got {x!r}")
+        if set(map(len, rows)) != {n} or not are_bits(chain.from_iterable(rows)):
+            for r in rows:  # name the first fault, row by row
+                if len(r) != n:
+                    raise InputError("matrix rows have unequal lengths")
+                for x in r:
+                    if x not in (0, 1):
+                        raise InputError(f"matrix entries must be 0 or 1, got {x!r}")
         self.rows = rows
 
     @classmethod
@@ -72,10 +74,10 @@ class Matrix01:
         return Subset01(r[j] for r in self.rows)
 
     def columns(self) -> list[Subset01]:
-        return [self.column(j) for j in range(self.n)]
+        return [Subset01(col) for col in zip(*self.rows)]
 
     def row_sums(self) -> tuple[int, ...]:
-        return tuple(sum(r) for r in self.rows)
+        return tuple(map(sum, self.rows))
 
     def total(self) -> int:
         return sum(self.row_sums())
@@ -134,7 +136,8 @@ class UnionMatroid(Matroid):
     arcs lead from x to the members of the circuit x closes in each part
     lacking it, whichever part holds x, so one node per element finds the
     same first path as one node per copy.  grow augments by _search(e), a
-    breadth-first search from a new copy of e, and _try_augment replays
+    breadth-first search from a new copy of e that asks every part whether
+    an element fits before it asks any for a circuit, and _try_augment replays
     its path to the first element that fits straight into a part, checking
     that the parts gain one copy of e and keep every other count; when
     none fits, the elements the search reached are the circuit, and none
@@ -179,6 +182,9 @@ class UnionMatroid(Matroid):
         self._counts = list(zero)
         # One slot per part: [part, certificate, {element: circuit answer}].
         self._slots = [[set(), part._build(frozenset()), {}] for _ in range(n)]
+        # A family's own _fits answers without a circuit; by default _fits
+        # is the circuit, which _search asks through the slot memo instead.
+        self._fits = None if type(part)._fits is Matroid._fits else part._fits
         self._blocks = None  # (blocks, capacities, block -> its ascending elements) for block sums
         if isinstance(part, UniformMatroid):
             self._blocks = ((0,) * part.d, (part.r,), [range(part.d)])
@@ -284,8 +290,15 @@ class UnionMatroid(Matroid):
         """Breadth-first search from a new copy of e: (fit, parent).
 
         fit is the first element reached that goes straight into a part,
-        with that part, or None.  parent maps e to None and every other
-        element v reached to (x, k): x displaced v from part k.  A part
+        with the first such part in slot order, or None.  parent maps e to
+        None and every other element v reached to (x, k): x displaced v
+        from part k.  Each element taken from the queue first asks every
+        part whether it fits, and only then asks them for the circuits
+        that give its arcs: the fit and its path are those of asking each
+        part in turn for its circuit, but no circuit is built for an
+        element that fits.  The graphic family answers the fit without a
+        circuit (_fits); the others answer it from their circuit, kept in
+        the slot memo for the arcs, so none builds a circuit twice.  A part
         holding x is skipped, since swapping parallel copies never shortens
         a path.  A refused element is not entered: nothing it reaches fits
         (see grow), so no element on a path to a fit is reached through it,
@@ -294,8 +307,20 @@ class UnionMatroid(Matroid):
         """
         parent: dict[int, tuple[int, int] | None] = {e: None}
         queue = [e]  # the loop reads it in order while it grows
-        slots, circuit = self._slots, self.part._circuit
+        slots, fits, circuit = self._slots, self._fits, self.part._circuit
         for x in queue:
+            for k, (p, cert, known) in enumerate(slots):
+                if x in p:
+                    continue
+                members = known.get(x, False)
+                if members is False:
+                    if fits is not None:
+                        if fits(cert, p, x):
+                            return (x, k), parent
+                        continue
+                    members = known[x] = circuit(cert, p, x)
+                if members is None:
+                    return (x, k), parent
             for k, (p, cert, known) in enumerate(slots):
                 if x in p:
                     continue
@@ -303,7 +328,7 @@ class UnionMatroid(Matroid):
                 if members is False:
                     members = known[x] = circuit(cert, p, x)
                 if members is None:
-                    return (x, k), parent
+                    raise InternalError("a part takes an element its _fits refused")
                 for v in members:
                     if v not in parent and v not in refused:
                         parent[v] = (x, k)

@@ -7,9 +7,10 @@ wrapper for externally supplied oracles.  On top of the oracle interface sit
 the classic primitives: rank of a subset and the max-weight greedy algorithm.
 The descriptions never change and keep no other state.  A circuit query
 certifies its set independent and answers from that certificate, which the
-graphic, transversal and GF(2) families make (a spanning forest, a
-matching, an echelon basis) per call; the union matroid holds one per part
-and hands it to _derive when the part changes.
+graphic, transversal and GF(2) families make (a spanning forest with its
+trees as union-find classes, a matching, an echelon basis) per call; the
+union matroid holds one per part and hands it to _derive when the part
+changes.
 
 Elements are 0-based internally; JSON files use 1-based indices throughout.
 """
@@ -17,12 +18,25 @@ Elements are 0-based internally; JSON files use 1-based indices throughout.
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import InputError, OverflowGuardError
 
 # Summed absolute weights must stay below this for exact 64-bit semantics.
 WEIGHT_GUARD = 2**61
+
+_BITS = frozenset((0, 1))
+
+
+def are_bits(values: Iterable) -> bool:
+    """Whether every value equals 0 or 1, in one sweep at C speed.  False
+    also when a value cannot be hashed: the caller's own loop over the
+    values then names the first bad one (or accepts them all)."""
+    try:
+        return _BITS.issuperset(values)
+    except TypeError:
+        return False
 
 
 class Subset01:
@@ -32,9 +46,10 @@ class Subset01:
 
     def __init__(self, bits: Iterable[int]):
         bits = tuple(bits)
-        for b in bits:
-            if b not in (0, 1):
-                raise InputError(f"subset entries must be 0 or 1, got {b!r}")
+        if not are_bits(bits):
+            for b in bits:
+                if b not in (0, 1):
+                    raise InputError(f"subset entries must be 0 or 1, got {b!r}")
         self.bits = bits
 
     @classmethod
@@ -55,7 +70,7 @@ class Subset01:
         return len(self.bits)
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.bits) if b)
+        return tuple(compress(range(len(self.bits)), self.bits))
 
     def size(self) -> int:
         return sum(self.bits)
@@ -74,13 +89,15 @@ class Matroid:
     """Base class: an independence oracle over ground set {0, .., d-1}.
 
     A certificate proves a set independent: _build makes one, _derive makes
-    one from the certificate of a set a few elements away, and _circuit
-    answers a circuit from one in hand.  circuit is the one public way in:
-    it builds the certificate, refuses a dependent set, and asks _circuit.
-    The graphic, transversal and GF(2) families define all three hooks,
-    uniform and partition matroids only _circuit.  By default the
-    certificate is the set itself, checked by the oracle, and _circuit asks
-    the oracle once per member.
+    one from the certificate of a set a few elements away, _circuit
+    answers a circuit from one in hand, and _fits tells from one whether
+    an element can join the set.  circuit is the one public way in: it
+    builds the certificate, refuses a dependent set, and asks _circuit.
+    The graphic family defines all four hooks, the transversal and GF(2)
+    families _build, _derive and _circuit, uniform and partition matroids
+    only _circuit.  By default the certificate is the set itself, checked
+    by the oracle, _circuit asks the oracle once per member, and _fits asks
+    _circuit.
     """
 
     kind = "abstract"
@@ -149,6 +166,14 @@ class Matroid:
             return None
         return tuple(x for x in sorted(indep) if self._indep((indep - {x}) | {e}))
 
+    def _fits(self, cert, indep: frozenset, e: int) -> bool:
+        """Whether indep + e is independent, given the certificate of indep:
+        _circuit(cert, indep, e) is None.  A family overrides it only when
+        it answers without building the circuit; UnionMatroid asks such a
+        family's _fits of every part before any circuit, and reads the
+        others' answers from the circuits it memoizes."""
+        return self._circuit(cert, indep, e) is None
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(d={self.d})"
 
@@ -162,19 +187,25 @@ class GraphicMatroid(Matroid):
     The rank, and with it the oracle, is one union-find pass over the
     relabelled vertices, counting the edges that join two components.
 
-    The certificate of an independent set is a rooted spanning forest of it:
-    up[x] is (parent vertex, edge) for a child x and None for a root, over
-    the relabelled vertices.  One breadth-first search builds it, and the
-    forest of a nearby set is changed into it in place: a cut drops the
-    pointer carrying an edge (by edge id, so parallel edges stay apart), and
-    a link re-roots one endpoint's tree at that endpoint and hangs it under
-    the other.  An edge
-    joining two reached vertices, or linking a tree to itself, closes a
-    cycle: the set is dependent.  The circuit of indep + e climbs indep's
-    forest from both endpoints of e in turn, marking the vertices passed,
-    and stops at the first vertex one side reaches that the other side
-    marked: their nearest common ancestor.  Then it collects the edges
-    from each endpoint up to it.
+    The certificate of an independent set is a pair (up, comp) over the
+    relabelled vertices.  up is a rooted spanning forest of the set: up[x]
+    is (parent vertex, edge) for a child x and None for a root.  comp is a
+    union-find whose classes are the trees of up.  One breadth-first search
+    builds both, and the certificate of a nearby set is changed into it in
+    place: a cut drops the pointer carrying an edge (by edge id, so
+    parallel edges stay apart), and a link re-roots one endpoint's tree at
+    that endpoint, hangs it under the other and joins their classes.  An
+    edge joining two reached vertices, or linking a tree to itself, closes
+    a cycle: the set is dependent.  If the endpoints of every edge cut
+    still share a root at the end, no class split (as in a swap along a
+    circuit); otherwise comp is labelled afresh from the forest, one climb
+    per vertex.  indep + e is independent exactly when the endpoints of e
+    lie in different trees, so _fits compares their classes in comp, with
+    no climb and no path.  The circuit of indep + e climbs indep's forest
+    from both endpoints of e in turn, marking the vertices passed, and
+    stops at the first vertex one side reaches that the other side marked:
+    their nearest common ancestor.  Then it collects the edges from each
+    endpoint up to it.
     """
 
     kind = "graphic"
@@ -213,11 +244,12 @@ class GraphicMatroid(Matroid):
                 joins += 1
         return joins
 
-    def _circuit(self, up: list, indep: frozenset, e: int) -> tuple[int, ...] | None:
+    def _circuit(self, cert: tuple, indep: frozenset, e: int) -> tuple[int, ...] | None:
         # e closes a circuit with the forest path between its endpoints.
         # The two sides climb in turn, a and b their next steps, and mark
         # the vertices they pass in one set: a side never passes a vertex
         # twice, so the first marked vertex it reaches is the other side's.
+        up = cert[0]
         u, v = self._ends[e]
         if u == v:
             return ()
@@ -246,13 +278,23 @@ class GraphicMatroid(Matroid):
         path.sort()
         return tuple(path)
 
-    def _build(self, part: frozenset) -> list | None:
+    def _fits(self, cert: tuple, indep, e: int) -> bool:
+        comp = cert[1]
+        u, v = self._ends[e]  # a self-loop has one class: it never fits
+        while comp[u] != u:  # _find, inline: the union asks this of every part
+            comp[u] = u = comp[comp[u]]
+        while comp[v] != v:
+            comp[v] = v = comp[comp[v]]
+        return u != v
+
+    def _build(self, part: frozenset) -> tuple | None:
         adj: dict[int, list] = {}
         for f in part:
             a, b = self._ends[f]
             adj.setdefault(a, []).append((b, f))
             adj.setdefault(b, []).append((a, f))
         up: list = [None] * self._touched
+        comp = list(range(self._touched))  # every vertex points at its root
         seen, links = set(), 0
         for root in adj:
             if root in seen:
@@ -264,17 +306,25 @@ class GraphicMatroid(Matroid):
                     if b not in seen:
                         seen.add(b)
                         up[b] = (a, f)
+                        comp[b] = root
                         links += 1
                         queue.append(b)
-        return up if links == len(part) else None  # else an edge joins two reached vertices
+        return (up, comp) if links == len(part) else None  # else an edge joins two reached vertices
 
-    def _derive(self, up: list, removed: Collection[int], added: Collection[int], part) -> list | None:
+    def _derive(self, cert: tuple, removed: Collection[int], added: Collection[int],
+                part) -> tuple | None:
+        up, comp = cert
         for f in removed:
             self._cut(up, f)
         for f in added:
-            if not self._link(up, f):
+            if not self._link(up, comp, f):
                 return None
-        return up
+        for f in removed:
+            a, b = self._ends[f]
+            if _root(up, a)[0] != _root(up, b)[0]:  # the cuts split a tree
+                comp[:] = _components(up)
+                break
+        return cert
 
     def _cut(self, up: list, f: int) -> None:
         a, b = self._ends[f]
@@ -283,13 +333,15 @@ class GraphicMatroid(Matroid):
         else:
             up[b] = None
 
-    def _link(self, up: list, f: int) -> bool:
+    def _link(self, up: list, comp: list, f: int) -> bool:
         # Re-root the tree of the endpoint nearer its root at that endpoint,
-        # then hang it under the other one; False if both are in one tree.
+        # then hang it under the other one, and join their classes in comp;
+        # False if both are in one tree.
         a, b = self._ends[f]
         (ra, da), (rb, db) = _root(up, a), _root(up, b)
         if ra == rb:
             return False
+        comp[_find(comp, a)] = _find(comp, b)
         if da > db:
             a, b = b, a
         x, step, down = a, up[a], None
@@ -309,6 +361,32 @@ def _root(up: list, x: int) -> tuple[int, int]:
         x, depth = step[0], depth + 1
         step = up[x]
     return x, depth
+
+
+def _find(comp: list, x: int) -> int:
+    """The representative of x's class in a union-find, halving the path."""
+    while comp[x] != x:
+        comp[x] = x = comp[comp[x]]
+    return x
+
+
+def _components(up: list) -> list:
+    """The root of each vertex's tree in a forest of parent pointers: a
+    climb per vertex, stopped at the first vertex already labelled."""
+    comp: list = [None] * len(up)
+    for x in range(len(up)):
+        path = []
+        while comp[x] is None:
+            path.append(x)
+            step = up[x]
+            if step is None:
+                comp[x] = x
+                break
+            x = step[0]
+        root = comp[x]
+        for y in path:
+            comp[y] = root
+    return comp
 
 
 class UniformMatroid(Matroid):
@@ -554,11 +632,15 @@ def full_rank(m: Matroid) -> int:
 
 
 def check_weight_guard(values: Iterable[int]) -> None:
-    total = 0
-    for v in values:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise InputError(f"weights must be integers, got {v!r}")
-        total += abs(v)
+    """InputError naming the first weight that is not an int (a subclass
+    other than bool will do), else OverflowGuardError if the summed
+    absolute weights exceed WEIGHT_GUARD."""
+    values = tuple(values)
+    if not {int}.issuperset(map(type, values)):
+        for v in values:
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise InputError(f"weights must be integers, got {v!r}")
+    total = sum(map(abs, values))
     if total > WEIGHT_GUARD:
         raise OverflowGuardError(f"summed |weights| {total} exceeds guard {WEIGHT_GUARD}")
 

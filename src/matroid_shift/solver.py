@@ -15,7 +15,8 @@ when the highest index where they differ has the smaller f entry.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from bisect import bisect_left
+from itertools import chain, combinations_with_replacement
 from math import comb
 from typing import Iterable, Sequence
 
@@ -39,7 +40,7 @@ class ProfitMatrix:
             raise InputError("profit matrix needs at least one row and one column")
         if any(len(r) != len(rows[0]) for r in rows):
             raise InputError("profit rows have unequal lengths")
-        check_weight_guard(x for r in rows for x in r)
+        check_weight_guard(chain.from_iterable(rows))
         self.rows = rows
 
     @property
@@ -98,8 +99,8 @@ def equivalent(x: Matrix01, y: Matrix01) -> bool:
 
 def vulnerability_vector(x: Matrix01) -> tuple[int, ...]:
     """Entry k counts the rows of x with row sum >= k, k = 1..n."""
-    sums = x.row_sums()
-    return tuple(sum(1 for s in sums if s >= k) for k in range(1, x.n + 1))
+    sums = sorted(x.row_sums())  # the rows below k come first
+    return tuple(len(sums) - bisect_left(sums, k) for k in range(1, x.n + 1))
 
 
 def validate(y: Matrix01, matroids: Sequence[Matroid], *, rank: int | None = None,
@@ -155,7 +156,12 @@ def _profit_order(cbar: ProfitMatrix, bases: bool) -> list[int]:
 
 
 def _columns_from_parts(d: int, parts) -> Matrix01:
-    return Matrix01([[int(i in p) for p in parts] for i in range(d)])
+    """The d x len(parts) matrix whose column k holds the elements of parts[k]."""
+    rows = [[0] * len(parts) for _ in range(d)]
+    for k, p in enumerate(parts):
+        for i in p:
+            rows[i][k] = 1
+    return Matrix01(rows)
 
 
 def _greedy(S: Matroid, n: int, order: Sequence[int]) -> tuple[Matrix01, Matrix01, int]:
@@ -163,8 +169,10 @@ def _greedy(S: Matroid, n: int, order: Sequence[int]) -> tuple[Matrix01, Matrix0
     # row left to right: a refused row never fits again, so x is the row
     # prefix of counts.  The union computes the rank once for its cap.
     union = UnionMatroid(S, n)  # validates n
-    counts, parts = union.grow(f // union.n for f in order)
-    x = Matrix01([[int(j < c) for j in range(union.n)] for c in counts])
+    n = union.n
+    counts, parts = union.grow(f // n for f in order)
+    prefixes = [(1,) * c + (0,) * (n - c) for c in range(n + 1)]  # the row of each count
+    x = Matrix01([prefixes[c] for c in counts])
     return x, _columns_from_parts(S.d, parts), union.part_rank
 
 

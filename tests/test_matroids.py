@@ -161,11 +161,35 @@ def test_graphic_circuit_climbs_to_the_nearest_common_ancestor():
     }
     m = GraphicMatroid(9, tree + list(cases))
     part = frozenset(range(len(tree)))
-    up = m._build(part)
+    cert = m._build(part)
+    up = cert[0]
     assert up[m._ends[0][0]] is None and up[m._ends[6][0]] is None  # roots 1 and 8
     for e, want in enumerate(cases.values(), start=len(tree)):
         assert m.circuit(part, e) == want
         assert Matroid._circuit(m, part, part, e) == want
+        assert m._fits(cert, part, e) == (want is None)
+
+
+def test_graphic_fits_follows_cuts_and_links():
+    # The trees 1-2-3-4-5 (with 2-6) and 8-9.  Cutting 2-3 splits off
+    # 3-4-5; a swap of 3-4 for 3-5 (parallel to 3-4-5) keeps every tree;
+    # linking 5-9 hangs 3-4-5 under 8-9.
+    m = GraphicMatroid(9, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (8, 9),
+                           (1, 4), (5, 9), (3, 5), (6, 6), (4, 8)])
+    one_four, five_nine, three_five, loop, four_eight = range(6, 11)
+    part = frozenset(range(6))
+    cert = m._build(part)
+    assert [m._fits(cert, part, e) for e in range(6, 11)] == [False, True, False, False, True]
+    steps = [((1,), (), (True, True, False, False, True)),        # cut 2-3
+             ((2,), (three_five,), (True, True, False, False, True)),  # swap 3-4 for 3-5
+             ((), (five_nine,), (True, False, False, False, False))]   # link 5-9
+    for removed, added, fits in steps:
+        part = part - set(removed) | set(added)
+        cert = m._derive(cert, removed, added, part)
+        outside = [e for e in range(6, 11) if e not in part]
+        assert [m._fits(cert, part, e) for e in outside] == \
+            [f for e, f in zip(range(6, 11), fits) if e not in part]
+        assert all(m._fits(cert, part, e) == (m.circuit(part, e) is None) for e in outside)
 
 
 def test_circuit_refuses_bad_arguments():

@@ -1,6 +1,8 @@
 """Property tests over random matroids of every family, run by hypothesis."""
 
+import copy
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,7 +190,10 @@ def rebuilt_graphic_circuit(m: GraphicMatroid, indep, e: int) -> tuple[int, ...]
 def test_graphic_forest_index_matches_rebuilt_circuits(seed, data):
     # A forest follows added, removed and swapped edges, and jumps to any
     # forest.  Every circuit, from a fresh build and from the forest derived
-    # step by step, must equal the per-call search and the oracle fallback.
+    # step by step, must equal the per-call search and the oracle fallback,
+    # and the derived forest must say an edge fits exactly when it closes
+    # no circuit: a removal splits a tree, a swap keeps every tree's
+    # vertices.
     # Grids and paths with a few chords, of 30 or more vertices, start from
     # a random spanning tree and give long climbs; small multigraphs give
     # loops and parallel edges.
@@ -234,6 +239,7 @@ def test_graphic_forest_index_matches_rebuilt_circuits(seed, data):
                 assert circuit == rebuilt_graphic_circuit(m, forest, e)
                 assert circuit == Matroid._circuit(m, forest, forest, e)
                 assert circuit == m._circuit(up, forest, e)
+                assert m._fits(up, forest, e) == (circuit is None)
 
 
 @pytest.mark.parametrize("kind", ["graphic", "linear_gf2", "transversal"])
@@ -246,8 +252,9 @@ def test_derive_answers_as_a_fresh_build(kind, seed, data):
     # derived from step to step as the union does, must give None exactly
     # when p is dependent (by the one-pass rank), and otherwise a
     # certificate that answers every circuit on p as a fresh build and the
-    # oracle fallback do.  The one-pass rank of p must be the greedy rank
-    # of Matroid._rank, and circuit must refuse a dependent p.
+    # oracle fallback do, and says e fits exactly when it closes no
+    # circuit.  The one-pass rank of p must be the greedy rank of
+    # Matroid._rank, and circuit must refuse a dependent p.
     m = wide_matroid(random.Random(seed), kind)
     q: frozenset = frozenset()
     cert = m._build(q)
@@ -274,6 +281,7 @@ def test_derive_answers_as_a_fresh_build(kind, seed, data):
             circuit = m._circuit(derived, p, e)
             assert circuit == m._circuit(built, p, e) == Matroid._circuit(m, p, p, e)
             assert m.circuit(p, e) == circuit
+            assert m._fits(derived, p, e) == m._fits(built, p, e) == (circuit is None)
         q, cert = p, derived
 
 
@@ -511,6 +519,129 @@ def test_pruned_search_skips_elements_on_a_grid():
     order = list(range(grid.d)) * 3
     assert union.grow(order) == reference_grow(UnionMatroid(grid, 3), order)
     assert union.pruned > 0
+
+
+class CircuitFirst(UnionMatroid):
+    """The search without the fit pass, kept as the reference: each element
+    taken from the queue asks the parts, in slot order, for the circuit it
+    closes there (through the slot memo), and the first part where it closes
+    none takes it.  Every search is recorded as (e, fit, parent)."""
+
+    def __init__(self, part, n):
+        super().__init__(part, n)
+        self.searches = []
+
+    def _search(self, e, refused):
+        parent = {e: None}
+        queue = [e]
+        for x in queue:
+            for k, (p, cert, known) in enumerate(self._slots):
+                if x in p:
+                    continue
+                members = known.get(x, False)
+                if members is False:
+                    members = known[x] = self.part._circuit(cert, p, x)
+                if members is None:
+                    self.searches.append((e, (x, k), parent))
+                    return (x, k), parent
+                for v in members:
+                    if v not in parent and v not in refused:
+                        parent[v] = (x, k)
+                        queue.append(v)
+        self.searches.append((e, None, parent))
+        return None, parent
+
+
+class Recorded(UnionMatroid):
+    """A union whose every search is recorded as (e, fit, parent)."""
+
+    def __init__(self, part, n):
+        super().__init__(part, n)
+        self.searches = []
+
+    def _search(self, e, refused):
+        fit, parent = super()._search(e, refused)
+        self.searches.append((e, fit, parent))
+        return fit, parent
+
+
+def counted(m: Matroid) -> Matroid:
+    """A copy of m whose _circuit and _fits calls are counted in its calls."""
+    c = copy.copy(m)
+    c.calls = Counter()
+    for name in ("_circuit", "_fits"):
+        def hook(*args, name=name, answer=getattr(c, name)):
+            c.calls[name] += 1
+            return answer(*args)
+        setattr(c, name, hook)
+    return c
+
+
+def search_matroid_draw(rng: random.Random, kind: str) -> Matroid:
+    if kind == "oracle":  # circuits from the Matroid defaults
+        m = union_matroid_draw(rng, rng.choice(FAMILIES))
+        return OracleMatroid(m.d, m._indep)
+    return union_matroid_draw(rng, kind)
+
+
+@pytest.mark.parametrize("kind", FAMILIES + ("multigraph", "oracle"))
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_search_finds_the_circuit_first_path(kind, seed, data):
+    # The engine and the circuit-first reference grow twin unions by the
+    # same elements, from empty parts or parts grown before.  Search by
+    # search they must find the same fit by the same chain, and a failed
+    # search must reach the same elements by the same arcs.  The engine
+    # stops at a fit before it asks x's circuits in the parts before it,
+    # so it reaches a subset of the elements, each by the same arc.  No
+    # family builds more circuits than the reference, and only graphic
+    # parts answer _fits at all (the others answer from the memo).
+    rng = random.Random(seed)
+    m = search_matroid_draw(rng, kind)
+    n = data.draw(st.integers(1, 3), label="n")
+    elements = st.lists(st.integers(0, m.d - 1), max_size=m.d * n + 4)
+    mine, theirs = counted(m), counted(m)
+    engine, reference = Recorded(mine, n), CircuitFirst(theirs, n)
+    for sequence in (data.draw(elements, label="start"), data.draw(elements, label="elements")):
+        assert engine.grow(sequence) == reference.grow(sequence)
+    assert len(engine.searches) == len(reference.searches)
+    for (e, fit, parent), (e_ref, fit_ref, want) in zip(engine.searches, reference.searches):
+        assert (e, fit) == (e_ref, fit_ref)
+        if fit is None:
+            assert parent == want
+            continue
+        assert all(want.get(v, False) == arc for v, arc in parent.items())
+        x = fit[0]
+        while x is not None:
+            assert parent[x] == want[x]
+            x = parent[x] and parent[x][0]
+    assert mine.calls["_circuit"] <= theirs.calls["_circuit"]
+    if not isinstance(m, GraphicMatroid):
+        assert mine.calls == theirs.calls and not mine.calls["_fits"]
+
+
+def test_direct_fits_build_no_circuit_on_a_grid():
+    # Three trees on a 20x20 grid by the column-order greedy: a search
+    # whose new copy fits a part straight away builds no circuit, and the
+    # whole run builds fewer than the circuit-first search does.
+    grid, reference = counted(grid_graph(20, 20)), counted(grid_graph(20, 20))
+    engine = Recorded(grid, 3)
+    circuits_before = []  # circuits built before each search
+    search = engine._search
+
+    def watched(e, refused):
+        circuits_before.append(grid.calls["_circuit"])
+        return search(e, refused)
+
+    engine._search = watched
+    order = list(range(grid.d)) * 3
+    assert engine.grow(order) == CircuitFirst(reference, 3).grow(order)
+    circuits_after = circuits_before[1:] + [grid.calls["_circuit"]]
+    direct = [after - before for (e, fit, _), before, after
+              in zip(engine.searches, circuits_before, circuits_after) if fit and fit[0] == e]
+    assert len(direct) > len(engine.searches) // 2 and not any(direct)
+    assert grid.calls["_circuit"] < reference.calls["_circuit"]
+    assert grid.calls["_fits"] > 0 and not reference.calls["_fits"]
 
 
 def greedy_rank(m: Matroid, elems) -> int:
