@@ -70,9 +70,6 @@ class Matrix01:
     def n(self) -> int:
         return len(self.rows[0])
 
-    def column(self, j: int) -> Subset01:
-        return Subset01(r[j] for r in self.rows)
-
     def columns(self) -> list[Subset01]:
         return [Subset01(col) for col in zip(*self.rows)]
 
