@@ -141,7 +141,7 @@ def test_direct_circuit_matches_oracle_fallback_on_wide_matroids(kind, seed, dat
     # (transversal), one echelon basis (GF(2)), one count (uniform) or one
     # block (partition) per circuit must give the circuit that the oracle
     # finds with |indep| + 1 calls; an OracleMatroid asks those calls
-    # itself.
+    # itself.  _fits must say e fits exactly when it closes no circuit.
     m = wide_matroid(random.Random(seed), kind)
     order = data.draw(st.permutations(range(m.d)), label="order")
     indep: frozenset = frozenset()
@@ -149,9 +149,11 @@ def test_direct_circuit_matches_oracle_fallback_on_wide_matroids(kind, seed, dat
         if m._indep(indep | {e}):
             indep |= {e}
     indep -= set(data.draw(st.lists(st.sampled_from(order)), label="dropped"))
+    cert = m._build(indep)
     for e in sorted(set(range(m.d)) - indep):
         circuit = m.circuit(indep, e)
         assert circuit == Matroid._circuit(m, indep, indep, e)
+        assert m._fits(cert, indep, e) == (circuit is None)
         # A dependent indep is refused, not answered.
         outside = set(range(m.d)) - indep - {e}
         if circuit is not None and outside:
