@@ -198,13 +198,13 @@ class GraphicMatroid(Matroid):
     edge joining two reached vertices, or linking a tree to itself, closes
     a cycle: the set is dependent.  If the endpoints of every edge cut
     still share a root at the end, no class split (as in a swap along a
-    circuit); otherwise comp is labelled afresh from the forest, one climb
-    per vertex.  indep + e is independent exactly when the endpoints of e
-    lie in different trees, so _fits compares their classes in comp, with
-    no climb and no path.  The circuit of indep + e climbs indep's forest
-    from both endpoints of e in turn, marking the vertices passed, and
-    stops at the first vertex one side reaches that the other side marked:
-    their nearest common ancestor.  Then it collects the edges from each
+    circuit); otherwise comp is taken from a fresh build of the set.
+    indep + e is independent exactly when the endpoints of e lie in
+    different trees, so _fits compares their classes in comp, with no
+    climb and no path.  The circuit of indep + e climbs indep's forest from
+    both endpoints of e in turn, marking the vertices passed, and stops at
+    the first vertex one side reaches that the other side marked: their
+    nearest common ancestor.  Then it collects the edges from each
     endpoint up to it.
     """
 
@@ -322,7 +322,7 @@ class GraphicMatroid(Matroid):
         for f in removed:
             a, b = self._ends[f]
             if _root(up, a)[0] != _root(up, b)[0]:  # the cuts split a tree
-                comp[:] = _components(up)
+                comp[:] = self._build(part)[1]
                 break
         return cert
 
@@ -368,25 +368,6 @@ def _find(comp: list, x: int) -> int:
     while comp[x] != x:
         comp[x] = x = comp[comp[x]]
     return x
-
-
-def _components(up: list) -> list:
-    """The root of each vertex's tree in a forest of parent pointers: a
-    climb per vertex, stopped at the first vertex already labelled."""
-    comp: list = [None] * len(up)
-    for x in range(len(up)):
-        path = []
-        while comp[x] is None:
-            path.append(x)
-            step = up[x]
-            if step is None:
-                comp[x] = x
-                break
-            x = step[0]
-        root = comp[x]
-        for y in path:
-            comp[y] = root
-    return comp
 
 
 class UniformMatroid(Matroid):
