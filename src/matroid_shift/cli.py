@@ -120,7 +120,10 @@ def _decimal(token: str) -> int | None:
 
 def _count(token: str) -> int:
     """argparse type of --n: ASCII decimal digits only, as in the graph files."""
-    value = _decimal(token)
+    try:
+        value = _decimal(token)
+    except InputError as exc:  # argparse would print "invalid _count value" and the token
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     if value is None:
         raise argparse.ArgumentTypeError(f"expected ASCII decimal digits, got {token!r}")
     return value

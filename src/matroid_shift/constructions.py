@@ -24,6 +24,10 @@ from typing import Iterable, Sequence
 from .errors import InputError, InternalError
 from .matroids import Matroid, PartitionMatroid, Subset01, UniformMatroid, are_bits, full_rank
 
+# UnionMatroid.circuits' answer: the rows that fit, and (rows, circuit)
+# for each circuit that rows close.
+Circuits = tuple[list[int], list[tuple[list[int], tuple[int, ...]]]]
+
 
 class Matrix01:
     """d x n matrix with 0/1 entries; column j is a Subset01 over [d]."""
@@ -127,9 +131,11 @@ class UnionMatroid(Matroid):
 
     grow(elements) adds one copy of each element in turn where it fits,
     decompose(r) finds n independent parts holding element i in exactly r[i]
-    of them (a plain set is the 0/1 case), and circuits(r, rows) tells for
-    each row whether r can take one more copy of it.  grow and decompose
-    rest on one exchange graph: matroid partitioning (Knuth, 1973).  Its
+    of them (a plain set is the 0/1 case), and circuits(r, rows) tells
+    which rows r can take one more copy of and which circuit each other
+    row closes, reporting a circuit that several rows close once, with all
+    of them.  grow and decompose rest on one exchange graph: matroid
+    partitioning (Knuth, 1973).  Its
     arcs lead from x to the members of the circuit x closes in each part
     lacking it, whichever part holds x, so one node per element finds the
     same first path as one node per copy.  grow augments by _search(e), a
@@ -145,9 +151,14 @@ class UnionMatroid(Matroid):
     partition matroid on counts with every r[i] <= n and every block sum at
     most n * c_B (deal a block's copies round-robin over the n parts), and
     a uniform matroid of rank c is one block of capacity c, so it answers
-    from block sums.  Every other family (transversal, graphic, GF(2),
-    oracles) brings the parts to r and answers all the rows from one
-    closure pass over the exchange arcs, without a search per row.
+    from block sums.  A full block's circuit is shared by all its rows.
+    The block sums are kept from call to call and moved only by the rows
+    whose counts changed, so a call compares the counts with the last ones
+    and walks the rows asked about, and rebuilds nothing.  Every other
+    family (transversal, graphic, GF(2), oracles) brings the parts to r and
+    answers all the rows from one closure pass over the exchange arcs,
+    without a search per row; rows whose closures hold the same rows share
+    a circuit.
 
     The union owns its n parts.  Each is a slot [part, certificate, memo
     of circuit answers by element], and _counts holds the multiplicities
@@ -156,10 +167,10 @@ class UnionMatroid(Matroid):
     lack what it gains; the set is changed in place, its certificate is
     handed to Matroid._derive (which checks the part is independent), and
     its memo is cleared.  grow and decompose continue from the parts held,
-    and decompose memoizes its answers by count tuple, so an instance is
-    mutable: use one per run, on one thread.  After an InternalError its
-    parts are undefined.  The matroid it unites keeps no state and may be
-    shared.
+    decompose memoizes its answers by count tuple, and circuits keeps its
+    block sums, so an instance is mutable: use one per run, on one
+    thread.  After an InternalError its parts are undefined.  The matroid
+    it unites keeps no state and may be shared.
     """
 
     kind = "oracle_composite"
@@ -190,6 +201,13 @@ class UnionMatroid(Matroid):
             for i, b in enumerate(part.blocks):
                 members[b].append(i)
             self._blocks = (part.blocks, part.capacities, members)
+        if self._blocks is not None:  # the block state _block_circuits carries, at r = 0
+            self._last_r = zero
+            self._room = [n * c for c in self._blocks[1]]  # copies each block can still take
+            self._full = {b for b, left in enumerate(self._room) if not left}
+            self._held: dict[int, tuple[int, ...]] = {}  # block -> the rows r holds in it, once asked
+            self._at_n: set = set()  # rows at n copies
+            self._bad = 0  # rows above n copies and blocks above n times their capacity
 
     def _indep(self, elems: frozenset) -> bool:
         return self.decompose([int(e in elems) for e in range(self.d)]) is not None
@@ -332,37 +350,42 @@ class UnionMatroid(Matroid):
                         queue.append(v)
         return None, parent
 
-    def circuits(self, r: Sequence[int], rows: Iterable[int]) -> dict[int, tuple[int, ...] | None]:
-        """For each row j: None if the count vector r can take one more copy
-        of j, else the ascending rows i with r[i] > 0 on the circuit it closes.
+    def circuits(self, r: Sequence[int], rows: Iterable[int]) -> Circuits:
+        """(fits, shared): the rows the count vector r can take one more
+        copy of, and the circuits the other rows close, each reported once.
 
-        Row i is on that circuit exactly when r plus a copy of j less a copy
-        of i decomposes.  r itself must decompose; if it does not, an
-        augmentation left the union, and InternalError is raised.
+        fits lists, in the order given, every row j for which r plus a copy
+        of j decomposes.  shared lists pairs (js, circuit): every row of js
+        closes that circuit, the ascending rows i with r[i] > 0 for which r
+        plus a copy of j less a copy of i decomposes; js is ascending.
+        Every row given (rows are distinct) lies in fits or in exactly one
+        js.  r itself must decompose; if it does not, an augmentation left
+        the union, and InternalError is raised.
 
         A partition or uniform part answers from block sums (see the class
         notes): row j fits when r[j] < n and its block sums below n * c_B; a
-        row at n copies closes (j,); otherwise the circuit is the rows of
-        j's block that r holds.  Dealt round-robin, a block's copies give no
-        part two copies of one row or more than c_B of the block.
+        row at n copies closes (j,) alone; otherwise the circuit is the rows
+        of j's block that r holds, shared by all of that block's rows.
+        Dealt round-robin, a block's copies give no part two copies of one
+        row or more than c_B of the block.
 
         Every other family brings the parts to r (not through decompose's
         memo, whose answer would leave them elsewhere) and answers from one
         pass over their exchange arcs: it takes each reached element's arcs
         once, marks the elements that fit straight into a part, and sweeps
         back along the arcs from them to mark every element that reaches
-        one.  A row that reaches no fit answers the held elements of its
+        one.  A row that reaches no fit closes the held elements of its
         forward closure; the closure of a row reached from a later row is
         taken whole, so the rows of one strongly connected component share
-        it.
+        it, and rows whose closures hold the same rows share one circuit.
         """
         r, rows = tuple(r), list(rows)
-        if len(r) != self.d or min(r) < 0:
-            raise InputError(f"count vector {list(r)} does not fit ground size {self.d}")
         if rows and not 0 <= min(rows) <= max(rows) < self.d:
             raise InputError(f"rows must lie in 0..{self.d - 1}")
         if self._blocks is not None:
             return self._block_circuits(r, rows)
+        if len(r) != self.d or min(r) < 0:
+            raise InputError(f"count vector {list(r)} does not fit ground size {self.d}")
         if self._reach(r) is None:
             raise InternalError("augmentation left the intersection")
         slots, circuit = self._slots, self.part._circuit
@@ -398,11 +421,12 @@ class UnionMatroid(Matroid):
                 if x not in fits:
                     fits.add(x)
                     todo.append(x)
-        out: dict[int, tuple[int, ...] | None] = {}
+        fitting: list[int] = []
+        shared: dict[tuple[int, ...], list[int]] = {}  # circuit -> the rows that close it
         closure: dict[int, set] = {}  # row answered -> its forward closure
         for j in rows:
             if j in fits:
-                out[j] = None
+                fitting.append(j)
                 continue
             reach, todo = {j}, [j]
             while todo:
@@ -415,31 +439,63 @@ class UnionMatroid(Matroid):
                         reach.add(v)
                         todo.append(v)
             closure[j] = reach
-            out[j] = tuple(sorted(i for i in reach if r[i]))
-        return out
+            shared.setdefault(tuple(sorted(i for i in reach if r[i])), []).append(j)
+        return fitting, [(sorted(js), c) for c, js in shared.items()]
 
-    def _block_circuits(self, r: tuple, rows: Iterable[int]) -> dict[int, tuple[int, ...] | None]:
-        """circuits for a partition or uniform part, from the block sums of r."""
+    def _block_circuits(self, r: tuple, rows: list[int]) -> Circuits:
+        """circuits for a partition or uniform part, from the block sums of r.
+
+        The block state is carried from call to call and moved only by the
+        rows whose counts differ from the last call's: the room left in
+        each block, the full blocks, the rows at n copies, the rows each
+        full block holds (built when first asked for), and how many rows
+        exceed n copies and blocks exceed n times their capacity.
+        """
         n, (blocks, capacities, members) = self.n, self._blocks
-        room = [n * c for c in capacities]  # copies each block can still take
-        for i, c in enumerate(r):
-            room[blocks[i]] -= c
-        if max(r) > n or min(room) < 0:
+        last, room, full, held, at_n = self._last_r, self._room, self._full, self._held, self._at_n
+        if last != r:
+            if len(r) != self.d or min(r) < 0:
+                raise InputError(f"count vector {list(r)} does not fit ground size {self.d}")
+            bad = self._bad
+            for i in [i for i in range(self.d) if last[i] != r[i]]:
+                was, now, b = last[i], r[i], blocks[i]
+                bad -= (room[b] < 0) + (was > n)
+                room[b] -= now - was
+                bad += (room[b] < 0) + (now > n)
+                if room[b]:
+                    full.discard(b)
+                else:
+                    full.add(b)
+                if not was or not now:
+                    held.pop(b, None)
+                if was == n:
+                    at_n.discard(i)
+                elif now == n:
+                    at_n.add(i)
+            self._last_r, self._bad = r, bad
+        if self._bad:
             raise InternalError("augmentation left the intersection")
-        out: dict[int, tuple[int, ...] | None] = {}
-        full: dict[int, tuple[int, ...]] = {}  # full block -> the rows r holds in it
-        for j in rows:
-            b = blocks[j]
-            if r[j] == n:
-                out[j] = (j,)
-            elif room[b]:
-                out[j] = None
-            else:
-                circuit = full.get(b)
-                if circuit is None:
-                    circuit = full[b] = tuple(i for i in members[b] if r[i])
-                out[j] = circuit
-        return out
+        # A row at n copies closes (j,) alone, and a full block's other rows
+        # given share its circuit: the rows given are walked once, and the
+        # members of the full blocks once more.
+        fits = [j for j in rows if room[blocks[j]]]
+        shared = []
+        alone = at_n.intersection(rows) if at_n else None
+        if alone:
+            fits = [j for j in fits if j not in alone]
+            shared = [([j], (j,)) for j in sorted(alone)]
+        if full and len(fits) + len(shared) < len(rows):
+            given = set(rows)
+            if alone:
+                given -= alone
+            for b in sorted(full):
+                js = [j for j in members[b] if j in given]
+                if js:
+                    circuit = held.get(b)
+                    if circuit is None:
+                        circuit = held[b] = tuple(i for i in members[b] if r[i])
+                    shared.append((js, circuit))
+        return fits, shared
 
     def _replace(self, changes: dict) -> None:
         """Change part k by (lost, gained) for each k: (lost, gained) in

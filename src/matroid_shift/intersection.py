@@ -11,24 +11,27 @@ each factor's n-union gives every row's circuit from the row counts
 (UnionMatroid.circuits).  The n-union of a partition matroid with block
 capacities c_B is the partition matroid on counts with r[i] <= n and each
 block summing to at most n * c_B (deal a block's copies round-robin over
-the n parts), so a partition factor answers from block sums, and so does a
-uniform one (one block); a transversal factor brings its parts to the
-counts and takes one closure pass over their exchange arcs.  The same
-call checks that the counts are still in the union.  The arcs come from
-those circuits only: the swaps into a source and out of a sink are never
-on a cheapest, fewest-hop path, since such a path would close a cycle, and
-no cycle has negative cost (Frank, 1981).  Each stage labels the nodes
-with (cost, hops) by one Bellman-Ford pass, then walks tight arcs to the
-lexicographically smallest cheapest path.  The stages stop at the first
-path that gains nothing: the gains never rise.  Recovering a feasible
-witness is open in general; it is provided here for matchings in bipartite
-graphs, where an n-edge-coloring of the row-sum multigraph splits the
-optimal matrix into n matchings.
+the n parts), so a partition factor answers from block sums, kept from
+stage to stage, and so does a uniform one (one block); a transversal
+factor brings its parts to the counts and takes one closure pass over
+their exchange arcs.  The same call checks that the counts are still in
+the union, and reports a circuit that several rows close once: a full
+block, or a closure class.  The arcs come from those circuits only: the
+swaps into a source and out of a sink are never on a cheapest, fewest-hop
+path, since such a path would close a cycle, and no cycle has negative
+cost (Frank, 1981).  Each shared circuit becomes one hub node of cost 0,
+so a stage has one successor list per circuit, not one arc per pair of
+rows.  Each stage labels the nodes with one integer, cost * K + hops,
+by one Bellman-Ford pass, then walks tight arcs to the lexicographically
+smallest cheapest path.  The stages stop at the first path that gains
+nothing: the gains never rise.  Recovering a feasible witness is open in
+general; it is provided here for matchings in bipartite graphs, where an
+n-edge-coloring of the row-sum multigraph splits the optimal matrix into
+n matchings.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 from .constructions import Matrix01, UnionMatroid
@@ -162,9 +165,8 @@ def _augmenting_path(u1: UnionMatroid, u2: UnionMatroid, r: tuple, w: Sequence[i
     # 2i + 1 its last copy (when r[i] > 0); the other copies of a row are
     # parallel to these and never cheaper.  A path alternates between the
     # two kinds, so ordering nodes by row orders paths as their cells.
-    n = u1.n
+    n, d = u1.n, len(r)
     outside = [i for i, c in enumerate(r) if c < n]
-    inside = [2 * i + 1 for i, c in enumerate(r) if c]
     # Arcs: x->y when x is on the circuit y closes in I in the first shuffle
     # matroid, y->x when x is on y's circuit in the second.  y is a source
     # (a sink) when I + y is independent in the first (second); the swaps
@@ -175,57 +177,103 @@ def _augmenting_path(u1: UnionMatroid, u2: UnionMatroid, r: tuple, w: Sequence[i
     # that leaves sink t for x and ends at sink t' could end at t, since
     # t'->x closes the cycle x..t'->x.  So no cheapest, fewest-hop path uses
     # those arcs, its nodes keep their labels, and the walk below returns
-    # the same path.  Circuits are ascending and outside is visited in
-    # order, so every successor list is ascending.
+    # the same path.
     # Both calls come first: each checks that r is still in its union.
-    c1, c2 = u1.circuits(r, outside), u2.circuits(r, outside)
-    sources = [2 * y for y in outside if c1[y] is None]
-    if not sources:
+    (fits1, shared1), (fits2, shared2) = u1.circuits(r, outside), u2.circuits(r, outside)
+    if not fits1:
         return None
-    sinks = [2 * y for y in outside if c2[y] is None]
-    succ: dict[int, list[int]] = {x: [] for x in inside}
-    cost = {x: w[(x >> 1) * n + r[x >> 1] - 1] for x in inside}
-    for y in outside:
-        for i in c1[y] or ():
-            succ[2 * i + 1].append(2 * y)
-        succ[2 * y] = [2 * i + 1 for i in c2[y] or ()]
-        cost[2 * y] = -w[y * n + r[y]]
+    # A label is cost * K + hops, one integer ordered as the pair (cost,
+    # hops): hops never reach K, since a label with more hops than there
+    # are copies is refused below.  step[v] is what entering v adds to a
+    # label, and an unlabelled node holds `far`, above every label.
+    K, far = 2 * d + 2, float("inf")
+    # Each shared circuit is one hub node, numbered from 2d, which costs 0
+    # and adds no hop: x -> hub -> every y that closes it in the first
+    # matroid, y -> hub -> every x on it in the second.  So every path and
+    # label among the copies is as with one arc per pair, each hub's label
+    # is its best predecessor's, and a hub's successors are ascending, as
+    # js and the circuit are.  No arc enters a source, so a source's label
+    # is its own cost at one hop, and each hub of the second matroid
+    # starts from the best source that closes its circuit.  A copy is
+    # entered only from a hub, so only those copies get a step.
+    size = 2 * d + len(shared1) + len(shared2)
+    dist, step, succ = [far] * size, [0] * size, [()] * size
+    for y in fits1:
+        dist[2 * y] = 1 - w[y * n + r[y]] * K
+    hub = 2 * d
+    for js, circuit in shared1:
+        succ[hub] = [2 * y for y in js]
+        for y in js:
+            step[2 * y] = 1 - w[y * n + r[y]] * K
+        for i in circuit:
+            if succ[2 * i + 1]:
+                succ[2 * i + 1].append(hub)
+            else:
+                succ[2 * i + 1] = [hub]
+        hub += 1
+    queue = []  # FIFO: read in order while it grows
+    for js, circuit in shared2:
+        succ[hub] = [2 * i + 1 for i in circuit]
+        for i in circuit:
+            step[2 * i + 1] = w[i * n + r[i] - 1] * K + 1
+        arc = (hub,)
+        for y in js:
+            succ[2 * y] = arc
+        dist[hub] = min([dist[2 * y] for y in js])
+        if dist[hub] < far:
+            queue.append(hub)
+        hub += 1
 
-    # FIFO Bellman-Ford on (cost, hops) labels.  An extreme set leaves no
-    # negative cycle, so a label with more hops than there are nodes is a bug.
-    dist = {y: (cost[y], 1) for y in sources}
-    queue, queued = deque(sources), set(sources)
-    while queue:
-        u = queue.popleft()
+    # FIFO Bellman-Ford from those hubs.  An extreme set leaves no
+    # negative cycle, so a label with more hops than there are copies is
+    # a bug.
+    queued = set(queue)
+    for u in queue:
         queued.discard(u)
-        cu, hu = dist[u]
-        if hu > len(succ):
+        du = dist[u]
+        if du % K > 2 * d:
             raise InternalError("negative cycle in the exchange graph")
         for v in succ[u]:
-            cand = (cu + cost[v], hu + 1)
-            if v not in dist or cand < dist[v]:
+            cand = du + step[v]
+            if cand < dist[v]:
                 dist[v] = cand
                 if v not in queued:
                     queue.append(v)
                     queued.add(v)
-    best = min((dist[y] for y in sinks if y in dist), default=None)
-    if best is None:
+    ends = [dist[2 * y] for y in fits2]
+    best = min(ends, default=far)
+    if best == far:
         return None
+    top = best % K
+    if top == 1:  # the path is one copy: the smallest source among the optimal sinks
+        return [2 * fits2[ends.index(best)]]
+    good = {2 * y for y, label in zip(fits2, ends) if label == best}
 
-    # Tight arcs raise hops by one, so they form a DAG.  Mark the nodes that
-    # reach an optimal sink along tight arcs, then walk from the smallest
-    # tight source through the smallest good successor: every prefix of the
-    # lexicographically smallest optimal path is itself smallest.
+    # Tight arcs (dist[v] == dist[u] + step[v]) raise hops by one into a
+    # copy and keep them into a hub, so they form a DAG.  Mark the nodes
+    # that reach an optimal sink along tight arcs, by decreasing hops and
+    # each hub before the copies of its hops, then walk from the smallest
+    # source that reaches one through the smallest good successor: every
+    # prefix of the lexicographically smallest optimal path is itself
+    # smallest.  A copy's tight successors are those of its tight hubs.
+    # Sources come last in that order (one hop, and nothing enters them),
+    # so only the first good one is looked for.
     def tight(u: int, v: int) -> bool:
-        return dist.get(v) == (dist[u][0] + cost[v], dist[u][1] + 1)
+        return dist[v] == dist[u] + step[v]
 
-    good = {y for y in sinks if dist.get(y) == best}
-    for u in sorted((u for u in dist if dist[u][1] < best[1]), key=lambda u: -dist[u][1]):
-        if any(v in good and tight(u, v) for v in succ[u]):
+    def reaches(u: int) -> bool:
+        return any(v in good and tight(u, v) for v in succ[u])
+
+    sources = {2 * y for y in fits1}
+    inner = [u for u in range(size) if dist[u] < far and dist[u] % K < top and u not in sources]
+    for u in sorted(inner, key=lambda u: (u < 2 * d) - 2 * (dist[u] % K)):
+        if reaches(u):
             good.add(u)
-    path = [min(y for y in sources if y in good and dist[y] == (cost[y], 1))]
+    path = [next(2 * y for y in fits1 if 2 * y in good or reaches(2 * y))]
     while dist[path[-1]] != best:
-        path.append(next(v for v in succ[path[-1]] if v in good and tight(path[-1], v)))
+        u = path[-1]
+        path.append(min(next(v for v in succ[h] if v in good and tight(h, v))
+                        for h in succ[u] if h in good and tight(u, h)))
     return path
 
 

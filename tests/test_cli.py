@@ -504,6 +504,22 @@ def test_n_must_be_ascii_decimal(files, capsys, command, token):
     assert "argument --n" in out.err
 
 
+@pytest.mark.parametrize("command", sorted(CHECKED_ARGV))
+def test_n_over_the_digit_limit_names_its_length(files, capsys, command):
+    # argparse once printed "invalid _count value:" and the whole token,
+    # 5,000 digits, instead of the length message of the digit check.
+    argv = checked_argv(files, command)
+    if "--n" in argv:
+        argv = argv[:argv.index("--n")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--n", "9" * 5000])
+    err = capsys.readouterr().err
+    assert exc.value.code == 3
+    assert "a number of 5000 digits is too long" in err
+    assert "_count" not in err
+    assert len(err) < 500
+
+
 BAD_INPUT_ARGV = {
     "unreadable-file": ["shifted", "@missing", "@profits"],
     "invalid-json": ["shifted", "@garbled", "@profits"],

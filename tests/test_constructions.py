@@ -13,6 +13,7 @@ from matroid_shift import (
     InternalError,
     LiftMatroid,
     Matrix01,
+    PartitionMatroid,
     ShuffleMatroid,
     Subset01,
     UnionMatroid,
@@ -386,9 +387,23 @@ def test_union_refuses_elements_outside_the_ground_set():
     for rows in ([-1], [7], [0, 3]):
         with pytest.raises(InputError, match="rows must lie"):
             u.circuits([1, 1, 0], rows)
-    assert u.circuits([1, 1, 0], []) == {}
+    assert u.circuits([1, 1, 0], []) == ([], [])
     # The refusals leave the parts whole, at the counts circuits brought.
     assert u.grow([2, 0])[0] == [2, 1, 1]
+
+
+def test_union_circuits_refuse_counts_that_do_not_fit():
+    # A partition union checks its counts only when they differ from the
+    # last call's, and then through the rows that moved; every family must
+    # still refuse a negative count or a vector of the wrong length, and
+    # answer as before afterwards.
+    for part in (TRIANGLE, PartitionMatroid([0, 0, 1], [1, 1])):
+        u = UnionMatroid(part, 2)
+        assert u.circuits([1, 1, 0], [2]) == ([2], [])
+        for r in ([-1, 1, 0], [1, 1, -1], [1, 1], [1, 1, 0, 0]):
+            with pytest.raises(InputError, match="does not fit"):
+                u.circuits(r, [2])
+        assert u.circuits([1, 1, 0], [2]) == ([2], [])
 
 
 def test_lift_dimension_mismatch():

@@ -353,6 +353,53 @@ def test_row_engine_matches_cell_reference(family):
     assert max(longest) >= 3
 
 
+def random_overlapping_transversal_matroid(rng, d):
+    # Few agents, each element adjacent to one to three of them, so the
+    # closure classes of one union overlap: a row can lie on several of
+    # the shared circuits that one matroid reports.
+    agents = rng.randint(2, 4)
+    return TransversalMatroid([rng.sample(range(agents), rng.randint(1, min(3, agents)))
+                               for _ in range(d)], agents)
+
+
+@pytest.mark.parametrize("family", ["transversal", "transversal-partition"])
+def test_closure_circuits_match_the_cell_reference(family):
+    # A transversal union answers from its closure pass, whose rows share
+    # a circuit when their closures hold the same rows.  A last copy on
+    # several shared circuits of the first matroid gets one hub for each,
+    # and the walk must take the smallest tight successor over all of them.
+    # Every stage must hold the row counts of the cell-level reference.
+    longest = []
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def check(seed):
+        rng = random.Random(seed)
+        d, n = rng.randint(2, 7), rng.randint(1, 3)
+        m1 = random_overlapping_transversal_matroid(rng, d)
+        m2 = (random_overlapping_transversal_matroid(rng, d) if family == "transversal"
+              else random_partition_matroid(rng, d))
+        w = shifted_weights(rng, d, n)
+        rows, paths = [], []
+        search = intersection._augmenting_path
+
+        def recorded(u1, u2, r, w):
+            rows.append(r)
+            path = search(u1, u2, r, w)
+            paths.append(len(path) if path else 0)
+            return path
+
+        with mock.patch.object(intersection, "_augmenting_path", recorded):
+            got = weighted_matroid_intersection_max(m1, m2, w, n)
+        want, stages = cell_intersection(*(ShuffleMatroid(m, n) for m in (m1, m2)), w)
+        assert rows == [row_counts(cur, d, n) for cur in stages[:len(rows)]]
+        assert row_counts(got.indices(), d, n) == row_counts(want, d, n)
+        longest.append(max(paths))
+
+    check()
+    assert max(longest) >= 3
+
+
 def random_loaded_partition_matroid(rng, d):
     # Several elements per block, capacities 0-3 (0: loops).
     nb = rng.randint(2, 5)
@@ -609,7 +656,8 @@ def flow_matching_value(left, right, edges, rows, n):
 
 
 @pytest.mark.parametrize("side, m, value", [(16, 110, 492), (20, 150, 640), (30, 300, 995),
-                                              (40, 500, 1384), (60, 1000, 2115)])
+                                              (40, 500, 1384), (60, 1000, 2115),
+                                              (100, 3000, 3595)])
 def test_bipartite_larger_values_match_min_cost_flow(side, m, value):
     # Drawn as in the 12x12 case: m distinct edges of the side x side grid
     # of vertex pairs, n = 4, profits in -3..9 from random.Random(0).

@@ -301,7 +301,7 @@ def test_shuffle_circuit_matches_oracle_fallback(kind, seed, data):
     union = UnionMatroid(m, n)
     grown = data.draw(st.lists(st.integers(0, m.d - 1), max_size=m.d * n), label="grown")
     r, parts = union.grow(grown)
-    circuits = union.circuits(r, range(m.d))
+    circuits = row_answers(union.circuits(r, range(m.d)), range(m.d))
 
     def decomposes(counts):
         return UnionMatroid(m, n).decompose(counts) is not None
@@ -314,6 +314,24 @@ def test_shuffle_circuit_matches_oracle_fallback(kind, seed, data):
         want = tuple(i for i in range(m.d) if r[i] and decomposes(
             [c - (k == i) for k, c in enumerate(plus)]))
         assert circuits[j] == want
+
+
+def row_answers(answer, rows):
+    """circuits' (fits, shared) as one answer per row, None or its circuit,
+    after checking the shape: fits keeps the order of rows, every js and
+    circuit is ascending, and every row lies in fits or in one js."""
+    fits, shared = answer
+    rows = list(rows)
+    assert fits == [j for j in rows if j in set(fits)]
+    out = dict.fromkeys(fits)
+    for js, circuit in shared:
+        assert js and js == sorted(set(js))
+        assert list(circuit) == sorted(set(circuit))
+        for j in js:
+            assert j not in out
+            out[j] = circuit
+    assert sorted(out) == sorted(rows)
+    return out
 
 
 def reference_circuits(union: UnionMatroid, parts, rows):
@@ -375,7 +393,8 @@ def test_circuits_equal_reference_circuits(kind, seed):
     for parts in (grown, tuple(independent() for _ in range(n))):
         rows = rng.sample(range(m.d), rng.randint(1, m.d))
         r = [sum(i in p for p in parts) for i in range(m.d)]
-        assert union.circuits(r, rows) == reference_circuits(UnionMatroid(m, n), parts, rows)
+        got = row_answers(union.circuits(r, rows), rows)
+        assert got == reference_circuits(UnionMatroid(m, n), parts, rows)
 
 
 @pytest.mark.parametrize("kind", FAMILIES + ("multigraph",))
@@ -395,19 +414,55 @@ def test_circuits_refuse_counts_that_do_not_decompose(kind, seed):
             with pytest.raises(InternalError, match="left the intersection"):
                 union.circuits(r, range(m.d))
         else:
-            assert set(union.circuits(r, range(m.d))) == set(range(m.d))
+            row_answers(union.circuits(r, range(m.d)), range(m.d))
+
+
+@pytest.mark.parametrize("kind", FAMILIES + ("multigraph",))
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1))
+def test_circuits_follow_jumps_in_the_counts(kind, seed):
+    # One union answers count vectors that jump by arbitrary amounts, up
+    # and down, as no intersection stage does: a partition or uniform
+    # union carries its block state from call to call and must follow.
+    # Counts grown by a fresh union decompose; every row that circuits
+    # reports, alone or sharing a circuit, must get the answer of its own
+    # search over a decomposition.  Random counts often leave the union
+    # and must raise, also after a run of valid calls, and the next call
+    # must answer as before.
+    rng = random.Random(seed)
+    m = union_matroid_draw(rng, kind)
+    n = rng.randint(1, 3)
+    union = UnionMatroid(m, n)
+    for _ in range(8):
+        if rng.random() < 0.6:
+            r, _ = UnionMatroid(m, n).grow(rng.randrange(m.d) for _ in range(rng.randint(0, m.d * n)))
+        else:
+            r = [rng.randint(0, n + 1) for _ in range(m.d)]
+        rows = rng.sample(range(m.d), rng.randint(0, m.d))
+        parts = UnionMatroid(m, n).decompose(r)
+        if parts is None:
+            with pytest.raises(InternalError, match="left the intersection"):
+                union.circuits(r, rows)
+            continue
+        answer = union.circuits(r, rows)
+        assert answer == UnionMatroid(m, n).circuits(r, rows)
+        assert row_answers(answer, rows) == reference_circuits(UnionMatroid(m, n), parts, rows)
 
 
 def test_partition_union_circuits_from_block_sums():
     # Blocks {0, 1, 2} (capacity 1), {3} (capacity 0, a loop) and {4}
-    # (capacity 2); n = 2.
+    # (capacity 2); n = 2.  Row 4 at n copies closes (4,) alone; a full
+    # block reports its circuit once, for all its rows given.
     union = UnionMatroid(PartitionMatroid([0, 0, 0, 1, 2], [1, 0, 2]), 2)
-    assert union.circuits([1, 0, 1, 0, 2], range(5)) == {
-        0: (0, 2), 1: (0, 2), 2: (0, 2), 3: (), 4: (4,)}
-    assert union.circuits([1, 0, 0, 0, 1], [1, 4]) == {1: None, 4: None}
+    assert union.circuits([1, 0, 1, 0, 2], range(5)) == (
+        [], [([4], (4,)), ([0, 1, 2], (0, 2)), ([3], ())])
+    assert union.circuits([1, 0, 0, 0, 1], [4, 1]) == ([4, 1], [])
+    assert union.circuits([1, 0, 1, 0, 1], [4, 2, 3, 0]) == (
+        [4], [([0, 2], (0, 2)), ([3], ())])
     for r in ([2, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 3]):
         with pytest.raises(InternalError):
             union.circuits(r, [0])
+    assert union.circuits([1, 0, 0, 0, 1], [4, 1]) == ([4, 1], [])
 
 
 @pytest.mark.parametrize("kind", FAMILIES)
