@@ -368,36 +368,34 @@ def test_closure_circuits_match_the_cell_reference(family):
     # a circuit when their closures hold the same rows.  A last copy on
     # several shared circuits of the first matroid gets one hub for each,
     # and the walk must take the smallest tight successor over all of them.
-    # Every stage must hold the row counts of the cell-level reference.
-    longest = []
-
-    @settings(max_examples=150, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def check(seed):
+    # Every stage must hold the row counts of the cell-level reference, and
+    # some paths must exchange (three copies or more).
+    search = intersection._augmenting_path
+    longest = 0
+    # Such walks are rare: among these draws, seed 268 (transversal) and
+    # seed 27 (transversal-partition) reach a copy with two tight hubs
+    # whose smallest good successors differ.
+    for seed in range(400):
         rng = random.Random(seed)
-        d, n = rng.randint(2, 7), rng.randint(1, 3)
+        d, n = rng.randint(4, 9), rng.randint(1, 3)
         m1 = random_overlapping_transversal_matroid(rng, d)
         m2 = (random_overlapping_transversal_matroid(rng, d) if family == "transversal"
               else random_partition_matroid(rng, d))
         w = shifted_weights(rng, d, n)
         rows, paths = [], []
-        search = intersection._augmenting_path
 
         def recorded(u1, u2, r, w):
             rows.append(r)
-            path = search(u1, u2, r, w)
-            paths.append(len(path) if path else 0)
-            return path
+            paths.append(search(u1, u2, r, w))
+            return paths[-1]
 
         with mock.patch.object(intersection, "_augmenting_path", recorded):
             got = weighted_matroid_intersection_max(m1, m2, w, n)
         want, stages = cell_intersection(*(ShuffleMatroid(m, n) for m in (m1, m2)), w)
         assert rows == [row_counts(cur, d, n) for cur in stages[:len(rows)]]
         assert row_counts(got.indices(), d, n) == row_counts(want, d, n)
-        longest.append(max(paths))
-
-    check()
-    assert max(longest) >= 3
+        longest = max(longest, *(len(path or ()) for path in paths))
+    assert longest >= 3
 
 
 def random_loaded_partition_matroid(rng, d):
