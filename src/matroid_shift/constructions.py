@@ -18,7 +18,7 @@ Matrices over [d] x [n] are flattened row-major: element (i, j) <-> i*n + j
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Sequence
 
 from .errors import InputError, InternalError
@@ -152,9 +152,8 @@ class UnionMatroid(Matroid):
     most n * c_B (deal a block's copies round-robin over the n parts), and
     a uniform matroid of rank c is one block of capacity c, so it answers
     from block sums.  A full block's circuit is shared by all its rows.
-    The block sums are kept from call to call and moved only by the rows
-    whose counts changed, so a call compares the counts with the last ones
-    and walks the rows asked about, and rebuilds nothing.  Every other
+    A call sums the blocks afresh over the rows r holds and keeps nothing,
+    so it costs a walk of r and of the rows asked about.  Every other
     family (transversal, graphic, GF(2), oracles) brings the parts to r and
     answers all the rows from one closure pass over the exchange arcs,
     without a search per row; rows whose closures hold the same rows share
@@ -167,10 +166,10 @@ class UnionMatroid(Matroid):
     lack what it gains; the set is changed in place, its certificate is
     handed to Matroid._derive (which checks the part is independent), and
     its memo is cleared.  grow and decompose continue from the parts held,
-    decompose memoizes its answers by count tuple, and circuits keeps its
-    block sums, so an instance is mutable: use one per run, on one
-    thread.  After an InternalError its parts are undefined.  The matroid
-    it unites keeps no state and may be shared.
+    and decompose memoizes its answers by count tuple, so an instance is
+    mutable: use one per run, on one thread.  After an InternalError its
+    parts are undefined.  The matroid it unites keeps no state and may be
+    shared.
     """
 
     kind = "oracle_composite"
@@ -193,21 +192,11 @@ class UnionMatroid(Matroid):
         # A family's own _fits answers without a circuit; by default _fits
         # is the circuit, which _search asks through the slot memo instead.
         self._fits = None if type(part)._fits is Matroid._fits else part._fits
-        self._blocks = None  # (blocks, capacities, block -> its ascending elements) for block sums
+        self._blocks = None  # (block of each element, n * each block's capacity) for block sums
         if isinstance(part, UniformMatroid):
-            self._blocks = ((0,) * part.d, (part.r,), [range(part.d)])
+            self._blocks = ((0,) * part.d, (n * part.r,))
         elif isinstance(part, PartitionMatroid):
-            members = [[] for _ in part.capacities]
-            for i, b in enumerate(part.blocks):
-                members[b].append(i)
-            self._blocks = (part.blocks, part.capacities, members)
-        if self._blocks is not None:  # the block state _block_circuits carries, at r = 0
-            self._last_r = zero
-            self._room = [n * c for c in self._blocks[1]]  # copies each block can still take
-            self._full = {b for b, left in enumerate(self._room) if not left}
-            self._held: dict[int, tuple[int, ...]] = {}  # block -> the rows r holds in it, once asked
-            self._at_n: set = set()  # rows at n copies
-            self._bad = 0  # rows above n copies and blocks above n times their capacity
+            self._blocks = (part.blocks, [n * c for c in part.capacities])
 
     def _indep(self, elems: frozenset) -> bool:
         return self.decompose([int(e in elems) for e in range(self.d)]) is not None
@@ -382,10 +371,10 @@ class UnionMatroid(Matroid):
         r, rows = tuple(r), list(rows)
         if rows and not 0 <= min(rows) <= max(rows) < self.d:
             raise InputError(f"rows must lie in 0..{self.d - 1}")
-        if self._blocks is not None:
-            return self._block_circuits(r, rows)
         if len(r) != self.d or min(r) < 0:
             raise InputError(f"count vector {list(r)} does not fit ground size {self.d}")
+        if self._blocks is not None:
+            return self._block_circuits(r, rows)
         if self._reach(r) is None:
             raise InternalError("augmentation left the intersection")
         slots, circuit = self._slots, self.part._circuit
@@ -445,56 +434,32 @@ class UnionMatroid(Matroid):
     def _block_circuits(self, r: tuple, rows: list[int]) -> Circuits:
         """circuits for a partition or uniform part, from the block sums of r.
 
-        The block state is carried from call to call and moved only by the
-        rows whose counts differ from the last call's: the room left in
-        each block, the full blocks, the rows at n copies, the rows each
-        full block holds (built when first asked for), and how many rows
-        exceed n copies and blocks exceed n times their capacity.
+        One pass over the rows r holds sums each block and groups those rows
+        by block, then one pass sorts the rows given: rows that fit, rows at
+        n copies, and rows of full blocks.  Nothing is kept between calls.
         """
-        n, (blocks, capacities, members) = self.n, self._blocks
-        last, room, full, held, at_n = self._last_r, self._room, self._full, self._held, self._at_n
-        if last != r:
-            if len(r) != self.d or min(r) < 0:
-                raise InputError(f"count vector {list(r)} does not fit ground size {self.d}")
-            bad = self._bad
-            for i in [i for i in range(self.d) if last[i] != r[i]]:
-                was, now, b = last[i], r[i], blocks[i]
-                bad -= (room[b] < 0) + (was > n)
-                room[b] -= now - was
-                bad += (room[b] < 0) + (now > n)
-                if room[b]:
-                    full.discard(b)
-                else:
-                    full.add(b)
-                if not was or not now:
-                    held.pop(b, None)
-                if was == n:
-                    at_n.discard(i)
-                elif now == n:
-                    at_n.add(i)
-            self._last_r, self._bad = r, bad
-        if self._bad:
-            raise InternalError("augmentation left the intersection")
-        # A row at n copies closes (j,) alone, and a full block's other rows
-        # given share its circuit: the rows given are walked once, and the
-        # members of the full blocks once more.
-        fits = [j for j in rows if room[blocks[j]]]
-        shared = []
-        alone = at_n.intersection(rows) if at_n else None
-        if alone:
-            fits = [j for j in fits if j not in alone]
-            shared = [([j], (j,)) for j in sorted(alone)]
-        if full and len(fits) + len(shared) < len(rows):
-            given = set(rows)
-            if alone:
-                given -= alone
-            for b in sorted(full):
-                js = [j for j in members[b] if j in given]
-                if js:
-                    circuit = held.get(b)
-                    if circuit is None:
-                        circuit = held[b] = tuple(i for i in members[b] if r[i])
-                    shared.append((js, circuit))
+        n, (blocks, limits) = self.n, self._blocks
+        sums = [0] * len(limits)
+        held: list[list[int]] = [[] for _ in limits]  # block -> the rows r holds in it, ascending
+        for i in compress(range(len(r)), r):
+            c, b = r[i], blocks[i]
+            sums[b] += c
+            if c > n or sums[b] > limits[b]:
+                raise InternalError("augmentation left the intersection")
+            held[b].append(i)
+        fits, shared, full = [], [], {}  # full: block -> its rows given below n copies
+        for j in rows:
+            b = blocks[j]
+            if r[j] == n:
+                shared.append(([j], (j,)))
+            elif sums[b] < limits[b]:
+                fits.append(j)
+            elif b in full:
+                full[b].append(j)
+            else:
+                full[b] = [j]
+        shared.sort()
+        shared += [(sorted(full[b]), tuple(held[b])) for b in sorted(full)]
         return fits, shared
 
     def _replace(self, changes: dict) -> None:

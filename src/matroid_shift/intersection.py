@@ -11,23 +11,23 @@ each factor's n-union gives every row's circuit from the row counts
 (UnionMatroid.circuits).  The n-union of a partition matroid with block
 capacities c_B is the partition matroid on counts with r[i] <= n and each
 block summing to at most n * c_B (deal a block's copies round-robin over
-the n parts), so a partition factor answers from block sums, kept from
-stage to stage, and so does a uniform one (one block); a transversal
-factor brings its parts to the counts and takes one closure pass over
-their exchange arcs.  The same call checks that the counts are still in
-the union, and reports a circuit that several rows close once: a full
-block, or a closure class.  The arcs come from those circuits only: the
-swaps into a source and out of a sink are never on a cheapest, fewest-hop
-path, since such a path would close a cycle, and no cycle has negative
-cost (Frank, 1981).  Each shared circuit becomes one hub node of cost 0,
-so a stage has one successor list per circuit, not one arc per pair of
-rows.  Each stage labels the nodes with one integer, cost * K + hops,
-by one Bellman-Ford pass, then walks tight arcs to the lexicographically
-smallest cheapest path.  The stages stop at the first path that gains
-nothing: the gains never rise.  Recovering a feasible witness is open in
-general; it is provided here for matchings in bipartite graphs, where an
-n-edge-coloring of the row-sum multigraph splits the optimal matrix into
-n matchings.
+the n parts), so a partition factor answers from block sums, taken afresh
+at each stage in one pass over the counts, and so does a uniform one (one
+block); a transversal factor brings its parts to the counts and takes one
+closure pass over their exchange arcs.  The same call checks that the
+counts are still in the union, and reports a circuit that several rows
+close once: a full block, or a closure class.  The arcs come from those
+circuits only: the swaps into a source and out of a sink are never on a
+cheapest, fewest-hop path, since such a path would close a cycle, and no
+cycle has negative cost (Frank, 1981).  Each shared circuit becomes one hub
+node of cost 0, so a stage has one successor list per circuit, not one arc
+per pair of rows.  Each stage labels the nodes with one integer, cost * K +
+hops, by one Bellman-Ford pass, then walks tight arcs to the
+lexicographically smallest cheapest path.  The stages stop at the first
+path that gains nothing: the gains never rise.  Recovering a feasible
+witness is open in general; it is provided here for matchings in bipartite
+graphs, where an n-edge-coloring of the row-sum multigraph splits the
+optimal matrix into n matchings.
 """
 
 from __future__ import annotations
@@ -277,11 +277,11 @@ def _augmenting_path(u1: UnionMatroid, u2: UnionMatroid, r: tuple, w: Sequence[i
     return path
 
 
-def _shifted_intersection_witness(inst: IntersectionInstance) -> tuple[int, Matrix01]:
-    cbar = inst.c.shifted()
-    sel = weighted_matroid_intersection_max(inst.m1, inst.m2, _flat_weights(cbar), inst.n)
-    x = Matrix01.from_flat(inst.c.d, inst.n, sel.indices())
-    return cbar.dot(x), x
+def _shifted_intersection_cells(inst: IntersectionInstance) -> tuple[int, tuple[int, ...]]:
+    """The optimal shifted value and the flat cells that reach it."""
+    w = _flat_weights(inst.c.shifted())
+    cells = weighted_matroid_intersection_max(inst.m1, inst.m2, w, inst.n).indices()
+    return sum(w[f] for f in cells), cells
 
 
 def shifted_value_intersection(inst: IntersectionInstance) -> int:
@@ -290,8 +290,7 @@ def shifted_value_intersection(inst: IntersectionInstance) -> int:
     Only the value: a column-feasible witness is not recovered in general
     (see solve_shifted_bipartite_matching for the matching case).
     """
-    value, _ = _shifted_intersection_witness(inst)
-    return value
+    return _shifted_intersection_cells(inst)[0]
 
 
 def fiber_bipartite_matching(g: BipartiteGraph, n: int, x: Matrix01) -> Matrix01:
@@ -375,7 +374,7 @@ def solve_shifted_bipartite_matching(g: BipartiteGraph, n: int, c: ProfitMatrix)
     edge-coloring fiber; every returned column is a matching.
     """
     inst = IntersectionInstance(*degree_matroids(g), n, c)
-    value, x = _shifted_intersection_witness(inst)
-    y = fiber_bipartite_matching(g, n, x)
+    value, cells = _shifted_intersection_cells(inst)
+    y = fiber_bipartite_matching(g, n, Matrix01.from_flat(c.d, n, cells))
     validate(y, (), cbar=c.shifted(), value=value)
     return ShiftedSolution(y, value, vulnerability_vector(y))

@@ -393,10 +393,9 @@ def test_union_refuses_elements_outside_the_ground_set():
 
 
 def test_union_circuits_refuse_counts_that_do_not_fit():
-    # A partition union checks its counts only when they differ from the
-    # last call's, and then through the rows that moved; every family must
-    # still refuse a negative count or a vector of the wrong length, and
-    # answer as before afterwards.
+    # circuits checks the counts once, before it chooses the block path or
+    # the closure path; every family must refuse a negative count or a
+    # vector of the wrong length, and answer as before afterwards.
     for part in (TRIANGLE, PartitionMatroid([0, 0, 1], [1, 1])):
         u = UnionMatroid(part, 2)
         assert u.circuits([1, 1, 0], [2]) == ([2], [])

@@ -423,7 +423,8 @@ def test_circuits_refuse_counts_that_do_not_decompose(kind, seed):
 def test_circuits_follow_jumps_in_the_counts(kind, seed):
     # One union answers count vectors that jump by arbitrary amounts, up
     # and down, as no intersection stage does: a partition or uniform
-    # union carries its block state from call to call and must follow.
+    # union answers each call from its counts alone and keeps nothing, so
+    # every attribute stays as it was; the other families move their parts.
     # Counts grown by a fresh union decompose; every row that circuits
     # reports, alone or sharing a circuit, must get the answer of its own
     # search over a decomposition.  Random counts often leave the union
@@ -433,6 +434,7 @@ def test_circuits_follow_jumps_in_the_counts(kind, seed):
     m = union_matroid_draw(rng, kind)
     n = rng.randint(1, 3)
     union = UnionMatroid(m, n)
+    blocks = isinstance(m, (PartitionMatroid, UniformMatroid))
     for _ in range(8):
         if rng.random() < 0.6:
             r, _ = UnionMatroid(m, n).grow(rng.randrange(m.d) for _ in range(rng.randint(0, m.d * n)))
@@ -440,13 +442,16 @@ def test_circuits_follow_jumps_in_the_counts(kind, seed):
             r = [rng.randint(0, n + 1) for _ in range(m.d)]
         rows = rng.sample(range(m.d), rng.randint(0, m.d))
         parts = UnionMatroid(m, n).decompose(r)
+        before = copy.deepcopy(vars(union), {id(m): m})
         if parts is None:
             with pytest.raises(InternalError, match="left the intersection"):
                 union.circuits(r, rows)
-            continue
-        answer = union.circuits(r, rows)
-        assert answer == UnionMatroid(m, n).circuits(r, rows)
-        assert row_answers(answer, rows) == reference_circuits(UnionMatroid(m, n), parts, rows)
+        else:
+            answer = union.circuits(r, rows)
+            assert answer == UnionMatroid(m, n).circuits(r, rows)
+            assert row_answers(answer, rows) == reference_circuits(UnionMatroid(m, n), parts, rows)
+        if blocks:
+            assert vars(union) == before
 
 
 def test_partition_union_circuits_from_block_sums():
@@ -459,6 +464,10 @@ def test_partition_union_circuits_from_block_sums():
     assert union.circuits([1, 0, 0, 0, 1], [4, 1]) == ([4, 1], [])
     assert union.circuits([1, 0, 1, 0, 1], [4, 2, 3, 0]) == (
         [4], [([0, 2], (0, 2)), ([3], ())])
+    # Rows at n copies come first among the circuits, ascending, whatever
+    # the order they are given in; then the full blocks.
+    assert union.circuits([2, 0, 0, 0, 2], [4, 1, 0]) == (
+        [], [([0], (0,)), ([4], (4,)), ([1], (0,))])
     for r in ([2, 1, 0, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 3]):
         with pytest.raises(InternalError):
             union.circuits(r, [0])
