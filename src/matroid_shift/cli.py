@@ -130,28 +130,43 @@ def _count(token: str) -> int:
 
 
 def parse_graph_file(path: str) -> tuple[int, list[tuple[int, int]]]:
-    """DIMACS-adjacent format: 'p V E' then one 'e u v' line per edge."""
-    lines = [ln.strip() for ln in _read_text(path).splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("c")]
-    head = lines[0].split() if lines else []
-    if not head or head[0] != "p":
-        raise InputError(f"{path}: first line must be 'p <vertices> <edges>'")
-    counts = [_decimal(t) for t in head[1:]]
-    if len(head) != 3 or None in counts:
-        raise InputError(f"{path}: malformed problem line {lines[0]!r}")
-    vertices, num_edges = counts
-    if vertices < 1:
-        raise InputError(f"{path}: a graph needs at least one vertex")
-    edges = []
-    for ln in lines[1:]:
+    """DIMACS-adjacent format: 'p V E' then one 'e u v' line per edge.
+
+    One pass over the lines.  An edge line of 'e' and two tokens of ASCII
+    digits is read inline; any other line is malformed, unless one of its
+    tokens is a number over the digit limit, which _decimal names."""
+    vertices, edges = None, []
+    for ln in _read_text(path).splitlines():
+        ln = ln.strip()
+        if not ln or ln[0] == "c":
+            continue
         parts = ln.split()
-        ends = [_decimal(t) for t in parts[1:]]
-        if len(parts) != 3 or parts[0] != "e" or None in ends:
-            raise InputError(f"{path}: malformed edge line {ln!r}")
-        u, v = ends
-        if not (1 <= u <= vertices and 1 <= v <= vertices):
-            raise InputError(f"{path}: edge {ln!r} has an endpoint outside 1..{vertices}")
-        edges.append((u, v))
+        if vertices is None:
+            if parts[0] != "p":
+                raise InputError(f"{path}: first line must be 'p <vertices> <edges>'")
+            counts = [_decimal(t) for t in parts[1:]]
+            if len(parts) != 3 or None in counts:
+                raise InputError(f"{path}: malformed problem line {ln!r}")
+            vertices, num_edges = counts
+            if vertices < 1:
+                raise InputError(f"{path}: a graph needs at least one vertex")
+            continue
+        tag, u, v = parts if len(parts) == 3 else ("", "", "")
+        if tag == "e" and u.isascii() and u.isdigit() and v.isascii() and v.isdigit():
+            try:
+                u, v = int(u), int(v)
+            except ValueError:  # over Python's limit on digits: named below
+                pass
+            else:
+                if not (1 <= u <= vertices and 1 <= v <= vertices):
+                    raise InputError(f"{path}: edge {ln!r} has an endpoint outside 1..{vertices}")
+                edges.append((u, v))
+                continue
+        for t in parts[1:]:
+            _decimal(t)  # raises on a number over the digit limit
+        raise InputError(f"{path}: malformed edge line {ln!r}")
+    if vertices is None:
+        raise InputError(f"{path}: first line must be 'p <vertices> <edges>'")
     if len(edges) != num_edges:
         raise InputError(f"{path}: header promises {num_edges} edges, found {len(edges)}")
     return vertices, edges

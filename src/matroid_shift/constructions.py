@@ -138,13 +138,14 @@ class UnionMatroid(Matroid):
     partitioning (Knuth, 1973).  Its
     arcs lead from x to the members of the circuit x closes in each part
     lacking it, whichever part holds x, so one node per element finds the
-    same first path as one node per copy.  grow augments by _search(e), a
-    breadth-first search from a new copy of e that asks every part whether
-    an element fits before it asks any for a circuit, and _try_augment replays
-    its path to the first element that fits straight into a part, checking
-    that the parts gain one copy of e and keep every other count; when
-    none fits, the elements the search reached are the circuit, and none
-    of them fits either.
+    same first path as one node per copy.  grow augments by _try_augment(e),
+    which puts e straight into the first part that takes it.  Only when
+    none does, it runs _search(e), a breadth-first search from e's arcs
+    that asks every part whether an element fits before it asks any for a
+    circuit, and replays its path to the first element that fits straight
+    into a part, checking that the parts gain one copy of e and keep every
+    other count; when none fits, the elements the search reached are the
+    circuit, and none of them fits either.
 
     circuits needs no parts for a partition or uniform part: the union of
     n copies of a partition matroid with block capacities c_B is the
@@ -161,15 +162,15 @@ class UnionMatroid(Matroid):
 
     The union owns its n parts.  Each is a slot [part, certificate, memo
     of circuit answers by element], and _counts holds the multiplicities
-    they sum to.  _replace is the one step that changes parts, for an
-    augmentation and for a trim: each part must hold what it loses and
-    lack what it gains; the set is changed in place, its certificate is
-    handed to Matroid._derive (which checks the part is independent), and
-    its memo is cleared.  grow and decompose continue from the parts held,
-    and decompose memoizes its answers by count tuple, so an instance is
-    mutable: use one per run, on one thread.  After an InternalError its
-    parts are undefined.  The matroid it unites keeps no state and may be
-    shared.
+    they sum to.  _replace is the step that changes parts for a path
+    augmentation and for a trim (a direct fit makes its checks inline):
+    each part must hold what it loses and lack what it gains; the set is
+    changed in place, its certificate is handed to Matroid._derive (which
+    checks the part is independent), and its memo is cleared.  grow and
+    decompose continue from the parts held, and decompose memoizes its
+    answers by count tuple, so an instance is mutable: use one per run, on
+    one thread.  After an InternalError its parts are undefined.  The
+    matroid it unites keeps no state and may be shared.
     """
 
     kind = "oracle_composite"
@@ -266,8 +267,32 @@ class UnionMatroid(Matroid):
 
     def _try_augment(self, e: int, refused: set) -> bool:
         """Add a copy of e to the parts; False, after adding every element
-        the search reached to refused, if none fits.  Parts off the path
-        keep their slots as they are."""
+        the search reached to refused, if none fits.  e goes straight into
+        the first part in slot order that lacks it and takes it, with the
+        checks _replace makes for that one gain; only when no part takes
+        it does _search look for a path.  Parts off the path keep their
+        slots as they are."""
+        fits, part = self._fits, self.part
+        for slot in self._slots:
+            p, cert, known = slot
+            if e in p:
+                continue
+            if fits is None:
+                members = known.get(e, False)
+                if members is False:
+                    members = known[e] = part._circuit(cert, p, e)
+                if members is not None:
+                    continue
+            elif not fits(cert, p, e):
+                continue
+            p.add(e)
+            cert = part._derive(cert, (), (e,), p)
+            if cert is None:
+                raise InternalError("augmentation left a dependent part")
+            slot[1] = cert
+            known.clear()
+            self._counts[e] += 1
+            return True
         fit, parent = self._search(e, refused)
         if fit is None:
             refused.update(parent)
@@ -291,40 +316,43 @@ class UnionMatroid(Matroid):
         return True
 
     def _search(self, e: int, refused: set) -> tuple[tuple[int, int] | None, dict]:
-        """Breadth-first search from a new copy of e: (fit, parent).
+        """Breadth-first search from a new copy of e, which fits no part
+        (_try_augment asked them all): (fit, parent).
 
         fit is the first element reached that goes straight into a part,
         with the first such part in slot order, or None.  parent maps e to
         None and every other element v reached to (x, k): x displaced v
-        from part k.  Each element taken from the queue first asks every
-        part whether it fits, and only then asks them for the circuits
-        that give its arcs: the fit and its path are those of asking each
-        part in turn for its circuit, but no circuit is built for an
-        element that fits.  The graphic family answers the fit without a
-        circuit (_fits); the others answer it from their circuit, kept in
-        the slot memo for the arcs, so none builds a circuit twice.  A part
-        holding x is skipped, since swapping parallel copies never shortens
-        a path.  A refused element is not entered: nothing it reaches fits
-        (see grow), so no element on a path to a fit is reached through it,
-        and the other elements keep their order in the queue.  The fit and
-        its path are those of the search without the pruning.
+        from part k.  e gives only its arcs; each other element taken from
+        the queue first asks every part whether it fits, and only then asks
+        them for the circuits that give its arcs: the fit and its path are
+        those of asking each part in turn for its circuit, but no circuit
+        is built for an element that fits.  The graphic family answers the
+        fit without a circuit (_fits); the others answer it from their
+        circuit, kept in the slot memo for the arcs, so none builds a
+        circuit twice.  A part holding x is skipped, since swapping
+        parallel copies never shortens a path.  A refused element is not
+        entered: nothing it reaches fits (see grow), so no element on a
+        path to a fit is reached through it, and the other elements keep
+        their order in the queue.  The fit and its path are those of the
+        search without the pruning.
         """
         parent: dict[int, tuple[int, int] | None] = {e: None}
         queue = [e]  # the loop reads it in order while it grows
         slots, fits, circuit = self._slots, self._fits, self.part._circuit
         for x in queue:
-            for k, (p, cert, known) in enumerate(slots):
-                if x in p:
-                    continue
-                members = known.get(x, False)
-                if members is False:
-                    if fits is not None:
-                        if fits(cert, p, x):
-                            return (x, k), parent
+            if x != e:
+                for k, (p, cert, known) in enumerate(slots):
+                    if x in p:
                         continue
-                    members = known[x] = circuit(cert, p, x)
-                if members is None:
-                    return (x, k), parent
+                    members = known.get(x, False)
+                    if members is False:
+                        if fits is not None:
+                            if fits(cert, p, x):
+                                return (x, k), parent
+                            continue
+                        members = known[x] = circuit(cert, p, x)
+                    if members is None:
+                        return (x, k), parent
             for k, (p, cert, known) in enumerate(slots):
                 if x in p:
                     continue

@@ -193,12 +193,16 @@ class GraphicMatroid(Matroid):
     union-find whose classes are the trees of up.  One breadth-first search
     builds both, and the certificate of a nearby set is changed into it in
     place: a cut drops the pointer carrying an edge (by edge id, so
-    parallel edges stay apart), and a link re-roots one endpoint's tree at
-    that endpoint, hangs it under the other and joins their classes.  An
-    edge joining two reached vertices, or linking a tree to itself, closes
-    a cycle: the set is dependent.  If the endpoints of every edge cut
-    still share a root at the end, no class split (as in a swap along a
-    circuit); otherwise comp is taken from a fresh build of the set.
+    parallel edges stay apart), and a link re-roots the tree of the
+    endpoint nearer its root at that endpoint, hangs it under the other and
+    joins their classes.  A derive that only links tells two trees apart by
+    their classes and climbs the endpoints in turn only until one reaches
+    its root; after a cut, whose classes are stale, each endpoint climbs to
+    its root.  An edge joining two reached vertices, or linking a tree to
+    itself, closes a cycle: the set is dependent.  If the endpoints of
+    every edge cut still share a root at the end, no class split (as in a
+    swap along a circuit); otherwise comp is taken from a fresh build of
+    the set.
     indep + e is independent exactly when the endpoints of e lie in
     different trees, so _fits compares their classes in comp, with no
     climb and no path.  The circuit of indep + e climbs indep's forest from
@@ -316,8 +320,9 @@ class GraphicMatroid(Matroid):
         up, comp = cert
         for f in removed:
             self._cut(up, f)
+        cut = bool(removed)
         for f in added:
-            if not self._link(up, comp, f):
+            if not self._link(up, comp, f, cut):
                 return None
         for f in removed:
             a, b = self._ends[f]
@@ -333,16 +338,29 @@ class GraphicMatroid(Matroid):
         else:
             up[b] = None
 
-    def _link(self, up: list, comp: list, f: int) -> bool:
-        # Re-root the tree of the endpoint nearer its root at that endpoint,
-        # then hang it under the other one, and join their classes in comp;
-        # False if both are in one tree.
+    def _link(self, up: list, comp: list, f: int, cut: bool) -> bool:
+        # Re-root the tree of the endpoint nearer its root at that endpoint
+        # (a on a tie), then hang it under the other one, and join their
+        # classes in comp; False if both are in one tree.  With no cut
+        # before it, comp's classes are the trees, so they answer that, and
+        # the endpoints climb in turn only until one reaches its root.
+        # After a cut a class may hold several trees: both climb to theirs.
         a, b = self._ends[f]
-        (ra, da), (rb, db) = _root(up, a), _root(up, b)
-        if ra == rb:
-            return False
-        comp[_find(comp, a)] = _find(comp, b)
-        if da > db:
+        ca, cb = _find(comp, a), _find(comp, b)
+        if cut:
+            (ra, da), (rb, db) = _root(up, a), _root(up, b)
+            if ra == rb:
+                return False
+            deeper = da > db
+        else:
+            if ca == cb:
+                return False
+            x, y = up[a], up[b]
+            while x is not None and y is not None:
+                x, y = up[x[0]], up[y[0]]
+            deeper = x is not None
+        comp[ca] = cb
+        if deeper:
             a, b = b, a
         x, step, down = a, up[a], None
         while step is not None:  # reverse the pointers on a's way to its root

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -630,9 +631,13 @@ def test_reports_are_deterministic(files, capsys):
 def test_console_entry_point(files, tmp_path):
     graph = tmp_path / "tri.graph"
     graph.write_text(TRIANGLE_GRAPH)
+    # The child imports the package this process imported, installed or
+    # not (pytest's pythonpath setting reaches only this process).
+    here = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [here, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "matroid_shift.cli", "lexmin-trees", str(graph), "--n", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["vulnerability"] == [3, 1]

@@ -145,18 +145,19 @@ def test_union_augment_reuses_unchanged_parts():
 def test_circuit_memo_holds_only_the_union_parts(monkeypatch, side):
     # The memo once kept a table for every part any search saw: 7,499 of
     # them while the column-order greedy grew three trees on a 50x50 grid.
-    # Now the union holds n slots, and before every search each slot's
-    # memo answers only elements outside its part (a changed part dropped
-    # its answers); at the end every answer is that of a fresh build.
-    n, searches, search = 3, [], UnionMatroid._search
+    # Now the union holds n slots, and before every copy is placed, by a
+    # direct fit or a search, each slot's memo answers only elements
+    # outside its part (a changed part dropped its answers); at the end
+    # every answer is that of a fresh build.
+    n, searches, augment = 3, [], UnionMatroid._try_augment
 
     def checked(self, e, refused):
         assert len(self._slots) == n
         assert all(p.isdisjoint(known) for p, _, known in self._slots)
         searches.append(e)
-        return search(self, e, refused)
+        return augment(self, e, refused)
 
-    monkeypatch.setattr(UnionMatroid, "_search", checked)
+    monkeypatch.setattr(UnionMatroid, "_try_augment", checked)
     grid = grid_graph(side, side)
     union = UnionMatroid(grid, n)
     counts, _ = union.grow(list(range(grid.d)) * n)
@@ -227,13 +228,18 @@ class MiscountingUnion(UnionMatroid):
 
 @pytest.mark.parametrize("drop", [True, False], ids=["dropped", "duplicated"])
 def test_union_rejects_miscounted_parts(drop):
-    # Rank 3 on 3 elements, so every part stays independent and only the
-    # multiplicities are wrong: the second copy of 0 is the first one that
-    # a part already holds.
+    # A copy that fits a part straight away takes no search, so the last
+    # copy here must find a path: three parts on a triangle with edge 3
+    # parallel to edge 0, where the second copy of edge 2 fits no part (see
+    # test_union_augment_reuses_unchanged_parts), and two copies of each
+    # triangle edge, whose last copy needs a path as well.  The broken
+    # search is refused before any part changes, so only the
+    # multiplicities are wrong.
+    triangle = GraphicMatroid(3, [(1, 2), (2, 3), (1, 3), (1, 2)])
     with pytest.raises(InternalError, match="multiplicities differ"):
-        MiscountingUnion(UniformMatroid(3, 3), 2, drop).grow([0, 0])
+        MiscountingUnion(triangle, 3, drop).grow([0, 1, 1, 3, 2, 2])
     with pytest.raises(InternalError, match="multiplicities differ"):
-        MiscountingUnion(UniformMatroid(3, 3), 2, drop).decompose([2, 0, 0])
+        MiscountingUnion(triangle, 3, drop).decompose([2, 2, 2, 0])
 
 
 def test_union_replace_refuses_bad_changes():
@@ -248,8 +254,12 @@ def test_union_replace_refuses_bad_changes():
                     {1: ([], [0])}):  # a gained element the part holds
         with pytest.raises(InternalError, match="multiplicities differ"):
             u._replace(changes)
-    # Each part holds what it loses and lacks what it gains, but the chain
-    # ends at 1, not at the new copy of 2.
+    # A search runs only for a copy that fits no part, so the broken one
+    # goes on rank-1 parts {0} and {1}, which 2 does not fit.  Each part
+    # holds what it loses and lacks what it gains, but the chain ends at
+    # 1, not at the new copy of 2.
+    u = UnionMatroid(UniformMatroid(3, 1), 2)
+    assert u.grow([0, 1]) == ([1, 1, 0], (frozenset({0}), frozenset({1})))
     u._search = lambda e, refused: ((0, 1), {0: (1, 0), 1: None})
     with pytest.raises(InternalError, match="multiplicities differ"):
         u._try_augment(2, set())

@@ -195,7 +195,10 @@ def test_graphic_forest_index_matches_rebuilt_circuits(seed, data):
     # step by step, must equal the per-call search and the oracle fallback,
     # and the derived forest must say an edge fits exactly when it closes
     # no circuit: a removal splits a tree, a swap keeps every tree's
-    # vertices.
+    # vertices.  A derive that only adds edges tells trees apart by their
+    # classes and stops its climbs at the shallower endpoint; it must hang
+    # the same side as linking each edge after climbing both endpoints to
+    # their roots, so it leaves the same parent pointers.
     # Grids and paths with a few chords, of 30 or more vertices, start from
     # a random spanning tree and give long climbs; small multigraphs give
     # loops and parallel edges.
@@ -234,7 +237,12 @@ def test_graphic_forest_index_matches_rebuilt_circuits(seed, data):
                 forest |= {e}
             elif move == "swap" and circuit:
                 forest = forest - {data.draw(st.sampled_from(circuit), label="x")} | {e}
+        if before <= forest:
+            climbed = copy.deepcopy(up)
+            assert all(m._link(*climbed, f, True) for f in forest - before)
         up = m._derive(up, before - forest, forest - before, forest)
+        if before <= forest:
+            assert up[0] == climbed[0]
         for e in range(m.d):
             if e not in forest:
                 circuit = m.circuit(forest, e)
@@ -334,9 +342,11 @@ def row_answers(answer, rows):
     return out
 
 
-def reference_circuits(union: UnionMatroid, parts, rows):
-    """UnionMatroid.circuits by one exchange search per row, over parts
-    loaded into the empty slots of union."""
+def reference_circuits(m: Matroid, n: int, parts, rows):
+    """UnionMatroid.circuits by one circuit-first exchange search per row
+    (CircuitFirst, which also asks whether the row itself fits), over parts
+    loaded into the empty slots of a union of n copies of m."""
+    union = CircuitFirst(m, n)
     union._replace({k: ((), sorted(p)) for k, p in enumerate(parts)})
     held = set().union(*parts)
     out = {}
@@ -394,7 +404,7 @@ def test_circuits_equal_reference_circuits(kind, seed):
         rows = rng.sample(range(m.d), rng.randint(1, m.d))
         r = [sum(i in p for p in parts) for i in range(m.d)]
         got = row_answers(union.circuits(r, rows), rows)
-        assert got == reference_circuits(UnionMatroid(m, n), parts, rows)
+        assert got == reference_circuits(m, n, parts, rows)
 
 
 @pytest.mark.parametrize("kind", FAMILIES + ("multigraph",))
@@ -449,7 +459,7 @@ def test_circuits_follow_jumps_in_the_counts(kind, seed):
         else:
             answer = union.circuits(r, rows)
             assert answer == UnionMatroid(m, n).circuits(r, rows)
-            assert row_answers(answer, rows) == reference_circuits(UnionMatroid(m, n), parts, rows)
+            assert row_answers(answer, rows) == reference_circuits(m, n, parts, rows)
         if blocks:
             assert vars(union) == before
 
@@ -588,14 +598,32 @@ def test_pruned_search_skips_elements_on_a_grid():
 
 
 class CircuitFirst(UnionMatroid):
-    """The search without the fit pass, kept as the reference: each element
-    taken from the queue asks the parts, in slot order, for the circuit it
-    closes there (through the slot memo), and the first part where it closes
-    none takes it.  Every search is recorded as (e, fit, parent)."""
+    """The search without the direct step or the fit pass, kept as the
+    reference: every copy is placed by its own search, in which each
+    element taken from the queue, e included, asks the parts, in slot
+    order, for the circuit it closes there (through the slot memo), and the
+    first part where it closes none takes it.  Every search is recorded as
+    (e, fit, parent)."""
 
     def __init__(self, part, n):
         super().__init__(part, n)
         self.searches = []
+
+    def _try_augment(self, e, refused):
+        fit, parent = self._search(e, refused)
+        if fit is None:
+            refused.update(parent)
+            return False
+        x, k = fit
+        changes = {k: ([], [x])}
+        while parent[x] is not None:
+            y, k = parent[x]
+            lost, gained = changes.setdefault(k, ([], []))
+            lost.append(x)
+            gained.append(y)
+            x = y
+        self._replace(changes)
+        return True
 
     def _search(self, e, refused):
         parent = {e: None}
@@ -619,11 +647,21 @@ class CircuitFirst(UnionMatroid):
 
 
 class Recorded(UnionMatroid):
-    """A union whose every search is recorded as (e, fit, parent)."""
+    """A union whose every copy is recorded as (e, fit, parent): a search
+    as it returned, and a copy that went straight into part k without one
+    as the search that finds it at once, (e, (e, k), {e: None})."""
 
     def __init__(self, part, n):
         super().__init__(part, n)
         self.searches = []
+
+    def _try_augment(self, e, refused):
+        searches, held = len(self.searches), [e in p for p, _, _ in self._slots]
+        placed = super()._try_augment(e, refused)
+        if placed and len(self.searches) == searches:
+            k = next(k for k, (p, _, _) in enumerate(self._slots) if e in p and not held[k])
+            self.searches.append((e, (e, k), {e: None}))
+        return placed
 
     def _search(self, e, refused):
         fit, parent = super()._search(e, refused)
@@ -632,12 +670,14 @@ class Recorded(UnionMatroid):
 
 
 def counted(m: Matroid) -> Matroid:
-    """A copy of m whose _circuit and _fits calls are counted in its calls."""
+    """A copy of m whose _circuit and _fits calls are counted in its calls,
+    and in asked by (name, the set asked about, the element)."""
     c = copy.copy(m)
-    c.calls = Counter()
+    c.calls, c.asked = Counter(), Counter()
     for name in ("_circuit", "_fits"):
         def hook(*args, name=name, answer=getattr(c, name)):
             c.calls[name] += 1
+            c.asked[name, id(args[1]), args[2]] += 1
             return answer(*args)
         setattr(c, name, hook)
     return c
@@ -655,13 +695,15 @@ def search_matroid_draw(rng: random.Random, kind: str) -> Matroid:
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_search_finds_the_circuit_first_path(kind, seed, data):
     # The engine and the circuit-first reference grow twin unions by the
-    # same elements, from empty parts or parts grown before.  Search by
-    # search they must find the same fit by the same chain, and a failed
-    # search must reach the same elements by the same arcs.  The engine
-    # stops at a fit before it asks x's circuits in the parts before it,
-    # so it reaches a subset of the elements, each by the same arc.  No
-    # family builds more circuits than the reference, and only graphic
-    # parts answer _fits at all (the others answer from the memo).
+    # same elements, from empty parts or parts grown before.  Copy by copy
+    # (a direct fit recorded as a search that finds e at once, which the
+    # reference makes for every copy) they must find the same fit by the
+    # same chain, and a failed search must reach the same elements by the
+    # same arcs.  The engine stops at a fit before it asks x's circuits in
+    # the parts before it, so it reaches a subset of the elements, each by
+    # the same arc.  No family builds more circuits than the reference,
+    # and only graphic parts answer _fits at all (the others answer from
+    # the memo).
     rng = random.Random(seed)
     m = search_matroid_draw(rng, kind)
     n = data.draw(st.integers(1, 3), label="n")
@@ -686,22 +728,60 @@ def test_search_finds_the_circuit_first_path(kind, seed, data):
         assert mine.calls == theirs.calls and not mine.calls["_fits"]
 
 
+@pytest.mark.parametrize("kind", FAMILIES + ("multigraph", "oracle"))
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_direct_step_ends_as_the_reference(kind, seed, data):
+    # The engine puts a copy that fits straight into its part and searches
+    # only for the others; the circuit-first reference searches for every
+    # copy.  Both end with the same counts and parts, every memo answer
+    # left is that of a fresh build of its part, and within one
+    # _try_augment no part is asked twice whether one element fits, nor
+    # for its circuit: the direct step asks each part about e, and the
+    # search does not ask about e's fits again.
+    rng = random.Random(seed)
+    m = search_matroid_draw(rng, kind)
+    n = data.draw(st.integers(1, 3), label="n")
+    elements = st.lists(st.integers(0, m.d - 1), max_size=m.d * n + 4)
+    mine = counted(m)
+    engine, reference = UnionMatroid(mine, n), CircuitFirst(m, n)
+    augment = engine._try_augment
+
+    def once(e, refused):
+        mine.asked.clear()
+        placed = augment(e, refused)
+        assert all(v == 1 for v in mine.asked.values())
+        return placed
+
+    engine._try_augment = once
+    for sequence in (data.draw(elements, label="start"), data.draw(elements, label="elements")):
+        assert engine.grow(sequence) == reference.grow(sequence)
+        assert engine._counts == reference._counts
+    for p, _, known in engine._slots:
+        built = m._build(frozenset(p))
+        assert p.isdisjoint(known)
+        assert all(answer == m._circuit(built, frozenset(p), x) for x, answer in known.items())
+
+
 def test_direct_fits_build_no_circuit_on_a_grid():
-    # Three trees on a 20x20 grid by the column-order greedy: a search
-    # whose new copy fits a part straight away builds no circuit, and the
-    # whole run builds fewer than the circuit-first search does.
+    # Three trees on a 20x20 grid by the column-order greedy: a copy that
+    # fits a part straight away takes no search and builds no circuit,
+    # such copies are most of them, and the whole run builds fewer
+    # circuits than the circuit-first search does.  Recorded holds one
+    # entry per copy, so the circuits are counted around _try_augment.
     grid, reference = counted(grid_graph(20, 20)), counted(grid_graph(20, 20))
     engine = Recorded(grid, 3)
-    circuits_before = []  # circuits built before each search
-    search = engine._search
+    circuits_before = []  # circuits built before each copy is placed
+    augment = engine._try_augment
 
     def watched(e, refused):
         circuits_before.append(grid.calls["_circuit"])
-        return search(e, refused)
+        return augment(e, refused)
 
-    engine._search = watched
+    engine._try_augment = watched
     order = list(range(grid.d)) * 3
     assert engine.grow(order) == CircuitFirst(reference, 3).grow(order)
+    assert len(circuits_before) == len(engine.searches)
     circuits_after = circuits_before[1:] + [grid.calls["_circuit"]]
     direct = [after - before for (e, fit, _), before, after
               in zip(engine.searches, circuits_before, circuits_after) if fit and fit[0] == e]
