@@ -6,9 +6,10 @@ realized here:
 * the lift: d x n 0/1 matrices with at most one 1 per row whose column-sum
   vector is independent in S;
 * the n-fold union of any matroid T over E: count vectors over E that are
-  sums of n T-independent sets (subsets are the 0/1 case), decided by adding
-  one copy at a time along matroid-partition augmenting paths, which also
-  produces the parts;
+  sums of n T-independent sets (subsets are the 0/1 case), decided on the
+  counts alone for the partition, uniform (block sums) and transversal (one
+  flow) families, and otherwise by adding one copy at a time along
+  matroid-partition augmenting paths, which also produces the parts;
 * the shuffle matroid: matrices equivalent to some column-wise selection of n
   independent sets of S, decided by the n-union of S on the row sums.
 
@@ -19,10 +20,12 @@ Matrices over [d] x [n] are flattened row-major: element (i, j) <-> i*n + j
 from __future__ import annotations
 
 from itertools import chain, compress
+from operator import ne
 from typing import Iterable, Sequence
 
-from .errors import InputError, InternalError
-from .matroids import Matroid, PartitionMatroid, Subset01, UniformMatroid, are_bits, full_rank
+from .errors import DisallowedKindError, InputError, InternalError
+from .matroids import (Matroid, PartitionMatroid, Subset01, TransversalMatroid, UniformMatroid,
+                       are_bits, full_rank)
 
 # UnionMatroid.circuits' answer: the rows that fit, and (rows, circuit)
 # for each circuit that rows close.
@@ -134,42 +137,44 @@ class UnionMatroid(Matroid):
     of them (a plain set is the 0/1 case), and circuits(r, rows) tells
     which rows r can take one more copy of and which circuit each other
     row closes, reporting a circuit that several rows close once, with all
-    of them.  grow and decompose rest on one exchange graph: matroid
-    partitioning (Knuth, 1973).  Its
-    arcs lead from x to the members of the circuit x closes in each part
-    lacking it, whichever part holds x, so one node per element finds the
-    same first path as one node per copy.  grow augments by _try_augment(e),
-    which puts e straight into the first part that takes it.  Only when
-    none does, it runs _search(e), a breadth-first search from e's arcs
-    that asks every part whether an element fits before it asks any for a
+    of them.  Each family runs on one engine, picked here:
+
+    * partition and uniform parts on block sums (BlockSums): the union of
+      n copies of a partition matroid with block capacities c_B is the
+      partition matroid on counts with every r[i] <= n and every block sum
+      at most n * c_B, and a uniform matroid of rank c is one block of
+      capacity c;
+    * transversal parts on one flow (AgentFlow): the union of transversal
+      matroids is transversal (Edmonds and Fulkerson, 1965);
+    * every other family (graphic, GF(2), oracles) on n parts grown by
+      matroid partitioning (Knuth, 1973), the slot engine below.  It
+      answers no circuits: the intersection, their one caller, takes only
+      the first two kinds.
+
+    The count engines hold counts alone and make the parts when asked (see
+    their notes); their part_rank comes from the blocks, or from one
+    matching.  The slot engine rests on one exchange graph.  Its arcs lead
+    from x to the members of the circuit x closes in each part lacking it,
+    whichever part holds x, so one node per element finds the same first
+    path as one node per copy.  grow augments by _try_augment(e), which
+    puts e straight into the first part that takes it.  Only when none
+    does, it runs _search(e), a breadth-first search from e's arcs that
+    asks every part whether an element fits before it asks any for a
     circuit, and replays its path to the first element that fits straight
     into a part, checking that the parts gain one copy of e and keep every
     other count; when none fits, the elements the search reached are the
     circuit, and none of them fits either.
 
-    circuits needs no parts for a partition or uniform part: the union of
-    n copies of a partition matroid with block capacities c_B is the
-    partition matroid on counts with every r[i] <= n and every block sum at
-    most n * c_B (deal a block's copies round-robin over the n parts), and
-    a uniform matroid of rank c is one block of capacity c, so it answers
-    from block sums.  A full block's circuit is shared by all its rows.
-    A call sums the blocks afresh over the rows r holds and keeps nothing,
-    so it costs a walk of r and of the rows asked about.  Every other
-    family (transversal, graphic, GF(2), oracles) brings the parts to r and
-    answers all the rows from one closure pass over the exchange arcs,
-    without a search per row; rows whose closures hold the same rows share
-    a circuit.
-
-    The union owns its n parts.  Each is a slot [part, certificate, memo
-    of circuit answers by element], and _counts holds the multiplicities
-    they sum to.  _replace is the step that changes parts for a path
-    augmentation and for a trim (a direct fit makes its checks inline):
-    each part must hold what it loses and lack what it gains; the set is
-    changed in place, its certificate is handed to Matroid._derive (which
-    checks the part is independent), and its memo is cleared.  grow and
-    decompose continue from the parts held, and decompose memoizes its
+    The slot engine owns its n parts.  Each is a slot [part, certificate,
+    memo of circuit answers by element], and _counts holds the
+    multiplicities they sum to.  _replace is the step that changes parts
+    for a path augmentation and for a trim (a direct fit makes its checks
+    inline): each part must hold what it loses and lack what it gains; the
+    set is changed in place, its certificate is handed to Matroid._derive
+    (which checks the part is independent), and its memo is cleared.  grow
+    and decompose continue from the state held, and decompose memoizes its
     answers by count tuple, so an instance is mutable: use one per run, on
-    one thread.  After an InternalError its parts are undefined.  The
+    one thread.  After an InternalError its state is undefined.  The
     matroid it unites keeps no state and may be shared.
     """
 
@@ -182,22 +187,22 @@ class UnionMatroid(Matroid):
         super().__init__(part.d)
         self.part = part
         self.n = n
-        self.part_rank = full_rank(part)
-        self.cap = n * self.part_rank  # no decomposable vector sums to more
         zero = (0,) * part.d
         self._indep_cache: dict[tuple, tuple] = {zero: (frozenset(),) * n}
         self._dep_cache: set = set()
-        self._counts = list(zero)
-        # One slot per part: [part, certificate, {element: circuit answer}].
-        self._slots = [[set(), part._build(frozenset()), {}] for _ in range(n)]
-        # A family's own _fits answers without a circuit; by default _fits
-        # is the circuit, which _search asks through the slot memo instead.
-        self._fits = None if type(part)._fits is Matroid._fits else part._fits
-        self._blocks = None  # (block of each element, n * each block's capacity) for block sums
-        if isinstance(part, UniformMatroid):
-            self._blocks = ((0,) * part.d, (n * part.r,))
-        elif isinstance(part, PartitionMatroid):
-            self._blocks = (part.blocks, [n * c for c in part.capacities])
+        self._engine = count_union(part, n)
+        if self._engine is not None:
+            self.part_rank = self._engine.rank
+            self._counts = self._engine.counts
+        else:
+            self.part_rank = full_rank(part)
+            self._counts = list(zero)
+            # One slot per part: [part, certificate, {element: circuit answer}].
+            self._slots = [[set(), part._build(frozenset()), {}] for _ in range(n)]
+            # A family's own _fits answers without a circuit; by default _fits
+            # is the circuit, which _search asks through the slot memo instead.
+            self._fits = None if type(part)._fits is Matroid._fits else part._fits
+        self.cap = n * self.part_rank  # no decomposable vector sums to more
 
     def _indep(self, elems: frozenset) -> bool:
         return self.decompose([int(e in elems) for e in range(self.d)]) is not None
@@ -222,13 +227,16 @@ class UnionMatroid(Matroid):
         return parts
 
     def _reach(self, r: tuple) -> tuple | None:
-        """Bring the parts to counts r; return them as frozensets, or None.
+        """Bring the state to counts r; return the parts as frozensets, or None.
 
-        The parts held lose the copies r does not hold and grow the copies
+        A count engine reaches r by itself (CountUnion.reach).  The slot
+        engine's parts lose the copies r does not hold and grow the copies
         it lacks.  Each copy finds an augmenting path exactly when the
         counts stay decomposable, so r is reached exactly when it
         decomposes; otherwise the parts stop short of it.
         """
+        if self._engine is not None:
+            return self._engine.parts() if self._engine.reach(r) else None
         excess = {i: c - t for i, (c, t) in enumerate(zip(self._counts, r)) if c > t}
         if excess:
             changes = {}  # part -> (the copies it drops, nothing gained)
@@ -247,22 +255,25 @@ class UnionMatroid(Matroid):
 
     def grow(self, elements: Iterable[int]) -> tuple[list[int], tuple]:
         """Add a copy of each element in turn where it fits, continuing from
-        the parts held; return (counts, the parts as frozensets).
+        the state held; return (counts, the parts as frozensets).
 
         A refused element is never retried: the counts only grow.  A failed
         search from e refuses every element it reached, too: the search
         from any of them reaches a subset of the same elements, so it fails
         as well, now and after any later growth.
         """
-        total, refused = sum(self._counts), set()
+        total, refused, engine = sum(self._counts), set(), self._engine
+        add = self._try_augment if engine is None else engine.add
         for e in elements:
             if not 0 <= e < self.d:
                 raise InputError(f"element {e} out of range for d={self.d}")
-            if e in refused or not self._try_augment(e, refused):
+            if e in refused or not add(e, refused):
                 continue
             total += 1
             if total == self.cap:
                 break
+        if engine is not None:
+            return self._counts[:], engine.parts()
         return self._counts[:], tuple(frozenset(p) for p, _, _ in self._slots)
 
     def _try_augment(self, e: int, refused: set) -> bool:
@@ -377,118 +388,21 @@ class UnionMatroid(Matroid):
         plus a copy of j less a copy of i decomposes; js is ascending.
         Every row given (rows are distinct) lies in fits or in exactly one
         js.  r itself must decompose; if it does not, an augmentation left
-        the union, and InternalError is raised.
-
-        A partition or uniform part answers from block sums (see the class
-        notes): row j fits when r[j] < n and its block sums below n * c_B; a
-        row at n copies closes (j,) alone; otherwise the circuit is the rows
-        of j's block that r holds, shared by all of that block's rows.
-        Dealt round-robin, a block's copies give no part two copies of one
-        row or more than c_B of the block.
-
-        Every other family brings the parts to r (not through decompose's
-        memo, whose answer would leave them elsewhere) and answers from one
-        pass over their exchange arcs: it takes each reached element's arcs
-        once, marks the elements that fit straight into a part, and sweeps
-        back along the arcs from them to mark every element that reaches
-        one.  A row that reaches no fit closes the held elements of its
-        forward closure; the closure of a row reached from a later row is
-        taken whole, so the rows of one strongly connected component share
-        it, and rows whose closures hold the same rows share one circuit.
+        the union, and InternalError is raised.  Only a count engine
+        answers (see BlockSums and AgentFlow); a slot union raises
+        DisallowedKindError.  The arguments are checked here, once per
+        call: the intersection, which makes its own, asks the engines
+        directly.
         """
+        if self._engine is None:
+            raise DisallowedKindError(f"circuits needs a uniform, partition or transversal "
+                                      f"part, not {self.part.kind!r}")
         r, rows = tuple(r), list(rows)
         if rows and not 0 <= min(rows) <= max(rows) < self.d:
             raise InputError(f"rows must lie in 0..{self.d - 1}")
         if len(r) != self.d or min(r) < 0:
             raise InputError(f"count vector {list(r)} does not fit ground size {self.d}")
-        if self._blocks is not None:
-            return self._block_circuits(r, rows)
-        if self._reach(r) is None:
-            raise InternalError("augmentation left the intersection")
-        slots, circuit = self._slots, self.part._circuit
-        succ: dict[int, list[int]] = {}  # reached element that fits straight into no part -> its arcs
-        fits = set()
-        todo, seen = rows[:], set(rows)
-        while todo:
-            x = todo.pop()
-            arcs = []
-            for p, cert, known in slots:
-                if x in p:
-                    continue
-                members = known.get(x, False)
-                if members is False:
-                    members = known[x] = circuit(cert, p, x)
-                if members is None:
-                    fits.add(x)
-                    break
-                arcs += members
-            else:
-                succ[x] = arcs
-                for v in arcs:
-                    if v not in seen:
-                        seen.add(v)
-                        todo.append(v)
-        pred: dict[int, list[int]] = {}
-        for x, arcs in succ.items():
-            for v in arcs:
-                pred.setdefault(v, []).append(x)
-        todo = list(fits)
-        while todo:
-            for x in pred.get(todo.pop(), ()):
-                if x not in fits:
-                    fits.add(x)
-                    todo.append(x)
-        fitting: list[int] = []
-        shared: dict[tuple[int, ...], list[int]] = {}  # circuit -> the rows that close it
-        closure: dict[int, set] = {}  # row answered -> its forward closure
-        for j in rows:
-            if j in fits:
-                fitting.append(j)
-                continue
-            reach, todo = {j}, [j]
-            while todo:
-                for v in succ[todo.pop()]:
-                    if v in reach:
-                        continue
-                    if v in closure:
-                        reach |= closure[v]
-                    else:
-                        reach.add(v)
-                        todo.append(v)
-            closure[j] = reach
-            shared.setdefault(tuple(sorted(i for i in reach if r[i])), []).append(j)
-        return fitting, [(sorted(js), c) for c, js in shared.items()]
-
-    def _block_circuits(self, r: tuple, rows: list[int]) -> Circuits:
-        """circuits for a partition or uniform part, from the block sums of r.
-
-        One pass over the rows r holds sums each block and groups those rows
-        by block, then one pass sorts the rows given: rows that fit, rows at
-        n copies, and rows of full blocks.  Nothing is kept between calls.
-        """
-        n, (blocks, limits) = self.n, self._blocks
-        sums = [0] * len(limits)
-        held: list[list[int]] = [[] for _ in limits]  # block -> the rows r holds in it, ascending
-        for i in compress(range(len(r)), r):
-            c, b = r[i], blocks[i]
-            sums[b] += c
-            if c > n or sums[b] > limits[b]:
-                raise InternalError("augmentation left the intersection")
-            held[b].append(i)
-        fits, shared, full = [], [], {}  # full: block -> its rows given below n copies
-        for j in rows:
-            b = blocks[j]
-            if r[j] == n:
-                shared.append(([j], (j,)))
-            elif sums[b] < limits[b]:
-                fits.append(j)
-            elif b in full:
-                full[b].append(j)
-            else:
-                full[b] = [j]
-        shared.sort()
-        shared += [(sorted(full[b]), tuple(held[b])) for b in sorted(full)]
-        return fits, shared
+        return self._engine.circuits(r, rows)
 
     def _replace(self, changes: dict) -> None:
         """Change part k by (lost, gained) for each k: (lost, gained) in
@@ -515,6 +429,395 @@ class UnionMatroid(Matroid):
                 counts[x] += 1
 
 
+def count_union(part: Matroid, n: int) -> "CountUnion | None":
+    """The count engine of the n-union of part: block sums for a partition
+    or uniform part, one flow for a transversal part, None for the rest."""
+    if isinstance(part, UniformMatroid):
+        return BlockSums((0,) * part.d, (part.r,), n)
+    if isinstance(part, PartitionMatroid):
+        return BlockSums(part.blocks, part.capacities, n)
+    if isinstance(part, TransversalMatroid):
+        return AgentFlow(part, n)
+    return None
+
+
+class CountUnion:
+    """An n-union decided on its counts alone, with no parts held.
+
+    counts is the vector held.  add(e, refused) adds a copy of e if it
+    fits, drop(i, k) removes k copies of i, parts() splits counts into n
+    independent parts, and circuits(r, rows) answers as
+    UnionMatroid.circuits, trusting its arguments.  rank is the rank of
+    one part.
+    """
+
+    counts: list
+    rank: int
+
+    def reach(self, r: Sequence[int]) -> bool:
+        """Bring counts to r: drop the copies r lacks, then add the ones it
+        holds, in row order; False, with counts short of r, if one does not
+        fit, that is, if r does not decompose."""
+        counts = self.counts
+        moves = [(i, r[i] - counts[i]) for i in compress(range(len(r)), map(ne, counts, r))]
+        for i, k in moves:
+            if k < 0:
+                self.drop(i, -k)
+        refused: set = set()
+        for i, k in moves:
+            for _ in range(k):
+                if not self.add(i, refused):
+                    return False
+        return True
+
+
+class BlockSums(CountUnion):
+    """The n-union of a partition matroid on counts, from block sums.
+
+    r decomposes exactly when every r[i] <= n and every block sums to at
+    most n * c_B: deal each block's copies round-robin over the n parts,
+    row by row, and no part gets two copies of one row (a row has at most
+    n) or more than c_B of the block.  A copy fits when neither bound is
+    reached.  The rank of a part is the sum over blocks of the block size
+    or c_B, whichever is smaller.
+
+    circuits answers from the block sums of r: row j fits when r[j] < n
+    and its block sums below n * c_B; a row at n copies closes (j,) alone;
+    otherwise the circuit is the rows of j's block that r holds, shared by
+    all of that block's rows.  One pass over the rows r holds sums each
+    block and groups those rows by block, then one pass sorts the rows
+    given: rows that fit, rows at n copies, and rows of full blocks.  It
+    keeps nothing between calls, and does not touch counts.
+    """
+
+    def __init__(self, blocks: Sequence[int], capacities: Sequence[int], n: int):
+        self.blocks, self.n = blocks, n
+        self.limits = [n * c for c in capacities]
+        self.counts = [0] * len(blocks)
+        self.sums = [0] * len(capacities)
+        sizes = [0] * len(capacities)
+        for b in blocks:
+            sizes[b] += 1
+        self.rank = sum(map(min, sizes, capacities))
+
+    def add(self, e: int, refused: set) -> bool:
+        b = self.blocks[e]
+        if self.counts[e] == self.n or self.sums[b] == self.limits[b]:
+            return False
+        self.counts[e] += 1
+        self.sums[b] += 1
+        return True
+
+    def drop(self, i: int, k: int) -> None:
+        self.counts[i] -= k
+        self.sums[self.blocks[i]] -= k
+
+    def parts(self) -> tuple:
+        n, blocks, counts = self.n, self.blocks, self.counts
+        parts: list[list[int]] = [[] for _ in range(n)]
+        deal = [0] * len(self.limits)  # block -> the part its next copy goes to
+        for i in compress(range(len(counts)), counts):
+            k = deal[blocks[i]]
+            for _ in range(counts[i]):
+                parts[k].append(i)
+                k = (k + 1) % n
+            deal[blocks[i]] = k
+        return tuple(map(frozenset, parts))
+
+    def circuits(self, r: tuple, rows: list[int]) -> Circuits:
+        n, blocks, limits = self.n, self.blocks, self.limits
+        sums = [0] * len(limits)
+        held: list[list[int]] = [[] for _ in limits]  # block -> the rows r holds in it, ascending
+        for i in compress(range(len(r)), r):
+            c, b = r[i], blocks[i]
+            sums[b] += c
+            if c > n or sums[b] > limits[b]:
+                raise InternalError("augmentation left the intersection")
+            held[b].append(i)
+        fits, shared, full = [], [], {}  # full: block -> its rows given below n copies
+        for j in rows:
+            b = blocks[j]
+            if r[j] == n:
+                shared.append(([j], (j,)))
+            elif sums[b] < limits[b]:
+                fits.append(j)
+            elif b in full:
+                full[b].append(j)
+            else:
+                full[b] = [j]
+        shared.sort()
+        shared += [(sorted(full[b]), tuple(held[b])) for b in sorted(full)]
+        return fits, shared
+
+
+class AgentFlow(CountUnion):
+    """The n-union of a transversal matroid on counts, as one kept flow.
+
+    Element i sends counts[i] units to its agents, and agent a takes
+    load[a] <= n of them; flow[a] maps each element to the units it sends
+    a.  Such a flow exists exactly when counts decomposes: the n matchings
+    of the parts add up to one, and König's edge-coloring theorem splits
+    one, a bipartite multigraph of degree at most n, into n matchings
+    (edge_coloring), the parts.
+
+    A copy of e fits when counts[e] < n and one breadth-first search from
+    e reaches an agent below n: from a full agent it goes on through each
+    element that sends it a unit, which could send that unit to another
+    of its agents instead.  The path found moves one unit of each element
+    on it on to the next agent.  A failed search refuses every element it
+    saw: the agents it reached are all full, only those elements send them
+    units, and none of those has another agent, so while the counts grow
+    (loads never fall) a search from any of them fails as well.  So a
+    search does not enter a refused element, as in UnionMatroid._search.
+
+    circuits brings the flow to r and answers every row from it in one
+    pass.  It marks every agent that leads to one below n: those agents,
+    each full agent with an element that has one of them, and then, in one
+    sweep back, the full agents of the elements that have a marked full
+    agent.  Row j fits when r[j] < n and one of its agents is marked; a row at n copies closes (j,); any other row closes the
+    elements that send a unit to an agent its search reaches (j itself
+    when r[j] > 0): dropping such a unit frees an agent the search
+    reaches, and dropping any other leaves them all full.  The agents
+    reached form a digraph, a -> b when an element sending to a also has
+    agent b; its strongly connected components (Tarjan, 1972) give each
+    agent the bitmask of the elements its closure serves, without a
+    search per row, and rows with one mask share one circuit.
+    """
+
+    def __init__(self, part: TransversalMatroid, n: int):
+        self.adjacency, self.n = part.adjacency, n
+        self.counts = [0] * part.d
+        self.load = [0] * part.num_agents
+        self.flow: list[dict[int, int]] = [{} for _ in range(part.num_agents)]
+        self.users: list[list[int]] = [[] for _ in range(part.num_agents)]  # agent -> its elements
+        for i, agents in enumerate(part.adjacency):
+            for a in agents:
+                self.users[a].append(i)
+        self.rank = full_rank(part)
+
+    def add(self, e: int, refused: set) -> bool:
+        n, adjacency, load, flow = self.n, self.adjacency, self.load, self.flow
+        if self.counts[e] == n:  # not refused: its units may still move on
+            return False
+        parent: dict[int, tuple[int, int] | None] = {}  # agent -> (agent before it, element moved)
+        queue = []  # full agents, read in order while it grows
+        seen = {e}
+        for a in adjacency[e]:
+            parent[a] = None
+            if load[a] < n:
+                return self._augment(e, a, parent)
+            queue.append(a)
+        for a in queue:
+            for x in flow[a]:
+                if x in seen or x in refused:
+                    continue
+                seen.add(x)
+                for b in adjacency[x]:
+                    if b not in parent:
+                        parent[b] = (a, x)
+                        if load[b] < n:
+                            return self._augment(e, b, parent)
+                        queue.append(b)
+        refused.update(seen)
+        return False
+
+    def _augment(self, e: int, b: int, parent: dict) -> bool:
+        """Add a unit of e along the path that parent records to agent b."""
+        flow = self.flow
+        self.load[b] += 1
+        self.counts[e] += 1
+        step = parent[b]
+        while step is not None:
+            a, x = step
+            flow[b][x] = flow[b].get(x, 0) + 1
+            if flow[a][x] == 1:
+                del flow[a][x]
+            else:
+                flow[a][x] -= 1
+            b, step = a, parent[a]
+        flow[b][e] = flow[b].get(e, 0) + 1
+        return True
+
+    def drop(self, i: int, k: int) -> None:
+        for a in self.adjacency[i]:
+            units = self.flow[a].get(i, 0)
+            if units > k:
+                self.flow[a][i] = units - k
+                units = k
+            elif units:
+                del self.flow[a][i]
+            self.load[a] -= units
+            self.counts[i] -= units
+            k -= units
+            if not k:
+                return
+
+    def parts(self) -> tuple:
+        d, flow = len(self.counts), self.flow
+        ends = [(i, d + a) for i in compress(range(d), self.counts) for a in self.adjacency[i]
+                for _ in range(flow[a].get(i, 0))]
+        parts: list[set] = [set() for _ in range(self.n)]
+        for (i, _), k in zip(ends, edge_coloring(ends, self.n)):
+            parts[k].add(i)
+        return tuple(map(frozenset, parts))
+
+    def circuits(self, r: tuple, rows: list[int]) -> Circuits:
+        if not self.reach(r):
+            raise InternalError("augmentation left the intersection")
+        n, adjacency, flow, counts, users = self.n, self.adjacency, self.flow, self.counts, self.users
+        marked = [units < n for units in self.load]
+        full = [a for a, room in enumerate(marked) if not room]
+        todo = []  # full agents marked, whose elements are still to be swept
+        for a in full:
+            if any(marked[b] for x in flow[a] for b in adjacency[x]):
+                marked[a] = True
+                todo.append(a)
+        swept = set()
+        while todo:
+            for x in users[todo.pop()]:
+                if counts[x] and x not in swept:
+                    swept.add(x)
+                    for a in adjacency[x]:
+                        if not marked[a] and x in flow[a]:
+                            marked[a] = True
+                            todo.append(a)
+        # The elements whose agents are all unmarked (full); a loop has none.
+        stuck = {x for a in full if not marked[a] for x in users[a]
+                 if not any(marked[b] for b in adjacency[x])}
+        fits, shared, closed = [], [], []
+        for j in rows:
+            if r[j] == n:
+                shared.append(([j], (j,)))
+            elif j in stuck or not adjacency[j]:
+                closed.append(j)
+            else:
+                fits.append(j)
+        shared.sort()
+        if closed:
+            serves = self._closures(a for j in closed for a in adjacency[j])
+            groups: dict[int, list[int]] = {}  # circuit bitmask -> the rows that close it
+            for j in closed:
+                mask = 0
+                for a in adjacency[j]:
+                    mask |= serves[a]
+                groups.setdefault(mask, []).append(j)
+            shared += [(sorted(js), _members(mask)) for mask, js in groups.items()]
+        return fits, shared
+
+    def _closures(self, starts: Iterable[int]) -> dict[int, int]:
+        """agent -> bitmask of the elements that send a unit to an agent it
+        reaches, for every agent reached from starts: Tarjan's strongly
+        connected components, with an explicit stack of successor
+        iterators, each component's mask the union of its agents' own and
+        those of the components it reaches, finished before it."""
+        flow, adjacency = self.flow, self.adjacency
+        index: dict[int, int] = {}
+        low: dict[int, int] = {}
+        mask: dict[int, int] = {}
+        serves: dict[int, int] = {}  # agent of a finished component -> its mask
+        stack: list[int] = []
+
+        def enter(a: int) -> tuple:
+            index[a] = low[a] = len(index)
+            bits = 0
+            for x in flow[a]:
+                bits |= 1 << x
+            mask[a] = bits
+            stack.append(a)
+            return a, (b for x in flow[a] for b in adjacency[x])
+
+        for root in starts:
+            if root in index:
+                continue
+            work = [enter(root)]
+            while work:
+                a, succ = work[-1]
+                for b in succ:
+                    if b not in index:
+                        work.append(enter(b))
+                        break
+                    if b in serves:
+                        mask[a] |= serves[b]
+                    elif index[b] < low[a]:
+                        low[a] = index[b]
+                else:
+                    work.pop()
+                    if low[a] == index[a]:
+                        bits, members = 0, []
+                        while not members or members[-1] != a:
+                            members.append(stack.pop())
+                            bits |= mask[members[-1]]
+                        for x in members:
+                            serves[x] = bits
+                    if work:
+                        p = work[-1][0]
+                        if a in serves:
+                            mask[p] |= serves[a]
+                        elif low[a] < low[p]:
+                            low[p] = low[a]
+        return serves
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The set bits of mask, ascending."""
+    bits = bin(mask)[:1:-1]  # bit i at position i
+    out, i = [], bits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = bits.find("1", i + 1)
+    return tuple(out)
+
+
+def edge_coloring(ends: Sequence[tuple[int, int]], n: int) -> list[int]:
+    """A color in 0..n-1 for each edge of a bipartite multigraph, no two
+    edges at one vertex alike; ends[k] holds the two ends of edge k, the
+    sides numbered apart, and no vertex may have more than n edges
+    (König's theorem).
+
+    Edges are colored in turn.  An edge takes the smallest color free at
+    both ends; when none is, with a the first color free at u and b the
+    first free at v, a and b swap along the path from v that alternates
+    them, which bipartite parity keeps away from u, freeing a at both.
+    """
+    colored: dict[int, dict[int, int]] = {}  # vertex -> {color: edge}
+    color_of = [0] * len(ends)
+
+    def free_colors(node: int) -> list[int]:
+        used = colored.setdefault(node, {})
+        return [k for k in range(n) if k not in used]
+
+    def assign(pos: int, k: int) -> None:
+        color_of[pos] = k
+        for node in ends[pos]:
+            colored.setdefault(node, {})[k] = pos
+
+    for pos in range(len(ends)):
+        u, v = ends[pos]
+        fu, fv = free_colors(u), free_colors(v)
+        common = sorted(set(fu) & set(fv))
+        if common:
+            assign(pos, common[0])
+            continue
+        a, b = fu[0], fv[0]
+        # Consecutive path edges share a vertex, so every old entry is
+        # removed before any new one is written.
+        path = []
+        node, col = v, a
+        while col in colored.get(node, {}):
+            q = colored[node][col]
+            path.append(q)
+            n1, n2 = ends[q]
+            node = n2 if node == n1 else n1
+            col = b if col == a else a
+        for q in path:
+            for nd in ends[q]:
+                del colored[nd][color_of[q]]
+        for q in path:
+            assign(q, b if color_of[q] == a else a)
+        assign(pos, a)
+    return color_of
+
+
 class ShuffleMatroid(Matroid):
     """The matroid of matrices row-equivalent to a column selection from S.
 
@@ -522,8 +825,9 @@ class ShuffleMatroid(Matroid):
     membership depends on the row-sum vector alone: x is a member iff its row
     sums are a sum of n independent sets of S.  The n-union of S decides that
     on counts.  The cells of a row are parallel elements, so the intersection
-    solver works on row counts and asks the union for its row circuits
-    directly (UnionMatroid.circuits, one pass for all rows); circuit
+    solver works on row counts and asks the count unions of its factors for
+    their row circuits directly (CountUnion.circuits, one pass for all
+    rows); circuit
     queries here certify the matrix by one decompose and ask the oracle
     once per member (the Matroid defaults).  Its union memoizes the
     decompositions and owns the parts it changes in place, so an instance

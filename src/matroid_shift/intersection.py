@@ -8,15 +8,16 @@ matroids.  A row's cells are parallel in both of them and its shifted
 profits are nonincreasing, so the intersection runs on row counts: each
 stage has at most two nodes per row (its next copy and its last copy), and
 each factor's n-union gives every row's circuit from the row counts
-(UnionMatroid.circuits).  The n-union of a partition matroid with block
+(CountUnion.circuits).  The n-union of a partition matroid with block
 capacities c_B is the partition matroid on counts with r[i] <= n and each
 block summing to at most n * c_B (deal a block's copies round-robin over
 the n parts), so a partition factor answers from block sums, taken afresh
 at each stage in one pass over the counts, and so does a uniform one (one
-block); a transversal factor brings its parts to the counts and takes one
-closure pass over their exchange arcs.  The same call checks that the
-counts are still in the union, and reports a circuit that several rows
-close once: a full block, or a closure class.  The arcs come from those
+block); a transversal factor keeps one flow, moves it to the counts, and
+answers every row from one pass over it (see constructions.AgentFlow).
+The same call checks that the counts are still in the union, and reports
+a circuit that several rows close once: a full block, or the elements
+serving the agents that several rows reach.  The arcs come from those
 circuits only: the swaps into a source and out of a sink are never on a
 cheapest, fewest-hop path, since such a path would close a cycle, and no
 cycle has negative cost (Frank, 1981).  Each shared circuit becomes one hub
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .constructions import Matrix01, UnionMatroid
+from .constructions import CountUnion, Matrix01, count_union, edge_coloring
 from .errors import DisallowedKindError, InfeasibleError, InputError, InternalError
 from .matroids import Matroid, PartitionMatroid, Subset01, check_weight_guard, json_int
 from .solver import ProfitMatrix, ShiftedSolution, _flat_weights, validate, vulnerability_vector
@@ -88,6 +89,12 @@ def degree_matroids(g: BipartiteGraph) -> tuple[PartitionMatroid, PartitionMatro
     return blocks(left), blocks(right)
 
 
+def _disallowed(m: Matroid) -> DisallowedKindError:
+    return DisallowedKindError(
+        f"matroid kind {m.kind!r} is not accepted: the value computation "
+        f"requires strongly base orderable matroids (one of {', '.join(SBO_KINDS)})")
+
+
 class IntersectionInstance:
     """Two strongly-base-orderable matroids on one ground set, plus profits."""
 
@@ -96,10 +103,7 @@ class IntersectionInstance:
     def __init__(self, m1: Matroid, m2: Matroid, n: int, c: ProfitMatrix):
         for m in (m1, m2):
             if m.kind not in SBO_KINDS:
-                raise DisallowedKindError(
-                    f"matroid kind {m.kind!r} is not accepted: the value computation "
-                    f"requires strongly base orderable matroids (one of {', '.join(SBO_KINDS)})"
-                )
+                raise _disallowed(m)
         if m1.d != m2.d:
             raise InputError(f"ground sizes differ: {m1.d} vs {m2.d}")
         if c.d != m1.d:
@@ -126,7 +130,10 @@ def weighted_matroid_intersection_max(m1: Matroid, m2: Matroid, w: Sequence[int]
     weight of a k-set is concave in k: the stage gains never rise, and the
     stages stop, before applying it, at the first path that gains nothing.
     The set then held is the first of greatest weight over all stages (the
-    empty set, at 0, included), and it is returned as its cells.
+    empty set, at 0, included), and it is returned as its cells.  Both
+    matroids must be partition, uniform or transversal ones, whose unions
+    answer on counts (count_union); any other kind raises
+    DisallowedKindError.
     """
     if m1.d != m2.d:
         raise InputError(f"ground sizes differ: {m1.d} vs {m2.d}")
@@ -139,7 +146,10 @@ def weighted_matroid_intersection_max(m1: Matroid, m2: Matroid, w: Sequence[int]
         raise InputError("weights must be nonincreasing along each row")
     check_weight_guard(w)
 
-    unions = (UnionMatroid(m1, n), UnionMatroid(m2, n))
+    unions = (count_union(m1, n), count_union(m2, n))
+    for m, union in zip((m1, m2), unions):
+        if union is None:
+            raise _disallowed(m)
     r = (0,) * d
     while True:
         path = _augmenting_path(*unions, r, w)
@@ -160,7 +170,7 @@ def weighted_matroid_intersection_max(m1: Matroid, m2: Matroid, w: Sequence[int]
     return Subset01.from_indices(d * n, [i * n + j for i, c in enumerate(r) for j in range(c)])
 
 
-def _augmenting_path(u1: UnionMatroid, u2: UnionMatroid, r: tuple, w: Sequence[int]) -> list[int] | None:
+def _augmenting_path(u1: CountUnion, u2: CountUnion, r: tuple, w: Sequence[int]) -> list[int] | None:
     # Node 2i is the next copy of row i (it exists when r[i] < n) and node
     # 2i + 1 its last copy (when r[i] > 0); the other copies of a row are
     # parallel to these and never cheaper.  A path alternates between the
@@ -178,7 +188,8 @@ def _augmenting_path(u1: UnionMatroid, u2: UnionMatroid, r: tuple, w: Sequence[i
     # t'->x closes the cycle x..t'->x.  So no cheapest, fewest-hop path uses
     # those arcs, its nodes keep their labels, and the walk below returns
     # the same path.
-    # Both calls come first: each checks that r is still in its union.
+    # Both calls come first: each checks that r is still in its union.  The
+    # caller made r and the rows, so the engines take them unchecked.
     (fits1, shared1), (fits2, shared2) = u1.circuits(r, outside), u2.circuits(r, outside)
     if not fits1:
         return None
@@ -318,47 +329,8 @@ def fiber_bipartite_matching(g: BipartiteGraph, n: int, x: Matrix01) -> Matrix01
     if any(v > n for v in degree.values()):
         raise InfeasibleError(f"a vertex has multidegree above {n}: not in the shuffle set")
 
-    # colored[node][color] -> copy position; classic two-color path swapping.
-    colored: dict[int, dict[int, int]] = {}
-    color_of: dict[int, int] = {}
     endpoints = [(g.edges[e][0], g.left + g.edges[e][1]) for e in copies]
-
-    def free_colors(node: int) -> list[int]:
-        used = colored.setdefault(node, {})
-        return [k for k in range(n) if k not in used]
-
-    def assign(pos: int, k: int) -> None:
-        color_of[pos] = k
-        for node in endpoints[pos]:
-            colored.setdefault(node, {})[k] = pos
-
-    for pos in range(len(copies)):
-        u, v = endpoints[pos]
-        fu, fv = free_colors(u), free_colors(v)
-        common = sorted(set(fu) & set(fv))
-        if common:
-            assign(pos, common[0])
-            continue
-        a, b = fu[0], fv[0]
-        # Swap colors a/b along the alternating path starting at v; bipartite
-        # parity keeps the path away from u, freeing a at both endpoints.
-        # Consecutive path edges share a vertex, so every old entry is
-        # removed before any new one is written.
-        path = []
-        node, col = v, a
-        while col in colored.get(node, {}):
-            q = colored[node][col]
-            path.append(q)
-            n1, n2 = endpoints[q]
-            node = n2 if node == n1 else n1
-            col = b if col == a else a
-        for q in path:
-            for nd in endpoints[q]:
-                del colored[nd][color_of[q]]
-        for q in path:
-            assign(q, b if color_of[q] == a else a)
-        assign(pos, a)
-
+    color_of = edge_coloring(endpoints, n)
     rows = [[0] * n for _ in range(g.d)]
     for pos, e in enumerate(copies):
         rows[e][color_of[pos]] = 1

@@ -8,14 +8,17 @@ from collections import Counter
 import pytest
 
 from matroid_shift import (
+    DisallowedKindError,
     GraphicMatroid,
     InputError,
     InternalError,
     LiftMatroid,
     Matrix01,
+    OracleMatroid,
     PartitionMatroid,
     ShuffleMatroid,
     Subset01,
+    TransversalMatroid,
     UnionMatroid,
     UniformMatroid,
     brute_shuffle_membership,
@@ -26,9 +29,12 @@ from matroid_shift import (
     weighted_matroid_intersection_max,
 )
 from matroid_shift import intersection
+from matroid_shift.constructions import AgentFlow, BlockSums
 from corpora import (FAMILIES, K4, TRIANGLE, family_corpus, grid_graph, random_matroid,
                      random_sbo_matroid)
 from test_matroids import assert_matroid_axioms
+
+TRIANGLE_AGENTS = TransversalMatroid([[0, 1]] * 3, 2)  # U(2, 3), as TRIANGLE
 
 
 def test_flattening_convention():
@@ -190,8 +196,17 @@ def test_one_matroid_serves_interleaved_unions(kind):
         assert parts == UnionMatroid(copy.deepcopy(m), n).grow(taken)[1]
 
 
-class NoCircuits(UniformMatroid):
-    """A broken oracle whose circuit never reports a dependent set."""
+def uniform_oracle(d: int, r: int) -> OracleMatroid:
+    """U(r, d) behind an oracle, so that its union runs on slots, not on
+    block sums."""
+    return OracleMatroid(d, lambda s: len(s) <= r)
+
+
+class NoCircuits(OracleMatroid):
+    """A broken uniform oracle whose circuit never reports a dependent set."""
+
+    def __init__(self, d, r):
+        super().__init__(d, lambda s: len(s) <= r)
 
     def _circuit(self, cert, indep, e):
         return None
@@ -243,7 +258,7 @@ def test_union_rejects_miscounted_parts(drop):
 
 
 def test_union_replace_refuses_bad_changes():
-    u = UnionMatroid(UniformMatroid(3, 3), 2)
+    u = UnionMatroid(uniform_oracle(3, 3), 2)
     assert u.grow([0]) == ([1, 0, 0], (frozenset({0}), frozenset()))
     slots = [slot[:] for slot in u._slots]
     u._replace({})
@@ -258,7 +273,7 @@ def test_union_replace_refuses_bad_changes():
     # goes on rank-1 parts {0} and {1}, which 2 does not fit.  Each part
     # holds what it loses and lacks what it gains, but the chain ends at
     # 1, not at the new copy of 2.
-    u = UnionMatroid(UniformMatroid(3, 1), 2)
+    u = UnionMatroid(uniform_oracle(3, 1), 2)
     assert u.grow([0, 1]) == ([1, 1, 0], (frozenset({0}), frozenset({1})))
     u._search = lambda e, refused: ((0, 1), {0: (1, 0), 1: None})
     with pytest.raises(InternalError, match="multiplicities differ"):
@@ -305,21 +320,27 @@ def test_shuffle_examples():
 
 
 def test_intersection_searches_each_row_once_per_stage(monkeypatch):
-    # Within one stage each union answers every row in one circuits call.
+    # Within one stage each union answers every row in one circuits call,
+    # to its count engine: the intersection checks its arguments once, so
+    # no stage goes through UnionMatroid.circuits and its checks.
     stages = []  # one Counter per stage: union -> circuits calls
-    circuits, path = UnionMatroid.circuits, intersection._augmenting_path
+    path = intersection._augmenting_path
 
-    def counted_circuits(self, parts, rows):
-        rows = list(rows)
-        assert len(rows) == len(set(rows))
-        stages[-1][self] += 1
-        return circuits(self, parts, rows)
+    def counted(circuits):
+        def counted_circuits(self, r, rows):
+            assert isinstance(r, tuple) and isinstance(rows, list)
+            assert len(rows) == len(set(rows))
+            stages[-1][self] += 1
+            return circuits(self, r, rows)
+        return counted_circuits
 
     def counted_path(*args):
         stages.append(Counter())
         return path(*args)
 
-    monkeypatch.setattr(UnionMatroid, "circuits", counted_circuits)
+    for engine in (BlockSums, AgentFlow):
+        monkeypatch.setattr(engine, "circuits", counted(engine.circuits))
+    monkeypatch.setattr(UnionMatroid, "circuits", None)
     monkeypatch.setattr(intersection, "_augmenting_path", counted_path)
     rng = random.Random(14)
     for _ in range(30):
@@ -389,24 +410,30 @@ def test_union_rank_check_examples():
 
 def test_union_refuses_elements_outside_the_ground_set():
     # These once grew a part of negative edges, answered a row -1 and
-    # raised IndexError for a row 7.
-    u = UnionMatroid(TRIANGLE, 2)
-    for elements in ([-1, -2], [0, 3]):
-        with pytest.raises(InputError, match="out of range"):
-            u.grow(elements)
+    # raised IndexError for a row 7.  The triangle's matroid, U(2, 3),
+    # runs on slots as a graph and on a flow as three elements sharing two
+    # agents.
+    for part in (TRIANGLE, TRIANGLE_AGENTS):
+        u = UnionMatroid(part, 2)
+        for elements in ([-1, -2], [0, 3]):
+            with pytest.raises(InputError, match="out of range"):
+                u.grow(elements)
     for rows in ([-1], [7], [0, 3]):
         with pytest.raises(InputError, match="rows must lie"):
             u.circuits([1, 1, 0], rows)
     assert u.circuits([1, 1, 0], []) == ([], [])
-    # The refusals leave the parts whole, at the counts circuits brought.
+    # The refusals leave the flow whole, at the counts circuits brought.
     assert u.grow([2, 0])[0] == [2, 1, 1]
 
 
 def test_union_circuits_refuse_counts_that_do_not_fit():
-    # circuits checks the counts once, before it chooses the block path or
-    # the closure path; every family must refuse a negative count or a
-    # vector of the wrong length, and answer as before afterwards.
-    for part in (TRIANGLE, PartitionMatroid([0, 0, 1], [1, 1])):
+    # circuits checks the counts once, before it asks the block sums or the
+    # flow; both must refuse a negative count or a vector of the wrong
+    # length, and answer as before afterwards.  A union on slots answers
+    # no circuits at all.
+    with pytest.raises(DisallowedKindError, match="not 'graphic'"):
+        UnionMatroid(TRIANGLE, 2).circuits([1, 1, 0], [2])
+    for part in (TRIANGLE_AGENTS, PartitionMatroid([0, 0, 1], [1, 1])):
         u = UnionMatroid(part, 2)
         assert u.circuits([1, 1, 0], [2]) == ([2], [])
         for r in ([-1, 1, 0], [1, 1, -1], [1, 1], [1, 1, 0, 0]):

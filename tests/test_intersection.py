@@ -34,6 +34,7 @@ from matroid_shift import (
 )
 from matroid_shift import intersection
 from corpora import random_sbo_matroid
+from test_properties import CircuitFirst, reference_circuits
 
 K22 = BipartiteGraph(2, 2, [(1, 1), (1, 2), (2, 1), (2, 2)])
 # path a-b-c: two edges sharing the middle vertex b
@@ -89,10 +90,17 @@ def test_wmi_matches_bruteforce_on_matchings():
 
 
 def test_wmi_with_uniform_vs_graphic_oracles():
-    # the routine is oracle-generic even though the shifted API restricts kinds
+    # The routine runs on the count unions of its factors, so a graphic
+    # factor, or an oracle, is refused on either side before any stage.
+    # The triangle's matroid, U(2, 3), is also transversal (three elements
+    # sharing two agents), and as such it intersects.
     rng = random.Random(1)
     tri = GraphicMatroid(3, [(1, 2), (2, 3), (1, 3)])
     u = UniformMatroid(3, 1)
+    for pair in ((tri, u), (u, tri), (u, OracleMatroid(3, u._indep))):
+        with pytest.raises(DisallowedKindError, match="is not accepted"):
+            weighted_matroid_intersection_max(*pair, [3, 1, 2])
+    tri = TransversalMatroid([[0, 1]] * 3, 2)
     w = [3, 1, 2]
     got = weighted_matroid_intersection_max(tri, u, w)
     assert sum(w[i] for i in got.indices()) == brute_common_max(tri, u, w)
@@ -364,8 +372,8 @@ def random_overlapping_transversal_matroid(rng, d):
 
 @pytest.mark.parametrize("family", ["transversal", "transversal-partition"])
 def test_closure_circuits_match_the_cell_reference(family):
-    # A transversal union answers from its closure pass, whose rows share
-    # a circuit when their closures hold the same rows.  A last copy on
+    # A transversal union answers from its flow, whose rows share a circuit
+    # when the agents they reach are served by the same rows.  A last copy on
     # several shared circuits of the first matroid gets one hub for each,
     # and the walk must take the smallest tight successor over all of them.
     # Every stage must hold the row counts of the cell-level reference, and
@@ -405,12 +413,34 @@ def random_loaded_partition_matroid(rng, d):
                             [rng.randint(0, 3) for _ in range(nb)])
 
 
+class ReferenceUnion:
+    """A count union for the intersection whose circuits come from the
+    circuit-first reference: r grown from zero into parts, then one search
+    per row over those parts."""
+
+    def __init__(self, m, n):
+        self.m, self.n = m, n
+
+    def circuits(self, r, rows):
+        counts, parts = CircuitFirst(self.m, self.n).grow(
+            i for i, c in enumerate(r) for _ in range(c))
+        assert counts == list(r)
+        answers = reference_circuits(self.m, self.n, parts, rows)
+        shared = {}
+        for j in rows:
+            if answers[j] is not None:
+                shared.setdefault(answers[j], []).append(j)
+        return ([j for j in rows if answers[j] is None],
+                [(sorted(js), circuit) for circuit, js in shared.items()])
+
+
 @pytest.mark.parametrize("family", ["partition", "partition-transversal"])
 def test_block_sum_circuits_match_the_generic_union(family):
-    # A partition union answers its circuits from block sums; OracleMatroid
-    # wrappers of the same oracles take the decomposition and closure pass.
-    # Every stage must see the same row counts and pick the same path, and
-    # some paths must exchange (three nodes or more), where ties matter.
+    # A partition union answers its circuits from block sums, a transversal
+    # one from its flow; the generic reference answers each row by its own
+    # search over a decomposition.  Every stage must see the same row
+    # counts and pick the same path, and some paths must exchange (three
+    # nodes or more), where ties matter.
     rng = random.Random(21)
     search = intersection._augmenting_path
     longest = 0
@@ -437,7 +467,8 @@ def test_block_sum_circuits_match_the_generic_union(family):
             return got, stages
 
         got = run((m1, m2))
-        assert got == run(tuple(OracleMatroid(d, m._indep) for m in (m1, m2)))
+        with mock.patch.object(intersection, "count_union", ReferenceUnion):
+            assert got == run((m1, m2))
         longest = max(longest, *(len(path or ()) for _, path in got[1]))
     assert longest >= 3
 
@@ -676,3 +707,74 @@ def test_shifted_value_intersection_matches_min_cost_flow():
         g = BipartiteGraph(left, right, edges)
         inst = IntersectionInstance(*degree_matroids(g), n, ProfitMatrix(rows))
         assert shifted_value_intersection(inst) == flow_matching_value(left, right, edges, rows, n)
+
+
+def flow_count_union_value(blocks, capacities, adjacency, agents, rows, n):
+    """Shifted optimum over a partition matroid (a uniform one is one
+    block) and a transversal matroid, as a min-cost flow over their count
+    unions: block B passes at most n * c_B units, the j-th unit of row i
+    earns the j-th largest entry of its profit row, it goes on to one of
+    i's agents, and each agent takes at most n."""
+    nx = pytest.importorskip("networkx")
+    g = nx.DiGraph()
+    supply = n * len(rows)
+    g.add_node("s", demand=-supply)
+    g.add_node("t", demand=supply)
+    g.add_edge("s", "t", capacity=supply, weight=0)
+    for b, c in enumerate(capacities):
+        g.add_edge("s", ("B", b), capacity=n * c, weight=0)
+    for a in range(agents):
+        g.add_edge(("A", a), "t", capacity=n, weight=0)
+    for i, (b, row) in enumerate(zip(blocks, rows)):
+        for j, c in enumerate(sorted(row, reverse=True)):
+            g.add_edge(("B", b), ("u", i, j), capacity=1, weight=-c)
+            g.add_edge(("u", i, j), ("e", i), capacity=1, weight=0)
+        for a in adjacency[i]:
+            g.add_edge(("e", i), ("A", a), capacity=n, weight=0)
+    return -nx.min_cost_flow_cost(g)
+
+
+@pytest.mark.parametrize("family", ["partition", "uniform"])
+def test_transversal_intersections_match_min_cost_flow(family):
+    # Up to 40 rows and n = 4, beyond the brute-force corpora; the
+    # transversal factor comes first or second.
+    rng = random.Random(23)
+    for trial in range(25):
+        d, n = rng.randint(1, 40), rng.randint(1, 4)
+        agents = rng.randint(1, max(1, d // 2))
+        t = TransversalMatroid([rng.sample(range(agents), rng.randint(0, min(3, agents)))
+                                for _ in range(d)], agents)
+        if family == "partition":
+            nb = rng.randint(1, max(1, d // 3))
+            blocks = [rng.randrange(nb) for _ in range(d)]
+            capacities = [rng.randint(0, 3) for _ in range(nb)]
+            other = PartitionMatroid(blocks, capacities)
+        else:
+            blocks, capacities = [0] * d, [rng.randint(0, d)]
+            other = UniformMatroid(d, capacities[0])
+        rows = [[rng.randint(-3, 9) for _ in range(n)] for _ in range(d)]
+        pair = (t, other) if trial % 2 else (other, t)
+        got = shifted_value_intersection(IntersectionInstance(*pair, n, ProfitMatrix(rows)))
+        assert got == flow_count_union_value(blocks, capacities, t.adjacency, agents, rows, n)
+
+
+@pytest.mark.parametrize("family, d, value", [("transversal", 2000, 18406),
+                                               ("partition", 500, 4015),
+                                               ("uniform", 500, 4658)])
+def test_count_union_recipes_pin_values(family, d, value):
+    # The scale recipes of ROADMAP.md, from random.Random(0) with n = 3:
+    # element i adjacent to three of d // 2 agents; then, for an
+    # intersection, element i in one of d // 4 blocks of capacity 2, or a
+    # uniform matroid of rank d / 2; then profits in -3..9.
+    rng = random.Random(0)
+    n = 3
+    t = TransversalMatroid([rng.sample(range(d // 2), 3) for _ in range(d)], d // 2)
+    if family == "partition":
+        other = PartitionMatroid([rng.randrange(d // 4) for _ in range(d)], [2] * (d // 4))
+    elif family == "uniform":
+        other = UniformMatroid(d, d // 2)
+    c = ProfitMatrix([[rng.randint(-3, 9) for _ in range(n)] for _ in range(d)])
+    if family == "transversal":
+        assert solve_shifted(t, n, c).value == value
+    else:
+        assert shifted_value_intersection(IntersectionInstance(other, t, n, c)) == value

@@ -28,11 +28,55 @@ from matroid_shift import (
     rank,
     solve_shuffling,
 )
+from matroid_shift.constructions import BlockSums
 from matroid_shift.matroids import greedy_in_order
 from corpora import FAMILIES, grid_graph, random_matroid
 from test_constructions import assert_lift_decomposition
 
 SETTINGS = settings(max_examples=60, deadline=None)
+# The families whose unions run on counts (block sums or one flow); the
+# others run on slots.
+COUNT_KINDS = ("uniform", "partition", "transversal")
+
+
+def on_counts(union: UnionMatroid) -> bool:
+    return union._engine is not None
+
+
+def assert_parts(m: Matroid, n: int, counts, parts):
+    """n parts, each independent in m, holding element i in counts[i] of them."""
+    assert len(parts) == n and all(m._indep(frozenset(p)) for p in parts)
+    assert [sum(i in p for p in parts) for i in range(m.d)] == list(counts)
+
+
+def assert_held_state(union: UnionMatroid):
+    """The state a union holds sums to _counts.  Slots: each part's
+    certificate, changed in place query after query, must answer every
+    circuit as a fresh build does, so a derivation that went wrong, or two
+    parts sharing one certificate, shows.  Block sums: every block's sum.
+    A flow: every unit goes from an element to one of its agents, and no
+    agent takes more than n."""
+    m, n, engine = union.part, union.n, union._engine
+    if engine is None:
+        assert union._counts == [sum(i in p for p, _, _ in union._slots) for i in range(m.d)]
+        for p, cert, _ in union._slots:
+            built = m._build(frozenset(p))
+            assert built is not None
+            for e in set(range(m.d)) - p:
+                assert m._circuit(cert, p, e) == m._circuit(built, frozenset(p), e)
+    elif isinstance(engine, BlockSums):
+        sums = [0] * len(engine.sums)
+        for i, c in enumerate(union._counts):
+            sums[engine.blocks[i]] += c
+        assert engine.sums == sums and max(union._counts) <= n
+    else:
+        sent = [0] * m.d
+        for a, served in enumerate(engine.flow):
+            assert engine.load[a] == sum(served.values()) <= n
+            for x, units in served.items():
+                assert units > 0 and a in m.adjacency[x]
+                sent[x] += units
+        assert sent == union._counts and max(sent) <= n
 
 
 @pytest.mark.parametrize("kind", FAMILIES)
@@ -59,12 +103,10 @@ def test_shuffle_membership_and_decomposition(kind, seed, data):
 def test_decompose_agrees_with_grow_from_zero(kind, seed, data):
     # One instance answers count vectors that rise and fall, by unit steps
     # and by jumps to any vector (dependent ones and ones above cap too),
-    # each from the parts it holds.  A fresh instance growing r from zero
-    # in row order must accept exactly the same vectors.  After every
-    # query the held parts must sum to _counts, and each part's
-    # certificate, changed in place query after query, must answer every
-    # circuit as a fresh build does: so a derivation that went wrong, or
-    # two parts sharing one certificate, shows.
+    # each from the state it holds.  A fresh instance growing r from zero
+    # in row order must accept exactly the same vectors, and so must the
+    # circuit-first reference.  After every query the state held must sum
+    # to _counts (assert_held_state).
     m = union_matroid_draw(random.Random(seed), kind)
     n = data.draw(st.integers(1, 3), label="n")
     union = UnionMatroid(m, n)
@@ -77,17 +119,12 @@ def test_decompose_agrees_with_grow_from_zero(kind, seed, data):
             i = data.draw(st.integers(0, m.d - 1), label="row")
             r = r[:i] + [max(r[i] + data.draw(st.sampled_from((-1, 1)), label="step"), 0)] + r[i + 1:]
         parts = union.decompose(r)
-        counts, _ = UnionMatroid(m, n).grow(i for i, c in enumerate(r) for _ in range(c))
-        assert (parts is not None) == (counts == r)
+        copies = [i for i, c in enumerate(r) for _ in range(c)]
+        counts, _ = UnionMatroid(m, n).grow(copies)
+        assert (parts is not None) == (counts == r) == (CircuitFirst(m, n).grow(copies)[0] == r)
         if parts is not None:
-            assert len(parts) == n and all(m._indep(p) for p in parts)
-            assert [sum(i in p for p in parts) for i in range(m.d)] == r
-        assert union._counts == [sum(i in p for p, _, _ in union._slots) for i in range(m.d)]
-        for p, cert, _ in union._slots:
-            built = m._build(frozenset(p))
-            assert built is not None
-            for e in set(range(m.d)) - p:
-                assert m._circuit(cert, p, e) == m._circuit(built, frozenset(p), e)
+            assert_parts(m, n, r, parts)
+        assert_held_state(union)
 
 
 @pytest.mark.parametrize("kind", FAMILIES)
@@ -299,17 +336,18 @@ def test_derive_answers_as_a_fresh_build(kind, seed, data):
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_shuffle_circuit_matches_oracle_fallback(kind, seed, data):
-    # The row circuits from the exchange search of the union's parts must be
-    # those the oracle finds swap by swap: row j fits iff r + e_j
-    # decomposes, and otherwise its circuit holds exactly the rows i with
-    # r + e_j - e_i decomposable.  Every swap asks a fresh instance, so no
-    # memo carries over.
+    # The row circuits of the union must be those the oracle finds swap by
+    # swap: row j fits iff r + e_j decomposes, and otherwise its circuit
+    # holds exactly the rows i with r + e_j - e_i decomposable.  A count
+    # union answers from circuits; a slot union, which has none, from one
+    # augmentation per row, whose failed search must reach the circuit.
+    # Every swap asks a fresh instance, so no memo carries over.
     m = random_matroid(random.Random(seed), dmax=5, kind=kind)
     n = data.draw(st.integers(1, 3), label="n")
     union = UnionMatroid(m, n)
     grown = data.draw(st.lists(st.integers(0, m.d - 1), max_size=m.d * n), label="grown")
     r, parts = union.grow(grown)
-    circuits = row_answers(union.circuits(r, range(m.d)), range(m.d))
+    circuits = row_circuits(union, r, range(m.d))
 
     def decomposes(counts):
         return UnionMatroid(m, n).decompose(counts) is not None
@@ -322,6 +360,21 @@ def test_shuffle_circuit_matches_oracle_fallback(kind, seed, data):
         want = tuple(i for i in range(m.d) if r[i] and decomposes(
             [c - (k == i) for k, c in enumerate(plus)]))
         assert circuits[j] == want
+
+
+def row_circuits(union: UnionMatroid, r, rows) -> dict:
+    """One answer per row, None or its circuit, from a union grown to r:
+    its circuits, or on slots one augmentation of the row on a copy of
+    the union, which fits it or refuses the elements its search reached;
+    those that r holds are the circuit."""
+    if on_counts(union):
+        return row_answers(union.circuits(r, rows), rows)
+    out = {}
+    for j in rows:
+        trial, refused = copy.deepcopy(union), set()
+        out[j] = None if trial._try_augment(j, refused) else tuple(
+            i for i in sorted(refused) if r[i])
+    return out
 
 
 def row_answers(answer, rows):
@@ -345,7 +398,7 @@ def row_answers(answer, rows):
 def reference_circuits(m: Matroid, n: int, parts, rows):
     """UnionMatroid.circuits by one circuit-first exchange search per row
     (CircuitFirst, which also asks whether the row itself fits), over parts
-    loaded into the empty slots of a union of n copies of m."""
+    loaded into the empty slots of a reference union of n copies of m."""
     union = CircuitFirst(m, n)
     union._replace({k: ((), sorted(p)) for k, p in enumerate(parts)})
     held = set().union(*parts)
@@ -369,7 +422,7 @@ def union_matroid_draw(rng: random.Random, kind: str) -> Matroid:
     return random_matroid(rng, dmax=8, kind=kind)
 
 
-@pytest.mark.parametrize("kind", FAMILIES + ("multigraph",))
+@pytest.mark.parametrize("kind", COUNT_KINDS)
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1))
 def test_circuits_equal_reference_circuits(kind, seed):
@@ -378,10 +431,10 @@ def test_circuits_equal_reference_circuits(kind, seed):
     # random independent sets, which often block a row in every part yet
     # free a place for it by an exchange.  circuits gets only their counts.
     # The rows come in any order, so a row's search often reaches a row
-    # answered before it.  Multigraphs bring parallel edges and self-loops,
-    # partitions blocks of capacity 0; a partition answers from its block
-    # sums.  One pass over the rows must answer each as its own search
-    # over the parts does.
+    # answered before it.  Partitions bring blocks of capacity 0; a
+    # partition answers from its block sums, a transversal matroid from its
+    # flow.  One pass over the rows must answer each as its own search over
+    # the parts does.
     rng = random.Random(seed)
     m = union_matroid_draw(rng, kind)
     n = rng.randint(1, 4 if kind == "partition" else 3)
@@ -407,13 +460,13 @@ def test_circuits_equal_reference_circuits(kind, seed):
         assert got == reference_circuits(m, n, parts, rows)
 
 
-@pytest.mark.parametrize("kind", FAMILIES + ("multigraph",))
+@pytest.mark.parametrize("kind", COUNT_KINDS)
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1))
 def test_circuits_refuse_counts_that_do_not_decompose(kind, seed):
     # A count vector outside the union means an augmentation went wrong:
-    # circuits raises InternalError on it, on the block path too (a block
-    # over n times its capacity, or a row over n copies).
+    # circuits raises InternalError on it, from block sums (a block over n
+    # times its capacity, or a row over n copies) and from the flow.
     rng = random.Random(seed)
     m = union_matroid_draw(rng, kind)
     n = rng.randint(1, 3)
@@ -427,14 +480,14 @@ def test_circuits_refuse_counts_that_do_not_decompose(kind, seed):
             row_answers(union.circuits(r, range(m.d)), range(m.d))
 
 
-@pytest.mark.parametrize("kind", FAMILIES + ("multigraph",))
+@pytest.mark.parametrize("kind", COUNT_KINDS)
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1))
 def test_circuits_follow_jumps_in_the_counts(kind, seed):
     # One union answers count vectors that jump by arbitrary amounts, up
     # and down, as no intersection stage does: a partition or uniform
     # union answers each call from its counts alone and keeps nothing, so
-    # every attribute stays as it was; the other families move their parts.
+    # its block sums stay as they were; a transversal union moves its flow.
     # Counts grown by a fresh union decompose; every row that circuits
     # reports, alone or sharing a circuit, must get the answer of its own
     # search over a decomposition.  Random counts often leave the union
@@ -452,7 +505,7 @@ def test_circuits_follow_jumps_in_the_counts(kind, seed):
             r = [rng.randint(0, n + 1) for _ in range(m.d)]
         rows = rng.sample(range(m.d), rng.randint(0, m.d))
         parts = UnionMatroid(m, n).decompose(r)
-        before = copy.deepcopy(vars(union), {id(m): m})
+        before = copy.deepcopy(vars(union._engine))
         if parts is None:
             with pytest.raises(InternalError, match="left the intersection"):
                 union.circuits(r, rows)
@@ -461,7 +514,8 @@ def test_circuits_follow_jumps_in_the_counts(kind, seed):
             assert answer == UnionMatroid(m, n).circuits(r, rows)
             assert row_answers(answer, rows) == reference_circuits(m, n, parts, rows)
         if blocks:
-            assert vars(union) == before
+            assert vars(union._engine) == before
+        assert_held_state(union)
 
 
 def test_partition_union_circuits_from_block_sums():
@@ -526,10 +580,11 @@ def reference_grow(union: UnionMatroid, elements):
     return counts, tuple(frozenset(p) for p, _, _ in union._slots)
 
 
-def reference_for(union: UnionMatroid, data, elements) -> UnionMatroid:
-    """A fresh union on the same matroid; it and union are both grown from
-    the same drawn elements, or both left empty."""
-    reference = UnionMatroid(union.part, union.n)
+def reference_for(union: UnionMatroid, data, elements):
+    """A fresh union on the same matroid, or the circuit-first reference
+    for a union on counts; it and union are both grown from the same drawn
+    elements, or both left empty."""
+    reference = (CircuitFirst if on_counts(union) else UnionMatroid)(union.part, union.n)
     if data.draw(st.booleans(), label="start grown"):
         start = data.draw(elements, label="start")
         union.grow(start)
@@ -542,14 +597,26 @@ def reference_for(union: UnionMatroid, data, elements) -> UnionMatroid:
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_grow_equals_reference_grow(kind, seed, data):
     # From empty parts or parts grown before, with repeated elements: the
-    # same counts and the same parts, part by part.
+    # same counts and, on slots, the same parts, part by part.
     m = random_matroid(random.Random(seed), dmax=6, kind=kind)
     n = data.draw(st.integers(1, 3), label="n")
     elements = st.lists(st.integers(0, m.d - 1), max_size=m.d * n + 4)
     union = UnionMatroid(m, n)
     reference = reference_for(union, data, elements)
     sequence = data.draw(elements, label="elements")
-    assert union.grow(sequence) == reference_grow(reference, sequence)
+    assert_grows_as_reference(union, reference, sequence)
+
+
+def assert_grows_as_reference(union: UnionMatroid, reference, sequence):
+    """A slot union must grow the counts and parts of reference_grow; a
+    count union the counts of the circuit-first reference, with parts of
+    its own."""
+    if on_counts(union):
+        counts, parts = union.grow(sequence)
+        assert counts == reference.grow(sequence)[0]
+        assert_parts(union.part, union.n, counts, parts)
+    else:
+        assert union.grow(sequence) == reference_grow(reference, sequence)
 
 
 class PrunedChecked(UnionMatroid):
@@ -577,14 +644,15 @@ class PrunedChecked(UnionMatroid):
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_pruned_search_finds_the_unpruned_path(kind, seed, data):
-    # From empty parts or parts grown before, with repeated elements.
+    # From empty parts or parts grown before, with repeated elements.  A
+    # union on counts runs no such search: it grows as the reference.
     m = union_matroid_draw(random.Random(seed), kind)
     n = data.draw(st.integers(1, 3), label="n")
     elements = st.lists(st.integers(0, m.d - 1), max_size=m.d * n + 4)
     union = PrunedChecked(m, n)
     reference = reference_for(union, data, elements)
     sequence = data.draw(elements, label="elements")
-    assert union.grow(sequence) == reference_grow(reference, sequence)
+    assert_grows_as_reference(union, reference, sequence)
 
 
 def test_pruned_search_skips_elements_on_a_grid():
@@ -597,17 +665,32 @@ def test_pruned_search_skips_elements_on_a_grid():
     assert union.pruned > 0
 
 
-class CircuitFirst(UnionMatroid):
-    """The search without the direct step or the fit pass, kept as the
-    reference: every copy is placed by its own search, in which each
-    element taken from the queue, e included, asks the parts, in slot
-    order, for the circuit it closes there (through the slot memo), and the
-    first part where it closes none takes it.  Every search is recorded as
-    (e, fit, parent)."""
+class CircuitFirst:
+    """The exchange search without the direct step or the fit pass, kept
+    as the reference for every family, on n parts of its own: every copy
+    is placed by its own search, in which each element taken from the
+    queue, e included, asks the parts, in slot order, for the circuit it
+    closes there (through a slot memo), and the first part where it closes
+    none takes it.  grow refuses elements and stops at the cap as
+    UnionMatroid.grow does.  Every search is recorded as (e, fit,
+    parent)."""
 
     def __init__(self, part, n):
-        super().__init__(part, n)
+        self.part, self.n = part, n
+        self.cap = n * full_rank(part)
+        self._counts = [0] * part.d
+        self._slots = [[set(), part._build(frozenset()), {}] for _ in range(n)]
         self.searches = []
+
+    def grow(self, elements):
+        total, refused = sum(self._counts), set()
+        for e in elements:
+            if e in refused or not self._try_augment(e, refused):
+                continue
+            total += 1
+            if total == self.cap:
+                break
+        return self._counts[:], tuple(frozenset(p) for p, _, _ in self._slots)
 
     def _try_augment(self, e, refused):
         fit, parent = self._search(e, refused)
@@ -622,6 +705,7 @@ class CircuitFirst(UnionMatroid):
             lost.append(x)
             gained.append(y)
             x = y
+        assert x == e
         self._replace(changes)
         return True
 
@@ -644,6 +728,21 @@ class CircuitFirst(UnionMatroid):
                         queue.append(v)
         self.searches.append((e, None, parent))
         return None, parent
+
+    def _replace(self, changes):
+        for k, (lost, gained) in changes.items():
+            slot = self._slots[k]
+            p = slot[0]
+            assert p.issuperset(lost) and p.isdisjoint(gained)
+            p.difference_update(lost)
+            p.update(gained)
+            slot[1] = self.part._derive(slot[1], lost, gained, p)
+            assert slot[1] is not None
+            slot[2].clear()
+            for x in lost:
+                self._counts[x] -= 1
+            for x in gained:
+                self._counts[x] += 1
 
 
 class Recorded(UnionMatroid):
@@ -704,12 +803,19 @@ def test_search_finds_the_circuit_first_path(kind, seed, data):
     # the same arc.  No family builds more circuits than the reference,
     # and only graphic parts answer _fits at all (the others answer from
     # the memo).
+    # A union on counts builds no circuit at all, and grows the counts of
+    # the reference with parts of its own.
     rng = random.Random(seed)
     m = search_matroid_draw(rng, kind)
     n = data.draw(st.integers(1, 3), label="n")
     elements = st.lists(st.integers(0, m.d - 1), max_size=m.d * n + 4)
     mine, theirs = counted(m), counted(m)
     engine, reference = Recorded(mine, n), CircuitFirst(theirs, n)
+    if on_counts(engine):
+        for sequence in (data.draw(elements, label="start"), data.draw(elements, label="elements")):
+            assert_grows_as_reference(engine, reference, sequence)
+        assert not mine.calls and not engine.searches
+        return
     for sequence in (data.draw(elements, label="start"), data.draw(elements, label="elements")):
         assert engine.grow(sequence) == reference.grow(sequence)
     assert len(engine.searches) == len(reference.searches)
@@ -738,13 +844,20 @@ def test_direct_step_ends_as_the_reference(kind, seed, data):
     # left is that of a fresh build of its part, and within one
     # _try_augment no part is asked twice whether one element fits, nor
     # for its circuit: the direct step asks each part about e, and the
-    # search does not ask about e's fits again.
+    # search does not ask about e's fits again.  A union on counts asks
+    # no part anything, and ends with the reference's counts.
     rng = random.Random(seed)
     m = search_matroid_draw(rng, kind)
     n = data.draw(st.integers(1, 3), label="n")
     elements = st.lists(st.integers(0, m.d - 1), max_size=m.d * n + 4)
     mine = counted(m)
     engine, reference = UnionMatroid(mine, n), CircuitFirst(m, n)
+    if on_counts(engine):
+        for sequence in (data.draw(elements, label="start"), data.draw(elements, label="elements")):
+            assert_grows_as_reference(engine, reference, sequence)
+            assert engine._counts == reference._counts
+        assert not mine.calls
+        return
     augment = engine._try_augment
 
     def once(e, refused):
@@ -821,3 +934,46 @@ def test_rank_equals_greedy_rank(kind, seed, data):
     assert full_rank(m) == greedy_rank(m, range(m.d))
     s = data.draw(st.sets(st.integers(0, m.d - 1)), label="s")
     assert rank(m, Subset01.from_indices(m.d, s)) == greedy_rank(m, sorted(s))
+
+
+def wide_transversal(rng: random.Random) -> TransversalMatroid:
+    # Up to 60 elements, each adjacent to up to four of about d / 2 agents:
+    # long alternating paths, full agents and loops (no agent at all).
+    d = rng.randint(1, 60)
+    agents = rng.randint(1, d // 2 + 2)
+    return TransversalMatroid([rng.sample(range(agents), rng.randint(0, min(4, agents)))
+                               for _ in range(d)], agents)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_flow_union_answers_as_the_circuit_first_reference(seed, data):
+    # Beyond the desk corpora: the flow grows the counts of the
+    # circuit-first reference, from empty or grown counts, with parts of
+    # its own; decompose accepts exactly the vectors the reference reaches
+    # from zero, grown ones and random ones; and circuits answers every
+    # row with the reference's own search over a decomposition, tuple for
+    # tuple.  Every part is independent and has the exact multiplicities.
+    rng = random.Random(seed)
+    m = wide_transversal(rng)
+    n = data.draw(st.integers(1, 5), label="n")
+    elements = st.lists(st.integers(0, m.d - 1), max_size=m.d * n + 4)
+    union = UnionMatroid(m, n)
+    reference = reference_for(union, data, elements)
+    assert_grows_as_reference(union, reference, data.draw(elements, label="elements"))
+    assert_held_state(union)
+    for _ in range(3):
+        if rng.random() < 0.5:
+            r = CircuitFirst(m, n).grow(rng.randrange(m.d) for _ in range(rng.randint(0, m.d * n)))[0]
+        else:
+            r = [rng.randint(0, n) for _ in range(m.d)]
+        parts = union.decompose(r)
+        want, grown = CircuitFirst(m, n).grow(i for i, c in enumerate(r) for _ in range(c))
+        assert (parts is not None) == (want == r)
+        assert_held_state(union)
+        if parts is None:
+            continue
+        assert_parts(m, n, r, parts)
+        rows = rng.sample(range(m.d), rng.randint(1, m.d))
+        assert row_answers(union.circuits(r, rows), rows) == reference_circuits(m, n, grown, rows)
+        assert_held_state(union)
