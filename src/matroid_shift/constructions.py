@@ -137,7 +137,7 @@ class UnionMatroid(Matroid):
     of them (a plain set is the 0/1 case), and circuits(r, rows) tells
     which rows r can take one more copy of and which circuit each other
     row closes, reporting a circuit that several rows close once, with all
-    of them.  Each family runs on one engine, picked here:
+    of them.  One engine (count_union) does the work for each family:
 
     * partition and uniform parts on block sums (BlockSums): the union of
       n copies of a partition matroid with block capacities c_B is the
@@ -147,35 +147,15 @@ class UnionMatroid(Matroid):
     * transversal parts on one flow (AgentFlow): the union of transversal
       matroids is transversal (Edmonds and Fulkerson, 1965);
     * every other family (graphic, GF(2), oracles) on n parts grown by
-      matroid partitioning (Knuth, 1973), the slot engine below.  It
-      answers no circuits: the intersection, their one caller, takes only
-      the first two kinds.
+      matroid partitioning (SlotUnion).  It answers no circuits: the
+      intersection, their one caller, takes only the first two kinds.
 
-    The count engines hold counts alone and make the parts when asked (see
-    their notes); their part_rank comes from the blocks, or from one
-    matching.  The slot engine rests on one exchange graph.  Its arcs lead
-    from x to the members of the circuit x closes in each part lacking it,
-    whichever part holds x, so one node per element finds the same first
-    path as one node per copy.  grow augments by _try_augment(e), which
-    puts e straight into the first part that takes it.  Only when none
-    does, it runs _search(e), a breadth-first search from e's arcs that
-    asks every part whether an element fits before it asks any for a
-    circuit, and replays its path to the first element that fits straight
-    into a part, checking that the parts gain one copy of e and keep every
-    other count; when none fits, the elements the search reached are the
-    circuit, and none of them fits either.
-
-    The slot engine owns its n parts.  Each is a slot [part, certificate,
-    memo of circuit answers by element], and _counts holds the
-    multiplicities they sum to.  _replace is the step that changes parts
-    for a path augmentation and for a trim (a direct fit makes its checks
-    inline): each part must hold what it loses and lack what it gains; the
-    set is changed in place, its certificate is handed to Matroid._derive
-    (which checks the part is independent), and its memo is cleared.  grow
-    and decompose continue from the state held, and decompose memoizes its
-    answers by count tuple, so an instance is mutable: use one per run, on
-    one thread.  After an InternalError its state is undefined.  The
-    matroid it unites keeps no state and may be shared.
+    The union itself checks the arguments, runs grow's loop, which hands
+    every copy to _try_augment (the engine's add), and memoizes
+    decompose's answers by count tuple.  grow and decompose continue from
+    the state the engine holds, so an instance is mutable: use one per
+    run, on one thread.  After an InternalError its state is undefined.
+    The matroid it unites keeps no state and may be shared.
     """
 
     kind = "oracle_composite"
@@ -187,28 +167,22 @@ class UnionMatroid(Matroid):
         super().__init__(part.d)
         self.part = part
         self.n = n
-        zero = (0,) * part.d
-        self._indep_cache: dict[tuple, tuple] = {zero: (frozenset(),) * n}
+        self._indep_cache: dict[tuple, tuple] = {(0,) * part.d: (frozenset(),) * n}
         self._dep_cache: set = set()
         self._engine = count_union(part, n)
-        if self._engine is not None:
-            self.part_rank = self._engine.rank
-            self._counts = self._engine.counts
-        else:
-            self.part_rank = full_rank(part)
-            self._counts = list(zero)
-            # One slot per part: [part, certificate, {element: circuit answer}].
-            self._slots = [[set(), part._build(frozenset()), {}] for _ in range(n)]
-            # A family's own _fits answers without a circuit; by default _fits
-            # is the circuit, which _search asks through the slot memo instead.
-            self._fits = None if type(part)._fits is Matroid._fits else part._fits
+        self.part_rank = self._engine.rank
         self.cap = n * self.part_rank  # no decomposable vector sums to more
 
     def _indep(self, elems: frozenset) -> bool:
         return self.decompose([int(e in elems) for e in range(self.d)]) is not None
 
     def decompose(self, counts: Sequence[int]) -> tuple | None:
-        """n frozensets holding element i in exactly counts[i] of them, or None."""
+        """n frozensets holding element i in exactly counts[i] of them, or None.
+
+        The engine brings its state to counts (CountUnion.reach): each copy
+        fits exactly when the counts stay decomposable, so counts is
+        reached exactly when it decomposes.
+        """
         r = tuple(counts)
         hit = self._indep_cache.get(r)
         if hit is not None:
@@ -219,39 +193,11 @@ class UnionMatroid(Matroid):
             raise InputError(f"count vector {list(r)} does not fit ground size {self.d}")
         if sum(r) > self.cap:
             return None
-        parts = self._reach(r)
-        if parts is None:
+        if not self._engine.reach(r):
             self._dep_cache.add(r)
-        else:
-            self._indep_cache[r] = parts
+            return None
+        self._indep_cache[r] = parts = self._engine.parts()
         return parts
-
-    def _reach(self, r: tuple) -> tuple | None:
-        """Bring the state to counts r; return the parts as frozensets, or None.
-
-        A count engine reaches r by itself (CountUnion.reach).  The slot
-        engine's parts lose the copies r does not hold and grow the copies
-        it lacks.  Each copy finds an augmenting path exactly when the
-        counts stay decomposable, so r is reached exactly when it
-        decomposes; otherwise the parts stop short of it.
-        """
-        if self._engine is not None:
-            return self._engine.parts() if self._engine.reach(r) else None
-        excess = {i: c - t for i, (c, t) in enumerate(zip(self._counts, r)) if c > t}
-        if excess:
-            changes = {}  # part -> (the copies it drops, nothing gained)
-            for k, (p, _, _) in enumerate(self._slots):
-                drop = []
-                for x in p:
-                    if excess.get(x):
-                        excess[x] -= 1
-                        drop.append(x)
-                if drop:
-                    changes[k] = (drop, ())
-            self._replace(changes)
-        counts, parts = self.grow([i for i, (c, t) in enumerate(zip(self._counts, r))
-                                   for _ in range(t - c)])
-        return parts if tuple(counts) == r else None
 
     def grow(self, elements: Iterable[int]) -> tuple[list[int], tuple]:
         """Add a copy of each element in turn where it fits, continuing from
@@ -262,21 +208,126 @@ class UnionMatroid(Matroid):
         from any of them reaches a subset of the same elements, so it fails
         as well, now and after any later growth.
         """
-        total, refused, engine = sum(self._counts), set(), self._engine
-        add = self._try_augment if engine is None else engine.add
+        engine = self._engine
+        total, refused = sum(engine.counts), set()
         for e in elements:
             if not 0 <= e < self.d:
                 raise InputError(f"element {e} out of range for d={self.d}")
-            if e in refused or not add(e, refused):
+            if e in refused or not self._try_augment(e, refused):
                 continue
             total += 1
             if total == self.cap:
                 break
-        if engine is not None:
-            return self._counts[:], engine.parts()
-        return self._counts[:], tuple(frozenset(p) for p, _, _ in self._slots)
+        return engine.counts[:], engine.parts()
 
     def _try_augment(self, e: int, refused: set) -> bool:
+        """Add a copy of e by the engine's add: one call per copy grow tries."""
+        return self._engine.add(e, refused)
+
+    def circuits(self, r: Sequence[int], rows: Iterable[int]) -> Circuits:
+        """(fits, shared): the rows the count vector r can take one more
+        copy of, and the circuits the other rows close, each reported once.
+
+        fits lists, in the order given, every row j for which r plus a copy
+        of j decomposes.  shared lists pairs (js, circuit): every row of js
+        closes that circuit, the ascending rows i with r[i] > 0 for which r
+        plus a copy of j less a copy of i decomposes; js is ascending.
+        Every row given (rows are distinct) lies in fits or in exactly one
+        js.  r itself must decompose; if it does not, an augmentation left
+        the union, and InternalError is raised.  Only block sums and the
+        flow answer; a slot union raises DisallowedKindError.  The
+        arguments are checked here, once per call: the intersection, which
+        makes its own, asks the engines directly.
+        """
+        r, rows = tuple(r), list(rows)
+        if rows and not 0 <= min(rows) <= max(rows) < self.d:
+            raise InputError(f"rows must lie in 0..{self.d - 1}")
+        if len(r) != self.d or min(r) < 0:
+            raise InputError(f"count vector {list(r)} does not fit ground size {self.d}")
+        return self._engine.circuits(r, rows)
+
+
+def count_union(part: Matroid, n: int) -> CountUnion:
+    """The engine of the n-union of part: block sums for a partition or
+    uniform part, one flow for a transversal part, slots for the rest."""
+    if isinstance(part, UniformMatroid):
+        return BlockSums((0,) * part.d, (part.r,), n)
+    if isinstance(part, PartitionMatroid):
+        return BlockSums(part.blocks, part.capacities, n)
+    if isinstance(part, TransversalMatroid):
+        return AgentFlow(part, n)
+    return SlotUnion(part, n)
+
+
+class CountUnion:
+    """An engine of the n-union: the count vector it holds and the steps
+    that change it.
+
+    counts is the vector held.  add(e, refused) adds a copy of e if it
+    fits; if not, it returns False and may add to refused elements none of
+    whose copies can fit any more (see UnionMatroid.grow).  drop(excess)
+    removes excess[i] copies of each row i it names, parts() splits counts
+    into n independent parts, and circuits(r, rows) answers as
+    UnionMatroid.circuits, trusting its arguments.  rank is the rank of
+    one part.  BlockSums and AgentFlow hold the counts alone and make
+    parts only when asked; SlotUnion holds n parts, and counts is their
+    sum.
+    """
+
+    counts: list
+    rank: int
+
+    def reach(self, r: Sequence[int]) -> bool:
+        """Bring counts to r: drop the copies r lacks, then add the ones it
+        holds, in row order; False, with counts short of r, if one does not
+        fit, that is, if r does not decompose."""
+        counts = self.counts
+        moves = [(i, r[i] - counts[i]) for i in compress(range(len(r)), map(ne, counts, r))]
+        excess = {i: -k for i, k in moves if k < 0}
+        if excess:
+            self.drop(excess)
+        refused: set = set()
+        for i, k in moves:
+            for _ in range(k):
+                if not self.add(i, refused):
+                    return False
+        return True
+
+
+class SlotUnion(CountUnion):
+    """The n-union on n parts grown by matroid partitioning (Knuth, 1973),
+    for any matroid; count_union gives it graphic, GF(2) and oracle parts.
+
+    The parts rest on one exchange graph.  Its arcs lead from x to the
+    members of the circuit x closes in each part lacking it, whichever
+    part holds x, so one node per element finds the same first path as
+    one node per copy.  add(e) puts e straight into the first part that
+    takes it.  Only when none does, it runs _search(e), a breadth-first
+    search from e that stops at the first element some part takes, and
+    replays its path, checking that the parts gain one copy of e and keep
+    every other count; when none fits, the elements the search reached
+    are the circuit, and none of them fits either.
+
+    Each part is a slot [part, certificate, memo of circuit answers by
+    element], and counts holds the multiplicities they sum to.  _replace
+    is the step that changes parts for a path augmentation and for a trim
+    (drop; a direct fit makes its checks inline): each part must hold what
+    it loses and lack what it gains; the set is changed in place, its
+    certificate is handed to Matroid._derive (which checks the part is
+    independent), and its memo is cleared.  It answers no circuits.
+    """
+
+    def __init__(self, part: Matroid, n: int):
+        self.part, self.n = part, n
+        self.counts = [0] * part.d
+        self.rank = full_rank(part)
+        # One slot per part: [part, certificate, {element: circuit answer}].
+        self._slots = [[set(), part._build(frozenset()), {}] for _ in range(n)]
+        # A family's own _fits answers the direct step without a circuit;
+        # by default _fits is the circuit, which add asks through the memo.
+        self._fits = None if type(part)._fits is Matroid._fits else part._fits
+
+    def add(self, e: int, refused: set) -> bool:
         """Add a copy of e to the parts; False, after adding every element
         the search reached to refused, if none fits.  e goes straight into
         the first part in slot order that lacks it and takes it, with the
@@ -302,7 +353,7 @@ class UnionMatroid(Matroid):
                 raise InternalError("augmentation left a dependent part")
             slot[1] = cert
             known.clear()
-            self._counts[e] += 1
+            self.counts[e] += 1
             return True
         fit, parent = self._search(e, refused)
         if fit is None:
@@ -328,42 +379,26 @@ class UnionMatroid(Matroid):
 
     def _search(self, e: int, refused: set) -> tuple[tuple[int, int] | None, dict]:
         """Breadth-first search from a new copy of e, which fits no part
-        (_try_augment asked them all): (fit, parent).
+        (add asked them all): (fit, parent).
 
-        fit is the first element reached that goes straight into a part,
-        with the first such part in slot order, or None.  parent maps e to
-        None and every other element v reached to (x, k): x displaced v
-        from part k.  e gives only its arcs; each other element taken from
-        the queue first asks every part whether it fits, and only then asks
-        them for the circuits that give its arcs: the fit and its path are
-        those of asking each part in turn for its circuit, but no circuit
-        is built for an element that fits.  The graphic family answers the
-        fit without a circuit (_fits); the others answer it from their
-        circuit, kept in the slot memo for the arcs, so none builds a
-        circuit twice.  A part holding x is skipped, since swapping
-        parallel copies never shortens a path.  A refused element is not
-        entered: nothing it reaches fits (see grow), so no element on a
-        path to a fit is reached through it, and the other elements keep
-        their order in the queue.  The fit and its path are those of the
-        search without the pruning.
+        Each element x taken from the queue, e first, asks the parts
+        lacking it, in slot order, for the circuit it closes there (from
+        the slot memo, where the direct step left e's).  No circuit means
+        x goes straight into that part: that is the fit, (x, k), or an
+        InternalError if x is e.  Otherwise the members of the circuit
+        not yet reached are queued.  parent maps e to None and every other
+        element v reached to (x, k): x displaced v from part k.  A part
+        holding x is skipped, since swapping parallel copies never
+        shortens a path.  A refused element is not entered: nothing it
+        reaches fits (see UnionMatroid.grow), so no element on a path to
+        a fit is reached through it, and the other elements keep their
+        order in the queue.  The fit and its path are those of the search
+        without the pruning.
         """
         parent: dict[int, tuple[int, int] | None] = {e: None}
         queue = [e]  # the loop reads it in order while it grows
-        slots, fits, circuit = self._slots, self._fits, self.part._circuit
+        slots, circuit = self._slots, self.part._circuit
         for x in queue:
-            if x != e:
-                for k, (p, cert, known) in enumerate(slots):
-                    if x in p:
-                        continue
-                    members = known.get(x, False)
-                    if members is False:
-                        if fits is not None:
-                            if fits(cert, p, x):
-                                return (x, k), parent
-                            continue
-                        members = known[x] = circuit(cert, p, x)
-                    if members is None:
-                        return (x, k), parent
             for k, (p, cert, known) in enumerate(slots):
                 if x in p:
                     continue
@@ -371,38 +406,14 @@ class UnionMatroid(Matroid):
                 if members is False:
                     members = known[x] = circuit(cert, p, x)
                 if members is None:
-                    raise InternalError("a part takes an element its _fits refused")
+                    if x == e:
+                        raise InternalError("a part takes a copy the direct step refused")
+                    return (x, k), parent
                 for v in members:
                     if v not in parent and v not in refused:
                         parent[v] = (x, k)
                         queue.append(v)
         return None, parent
-
-    def circuits(self, r: Sequence[int], rows: Iterable[int]) -> Circuits:
-        """(fits, shared): the rows the count vector r can take one more
-        copy of, and the circuits the other rows close, each reported once.
-
-        fits lists, in the order given, every row j for which r plus a copy
-        of j decomposes.  shared lists pairs (js, circuit): every row of js
-        closes that circuit, the ascending rows i with r[i] > 0 for which r
-        plus a copy of j less a copy of i decomposes; js is ascending.
-        Every row given (rows are distinct) lies in fits or in exactly one
-        js.  r itself must decompose; if it does not, an augmentation left
-        the union, and InternalError is raised.  Only a count engine
-        answers (see BlockSums and AgentFlow); a slot union raises
-        DisallowedKindError.  The arguments are checked here, once per
-        call: the intersection, which makes its own, asks the engines
-        directly.
-        """
-        if self._engine is None:
-            raise DisallowedKindError(f"circuits needs a uniform, partition or transversal "
-                                      f"part, not {self.part.kind!r}")
-        r, rows = tuple(r), list(rows)
-        if rows and not 0 <= min(rows) <= max(rows) < self.d:
-            raise InputError(f"rows must lie in 0..{self.d - 1}")
-        if len(r) != self.d or min(r) < 0:
-            raise InputError(f"count vector {list(r)} does not fit ground size {self.d}")
-        return self._engine.circuits(r, rows)
 
     def _replace(self, changes: dict) -> None:
         """Change part k by (lost, gained) for each k: (lost, gained) in
@@ -410,7 +421,7 @@ class UnionMatroid(Matroid):
         gains.  Its set is changed in place and its certificate handed to
         _derive; a dependent part raises InternalError.  Its memo is
         cleared, and the counts follow.  Other slots stay as they are."""
-        slots, counts, part = self._slots, self._counts, self.part
+        slots, counts, part = self._slots, self.counts, self.part
         for k, (lost, gained) in changes.items():
             slot = slots[k]
             p = slot[0]
@@ -428,47 +439,24 @@ class UnionMatroid(Matroid):
             for x in gained:
                 counts[x] += 1
 
+    def drop(self, excess: dict) -> None:
+        """Remove excess[i] copies of each row i, from the parts in slot
+        order, in one _replace."""
+        left, changes = dict(excess), {}
+        for k, (p, _, _) in enumerate(self._slots):
+            lost = [x for x, c in left.items() if c and x in p]
+            for x in lost:
+                left[x] -= 1
+            if lost:
+                changes[k] = (lost, ())
+        self._replace(changes)
 
-def count_union(part: Matroid, n: int) -> "CountUnion | None":
-    """The count engine of the n-union of part: block sums for a partition
-    or uniform part, one flow for a transversal part, None for the rest."""
-    if isinstance(part, UniformMatroid):
-        return BlockSums((0,) * part.d, (part.r,), n)
-    if isinstance(part, PartitionMatroid):
-        return BlockSums(part.blocks, part.capacities, n)
-    if isinstance(part, TransversalMatroid):
-        return AgentFlow(part, n)
-    return None
+    def parts(self) -> tuple:
+        return tuple(frozenset(p) for p, _, _ in self._slots)
 
-
-class CountUnion:
-    """An n-union decided on its counts alone, with no parts held.
-
-    counts is the vector held.  add(e, refused) adds a copy of e if it
-    fits, drop(i, k) removes k copies of i, parts() splits counts into n
-    independent parts, and circuits(r, rows) answers as
-    UnionMatroid.circuits, trusting its arguments.  rank is the rank of
-    one part.
-    """
-
-    counts: list
-    rank: int
-
-    def reach(self, r: Sequence[int]) -> bool:
-        """Bring counts to r: drop the copies r lacks, then add the ones it
-        holds, in row order; False, with counts short of r, if one does not
-        fit, that is, if r does not decompose."""
-        counts = self.counts
-        moves = [(i, r[i] - counts[i]) for i in compress(range(len(r)), map(ne, counts, r))]
-        for i, k in moves:
-            if k < 0:
-                self.drop(i, -k)
-        refused: set = set()
-        for i, k in moves:
-            for _ in range(k):
-                if not self.add(i, refused):
-                    return False
-        return True
+    def circuits(self, r: tuple, rows: list[int]) -> Circuits:
+        raise DisallowedKindError(f"circuits needs a uniform, partition or transversal "
+                                  f"part, not {self.part.kind!r}")
 
 
 class BlockSums(CountUnion):
@@ -508,9 +496,10 @@ class BlockSums(CountUnion):
         self.sums[b] += 1
         return True
 
-    def drop(self, i: int, k: int) -> None:
-        self.counts[i] -= k
-        self.sums[self.blocks[i]] -= k
+    def drop(self, excess: dict) -> None:
+        for i, k in excess.items():
+            self.counts[i] -= k
+            self.sums[self.blocks[i]] -= k
 
     def parts(self) -> tuple:
         n, blocks, counts = self.n, self.blocks, self.counts
@@ -568,20 +557,21 @@ class AgentFlow(CountUnion):
     saw: the agents it reached are all full, only those elements send them
     units, and none of those has another agent, so while the counts grow
     (loads never fall) a search from any of them fails as well.  So a
-    search does not enter a refused element, as in UnionMatroid._search.
+    search does not enter a refused element, as in SlotUnion._search.
 
     circuits brings the flow to r and answers every row from it in one
     pass.  It marks every agent that leads to one below n: those agents,
     each full agent with an element that has one of them, and then, in one
     sweep back, the full agents of the elements that have a marked full
-    agent.  Row j fits when r[j] < n and one of its agents is marked; a row at n copies closes (j,); any other row closes the
-    elements that send a unit to an agent its search reaches (j itself
-    when r[j] > 0): dropping such a unit frees an agent the search
-    reaches, and dropping any other leaves them all full.  The agents
-    reached form a digraph, a -> b when an element sending to a also has
-    agent b; its strongly connected components (Tarjan, 1972) give each
-    agent the bitmask of the elements its closure serves, without a
-    search per row, and rows with one mask share one circuit.
+    agent.  Row j fits when r[j] < n and one of its agents is marked; a
+    row at n copies closes (j,); any other row closes the elements that
+    send a unit to an agent its search reaches (j itself when r[j] > 0):
+    dropping such a unit frees an agent the search reaches, and dropping
+    any other leaves them all full.  The agents reached form a digraph,
+    a -> b when an element sending to a also has agent b; its strongly
+    connected components (Tarjan, 1972) give each agent the bitmask of the
+    elements its closure serves, without a search per row, and rows with
+    one mask share one circuit.
     """
 
     def __init__(self, part: TransversalMatroid, n: int):
@@ -638,19 +628,21 @@ class AgentFlow(CountUnion):
         flow[b][e] = flow[b].get(e, 0) + 1
         return True
 
-    def drop(self, i: int, k: int) -> None:
-        for a in self.adjacency[i]:
-            units = self.flow[a].get(i, 0)
-            if units > k:
-                self.flow[a][i] = units - k
-                units = k
-            elif units:
-                del self.flow[a][i]
-            self.load[a] -= units
-            self.counts[i] -= units
-            k -= units
-            if not k:
-                return
+    def drop(self, excess: dict) -> None:
+        flow, load, counts = self.flow, self.load, self.counts
+        for i, k in excess.items():
+            for a in self.adjacency[i]:
+                units = flow[a].get(i, 0)
+                if units > k:
+                    flow[a][i] = units - k
+                    units = k
+                elif units:
+                    del flow[a][i]
+                load[a] -= units
+                counts[i] -= units
+                k -= units
+                if not k:
+                    break
 
     def parts(self) -> tuple:
         d, flow = len(self.counts), self.flow
@@ -827,12 +819,11 @@ class ShuffleMatroid(Matroid):
     on counts.  The cells of a row are parallel elements, so the intersection
     solver works on row counts and asks the count unions of its factors for
     their row circuits directly (CountUnion.circuits, one pass for all
-    rows); circuit
-    queries here certify the matrix by one decompose and ask the oracle
-    once per member (the Matroid defaults).  Its union memoizes the
-    decompositions and owns the parts it changes in place, so an instance
-    is mutable: keep it on a single thread.  S itself keeps no state and may
-    be shared.
+    rows); circuit queries here certify the matrix by one decompose and ask
+    the oracle once per member (the Matroid defaults).  Its union memoizes
+    the decompositions and owns the state it changes in place, so an
+    instance is mutable: keep it on a single thread.  S itself keeps no
+    state and may be shared.
     """
 
     kind = "oracle_composite"

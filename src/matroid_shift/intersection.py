@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .constructions import CountUnion, Matrix01, count_union, edge_coloring
+from .constructions import CountUnion, Matrix01, SlotUnion, count_union, edge_coloring
 from .errors import DisallowedKindError, InfeasibleError, InputError, InternalError
 from .matroids import Matroid, PartitionMatroid, Subset01, check_weight_guard, json_int
 from .solver import ProfitMatrix, ShiftedSolution, _flat_weights, validate, vulnerability_vector
@@ -132,8 +132,8 @@ def weighted_matroid_intersection_max(m1: Matroid, m2: Matroid, w: Sequence[int]
     The set then held is the first of greatest weight over all stages (the
     empty set, at 0, included), and it is returned as its cells.  Both
     matroids must be partition, uniform or transversal ones, whose unions
-    answer on counts (count_union); any other kind raises
-    DisallowedKindError.
+    answer circuits on counts (count_union); any other kind, whose union
+    runs on slots, raises DisallowedKindError.
     """
     if m1.d != m2.d:
         raise InputError(f"ground sizes differ: {m1.d} vs {m2.d}")
@@ -148,7 +148,7 @@ def weighted_matroid_intersection_max(m1: Matroid, m2: Matroid, w: Sequence[int]
 
     unions = (count_union(m1, n), count_union(m2, n))
     for m, union in zip((m1, m2), unions):
-        if union is None:
+        if isinstance(union, SlotUnion):
             raise _disallowed(m)
     r = (0,) * d
     while True:

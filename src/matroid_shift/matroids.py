@@ -9,8 +9,8 @@ The descriptions never change and keep no other state.  A circuit query
 certifies its set independent and answers from that certificate, which the
 graphic, transversal and GF(2) families make (a spanning forest with its
 trees as union-find classes, a matching, an echelon basis) per call; the
-union matroid holds one per part and hands it to _derive when the part
-changes.
+slot engine of the union matroid (SlotUnion) holds one per part and hands
+it to _derive when the part changes.
 
 Elements are 0-based internally; JSON files use 1-based indices throughout.
 """
@@ -94,8 +94,8 @@ class Matroid:
     an element can join the set.  circuit is the one public way in: it
     builds the certificate, refuses a dependent set, and asks _circuit.
     The graphic family defines all four hooks, the transversal and GF(2)
-    families _build, _derive and _circuit, uniform and partition matroids
-    only _circuit.  By default the certificate is the set itself, checked
+    families _build and _circuit, uniform and partition matroids only
+    _circuit.  By default the certificate is the set itself, checked
     by the oracle, _circuit asks the oracle once per member, and _fits asks
     _circuit.
     """
@@ -169,9 +169,9 @@ class Matroid:
     def _fits(self, cert, indep: frozenset, e: int) -> bool:
         """Whether indep + e is independent, given the certificate of indep:
         _circuit(cert, indep, e) is None.  A family overrides it only when
-        it answers without building the circuit; UnionMatroid asks such a
-        family's _fits of every part before any circuit, and reads the
-        others' answers from the circuits it memoizes."""
+        it answers without building the circuit; SlotUnion's direct step
+        asks such a family's _fits of each part, and reads the others'
+        answers from the circuits it memoizes."""
         return self._circuit(cert, indep, e) is None
 
     def __repr__(self) -> str:
@@ -522,15 +522,13 @@ class TransversalMatroid(Matroid):
 
     Element i may be represented by any agent in adjacency[i] (0-based agent
     ids).  The certificate of an independent set is a matching of it, a map
-    from agent to member, found by augmenting paths (_augment); the matching
-    of a nearby set derives it by dropping the members that left and
-    augmenting the new ones.  The rank is one augmenting pass: a member
-    that finds no free agent never will once more are matched.  The circuit
-    of indep + e takes indep's matching and one alternating search from e:
-    a free agent reached means indep + e is independent, and otherwise the
-    elements reached are the circuit, since together with e they have too
-    few agents (Hall's condition) and each of them can hand its agent down
-    the path to e.
+    from agent to member, found by augmenting paths (_augment).  The rank
+    is one augmenting pass: a member that finds no free agent never will
+    once more are matched.  The circuit of indep + e takes indep's
+    matching and one alternating search from e: a free agent reached means
+    indep + e is independent, and otherwise the elements reached are the
+    circuit, since together with e they have too few agents (Hall's
+    condition) and each of them can hand its agent down the path to e.
     """
 
     kind = "transversal"
@@ -560,12 +558,8 @@ class TransversalMatroid(Matroid):
         return tuple(sorted(match[a] for a in reached))
 
     def _build(self, part: frozenset) -> dict | None:
-        return self._derive({}, frozenset(), part, part)
-
-    def _derive(self, match: dict, removed: Collection[int], added: Collection[int],
-                part: Collection[int]) -> dict | None:
-        match = {a: x for a, x in match.items() if x not in removed}
-        return match if all(self._augment(match, e) for e in added) else None
+        match: dict[int, int] = {}
+        return match if all(self._augment(match, e) for e in part) else None
 
     def _augment(self, match: dict, e: int) -> bool:
         """Match e as well, flipping the path of one alternating search;

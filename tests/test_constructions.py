@@ -29,12 +29,19 @@ from matroid_shift import (
     weighted_matroid_intersection_max,
 )
 from matroid_shift import intersection
-from matroid_shift.constructions import AgentFlow, BlockSums
+from matroid_shift.constructions import AgentFlow, BlockSums, SlotUnion
 from corpora import (FAMILIES, K4, TRIANGLE, family_corpus, grid_graph, random_matroid,
                      random_sbo_matroid)
 from test_matroids import assert_matroid_axioms
 
 TRIANGLE_AGENTS = TransversalMatroid([[0, 1]] * 3, 2)  # U(2, 3), as TRIANGLE
+
+
+def union_on(engine) -> UnionMatroid:
+    """A union of engine.n copies of engine.part that runs on engine."""
+    union = UnionMatroid(engine.part, engine.n)
+    union._engine = engine
+    return union
 
 
 def test_flattening_convention():
@@ -123,9 +130,10 @@ def test_union_augment_reuses_unchanged_parts():
     # a circuit in both spanning trees and part 2 holds it, so its path
     # takes edge 0 out of part 0 and into part 2; part 1 is not on it.
     u = UnionMatroid(GraphicMatroid(3, [(1, 2), (2, 3), (1, 3), (1, 2)]), 3)
+    slots = u._engine
     _, parts = u.grow([0, 1, 1, 3, 2])
     assert parts == (frozenset({0, 1}), frozenset({1, 3}), frozenset({2}))
-    fit, parent = u._search(2, set())
+    fit, parent = slots._search(2, set())
     x, k = fit
     gave, took = {}, {k: {x}}  # part -> the elements the path takes out of it / puts in
     while parent[x] is not None:
@@ -134,12 +142,12 @@ def test_union_augment_reuses_unchanged_parts():
         took.setdefault(k, set()).add(y)
         x = y
     assert sorted(took) == [0, 2]
-    before = [(cert, known, dict(known)) for _, cert, known in u._slots]
+    before = [(cert, known, dict(known)) for _, cert, known in slots._slots]
     _, grown = u.grow([2])
     assert grown == (frozenset({1, 2}), parts[1], frozenset({0, 2}))
-    assert u._counts == [1, 2, 2, 1]
+    assert slots.counts == [1, 2, 2, 1]
     for k, (p, q) in enumerate(zip(grown, parts)):
-        _, cert, known = u._slots[k]
+        _, cert, known = slots._slots[k]
         if k in took:  # changed in place, its memo cleared
             assert p == q - gave.get(k, set()) | took[k] and not known
         else:  # the same certificate and memo, with every answer kept
@@ -158,8 +166,8 @@ def test_circuit_memo_holds_only_the_union_parts(monkeypatch, side):
     n, searches, augment = 3, [], UnionMatroid._try_augment
 
     def checked(self, e, refused):
-        assert len(self._slots) == n
-        assert all(p.isdisjoint(known) for p, _, known in self._slots)
+        assert len(self._engine._slots) == n
+        assert all(p.isdisjoint(known) for p, _, known in self._engine._slots)
         searches.append(e)
         return augment(self, e, refused)
 
@@ -168,7 +176,7 @@ def test_circuit_memo_holds_only_the_union_parts(monkeypatch, side):
     union = UnionMatroid(grid, n)
     counts, _ = union.grow(list(range(grid.d)) * n)
     assert sum(counts) == n * (side * side - 1) and searches
-    for p, _, known in union._slots:
+    for p, _, known in union._engine._slots:
         built = grid._build(frozenset(p))
         assert all(answer == grid._circuit(built, p, x) for x, answer in known.items())
 
@@ -219,7 +227,7 @@ def test_union_rejects_a_dependent_part():
         UnionMatroid(NoCircuits(3, 1), 2).decompose([1, 1, 0])
 
 
-class MiscountingUnion(UnionMatroid):
+class MiscountingSlots(SlotUnion):
     """A broken search: its chain ends at another element than e, one that
     the fit's part lacks (drop=True, so the new copy of e is dropped), or
     its fit goes into a part that already holds the fitting element
@@ -227,15 +235,15 @@ class MiscountingUnion(UnionMatroid):
 
     def __init__(self, part, n, drop):
         super().__init__(part, n)
-        self.drop = drop
+        self.drops_e = drop
 
     def _search(self, e, refused):
         fit, parent = super()._search(e, refused)
         if fit is None:
             return fit, parent
         x, k = fit
-        if self.drop:
-            z = min(set(range(self.d)) - self._slots[k][0] - {e})
+        if self.drops_e:
+            z = min(set(range(self.part.d)) - self._slots[k][0] - {e})
             return (z, k), {z: None}
         k = next((j for j, (p, _, _) in enumerate(self._slots) if x in p), k)
         return (x, k), parent
@@ -252,30 +260,31 @@ def test_union_rejects_miscounted_parts(drop):
     # multiplicities are wrong.
     triangle = GraphicMatroid(3, [(1, 2), (2, 3), (1, 3), (1, 2)])
     with pytest.raises(InternalError, match="multiplicities differ"):
-        MiscountingUnion(triangle, 3, drop).grow([0, 1, 1, 3, 2, 2])
+        union_on(MiscountingSlots(triangle, 3, drop)).grow([0, 1, 1, 3, 2, 2])
     with pytest.raises(InternalError, match="multiplicities differ"):
-        MiscountingUnion(triangle, 3, drop).decompose([2, 2, 2, 0])
+        union_on(MiscountingSlots(triangle, 3, drop)).decompose([2, 2, 2, 0])
 
 
 def test_union_replace_refuses_bad_changes():
     u = UnionMatroid(uniform_oracle(3, 3), 2)
     assert u.grow([0]) == ([1, 0, 0], (frozenset({0}), frozenset()))
-    slots = [slot[:] for slot in u._slots]
-    u._replace({})
-    assert u._slots == slots
-    u._replace({0: ([0], [1]), 1: ([], [0])})
-    assert [p for p, _, _ in u._slots] == [{1}, {0}] and u._counts == [1, 1, 0]
+    engine = u._engine
+    slots = [slot[:] for slot in engine._slots]
+    engine._replace({})
+    assert engine._slots == slots
+    engine._replace({0: ([0], [1]), 1: ([], [0])})
+    assert [p for p, _, _ in engine._slots] == [{1}, {0}] and engine.counts == [1, 1, 0]
     for changes in ({0: ([0], [])},   # a lost element the part lacks
                     {1: ([], [0])}):  # a gained element the part holds
         with pytest.raises(InternalError, match="multiplicities differ"):
-            u._replace(changes)
+            engine._replace(changes)
     # A search runs only for a copy that fits no part, so the broken one
     # goes on rank-1 parts {0} and {1}, which 2 does not fit.  Each part
     # holds what it loses and lacks what it gains, but the chain ends at
     # 1, not at the new copy of 2.
     u = UnionMatroid(uniform_oracle(3, 1), 2)
     assert u.grow([0, 1]) == ([1, 1, 0], (frozenset({0}), frozenset({1})))
-    u._search = lambda e, refused: ((0, 1), {0: (1, 0), 1: None})
+    u._engine._search = lambda e, refused: ((0, 1), {0: (1, 0), 1: None})
     with pytest.raises(InternalError, match="multiplicities differ"):
         u._try_augment(2, set())
     # A dependent part is refused, from the empty start or a grown part.
@@ -283,7 +292,7 @@ def test_union_replace_refuses_bad_changes():
         u = UnionMatroid(NoCircuits(3, 1), 2)
         u.grow(start)
         with pytest.raises(InternalError, match="dependent part"):
-            u._replace({0: ([], [1, 2])})
+            u._engine._replace({0: ([], [1, 2])})
 
 
 def test_union_decomposition_invariants():

@@ -28,10 +28,10 @@ from matroid_shift import (
     rank,
     solve_shuffling,
 )
-from matroid_shift.constructions import BlockSums
+from matroid_shift.constructions import BlockSums, SlotUnion
 from matroid_shift.matroids import greedy_in_order
 from corpora import FAMILIES, grid_graph, random_matroid
-from test_constructions import assert_lift_decomposition
+from test_constructions import assert_lift_decomposition, union_on
 
 SETTINGS = settings(max_examples=60, deadline=None)
 # The families whose unions run on counts (block sums or one flow); the
@@ -40,7 +40,14 @@ COUNT_KINDS = ("uniform", "partition", "transversal")
 
 
 def on_counts(union: UnionMatroid) -> bool:
-    return union._engine is not None
+    return not isinstance(union._engine, SlotUnion)
+
+
+def on_engine(m: Matroid, n: int, slots: type) -> UnionMatroid:
+    """A union of n copies of m whose slot engine, where count_union
+    picks one, is an instance of slots, a SlotUnion subclass."""
+    union = UnionMatroid(m, n)
+    return union if on_counts(union) else union_on(slots(m, n))
 
 
 def assert_parts(m: Matroid, n: int, counts, parts):
@@ -50,25 +57,25 @@ def assert_parts(m: Matroid, n: int, counts, parts):
 
 
 def assert_held_state(union: UnionMatroid):
-    """The state a union holds sums to _counts.  Slots: each part's
-    certificate, changed in place query after query, must answer every
-    circuit as a fresh build does, so a derivation that went wrong, or two
-    parts sharing one certificate, shows.  Block sums: every block's sum.
-    A flow: every unit goes from an element to one of its agents, and no
-    agent takes more than n."""
+    """The state a union's engine holds sums to its counts.  Slots: each
+    part's certificate, changed in place query after query, must answer
+    every circuit as a fresh build does, so a derivation that went wrong,
+    or two parts sharing one certificate, shows.  Block sums: every
+    block's sum.  A flow: every unit goes from an element to one of its
+    agents, and no agent takes more than n."""
     m, n, engine = union.part, union.n, union._engine
-    if engine is None:
-        assert union._counts == [sum(i in p for p, _, _ in union._slots) for i in range(m.d)]
-        for p, cert, _ in union._slots:
+    if not on_counts(union):
+        assert engine.counts == [sum(i in p for p, _, _ in engine._slots) for i in range(m.d)]
+        for p, cert, _ in engine._slots:
             built = m._build(frozenset(p))
             assert built is not None
             for e in set(range(m.d)) - p:
                 assert m._circuit(cert, p, e) == m._circuit(built, frozenset(p), e)
     elif isinstance(engine, BlockSums):
         sums = [0] * len(engine.sums)
-        for i, c in enumerate(union._counts):
+        for i, c in enumerate(engine.counts):
             sums[engine.blocks[i]] += c
-        assert engine.sums == sums and max(union._counts) <= n
+        assert engine.sums == sums and max(engine.counts) <= n
     else:
         sent = [0] * m.d
         for a, served in enumerate(engine.flow):
@@ -76,7 +83,7 @@ def assert_held_state(union: UnionMatroid):
             for x, units in served.items():
                 assert units > 0 and a in m.adjacency[x]
                 sent[x] += units
-        assert sent == union._counts and max(sent) <= n
+        assert sent == engine.counts and max(sent) <= n
 
 
 @pytest.mark.parametrize("kind", FAMILIES)
@@ -106,7 +113,7 @@ def test_decompose_agrees_with_grow_from_zero(kind, seed, data):
     # each from the state it holds.  A fresh instance growing r from zero
     # in row order must accept exactly the same vectors, and so must the
     # circuit-first reference.  After every query the state held must sum
-    # to _counts (assert_held_state).
+    # to the engine's counts (assert_held_state).
     m = union_matroid_draw(random.Random(seed), kind)
     n = data.draw(st.integers(1, 3), label="n")
     union = UnionMatroid(m, n)
@@ -560,15 +567,16 @@ def reference_grow(union: UnionMatroid, elements):
     """UnionMatroid.grow without the refusal of reached elements: every
     distinct element is searched until it fails itself, and every step
     recounts all parts against the counts and checks each changed one."""
-    counts, refused = [sum(x in p for p, _, _ in union._slots) for x in range(union.d)], set()
+    slots = union._engine._slots
+    counts, refused = [sum(x in p for p, _, _ in slots) for x in range(union.d)], set()
     for e in elements:
-        before = [set(p) for p, _, _ in union._slots]
+        before = [set(p) for p, _, _ in slots]
         if e in refused or not union._try_augment(e, set()):
             refused.add(e)
             continue
         counts[e] += 1
         recount = [0] * union.d
-        for (p, _, _), q in zip(union._slots, before):
+        for (p, _, _), q in zip(slots, before):
             if p != q and not union.part._indep(frozenset(p)):
                 raise InternalError("augmentation left a dependent part")
             for x in p:
@@ -577,7 +585,7 @@ def reference_grow(union: UnionMatroid, elements):
             raise InternalError("part multiplicities differ from the requested counts")
         if sum(counts) == union.cap:
             break
-    return counts, tuple(frozenset(p) for p, _, _ in union._slots)
+    return counts, tuple(frozenset(p) for p, _, _ in slots)
 
 
 def reference_for(union: UnionMatroid, data, elements):
@@ -619,8 +627,8 @@ def assert_grows_as_reference(union: UnionMatroid, reference, sequence):
         assert union.grow(sequence) == reference_grow(reference, sequence)
 
 
-class PrunedChecked(UnionMatroid):
-    """A union whose every search runs once more without the pruning at
+class PrunedChecked(SlotUnion):
+    """A slot engine whose every search runs once more without the pruning at
     refused elements; both must find the same fit by the same path."""
 
     pruned = 0  # elements reached only by the unpruned searches
@@ -649,7 +657,7 @@ def test_pruned_search_finds_the_unpruned_path(kind, seed, data):
     m = union_matroid_draw(random.Random(seed), kind)
     n = data.draw(st.integers(1, 3), label="n")
     elements = st.lists(st.integers(0, m.d - 1), max_size=m.d * n + 4)
-    union = PrunedChecked(m, n)
+    union = on_engine(m, n, PrunedChecked)
     reference = reference_for(union, data, elements)
     sequence = data.draw(elements, label="elements")
     assert_grows_as_reference(union, reference, sequence)
@@ -659,15 +667,15 @@ def test_pruned_search_skips_elements_on_a_grid():
     # The column-order greedy of three trees on a grid meets refused
     # elements in later searches; skipping them changes no tree.
     grid = grid_graph(6, 6)
-    union = PrunedChecked(grid, 3)
+    union = on_engine(grid, 3, PrunedChecked)
     order = list(range(grid.d)) * 3
     assert union.grow(order) == reference_grow(UnionMatroid(grid, 3), order)
-    assert union.pruned > 0
+    assert union._engine.pruned > 0
 
 
 class CircuitFirst:
-    """The exchange search without the direct step or the fit pass, kept
-    as the reference for every family, on n parts of its own: every copy
+    """The exchange search without the direct step, kept as the
+    reference for every family, on n parts of its own: every copy
     is placed by its own search, in which each element taken from the
     queue, e included, asks the parts, in slot order, for the circuit it
     closes there (through a slot memo), and the first part where it closes
@@ -745,8 +753,8 @@ class CircuitFirst:
                 self._counts[x] += 1
 
 
-class Recorded(UnionMatroid):
-    """A union whose every copy is recorded as (e, fit, parent): a search
+class Recorded(SlotUnion):
+    """A slot engine whose every copy is recorded as (e, fit, parent): a search
     as it returned, and a copy that went straight into part k without one
     as the search that finds it at once, (e, (e, k), {e: None})."""
 
@@ -754,9 +762,9 @@ class Recorded(UnionMatroid):
         super().__init__(part, n)
         self.searches = []
 
-    def _try_augment(self, e, refused):
+    def add(self, e, refused):
         searches, held = len(self.searches), [e in p for p, _, _ in self._slots]
-        placed = super()._try_augment(e, refused)
+        placed = super().add(e, refused)
         if placed and len(self.searches) == searches:
             k = next(k for k, (p, _, _) in enumerate(self._slots) if e in p and not held[k])
             self.searches.append((e, (e, k), {e: None}))
@@ -798,11 +806,11 @@ def test_search_finds_the_circuit_first_path(kind, seed, data):
     # (a direct fit recorded as a search that finds e at once, which the
     # reference makes for every copy) they must find the same fit by the
     # same chain, and a failed search must reach the same elements by the
-    # same arcs.  The engine stops at a fit before it asks x's circuits in
-    # the parts before it, so it reaches a subset of the elements, each by
-    # the same arc.  No family builds more circuits than the reference,
-    # and only graphic parts answer _fits at all (the others answer from
-    # the memo).
+    # same arcs.  A direct fit is recorded without the arcs the reference
+    # takes from e's circuits in the parts before its own, so a fit may
+    # reach a subset of the elements, each by the same arc.  No family
+    # builds more circuits than the reference, and only graphic parts
+    # answer _fits at all (the others answer from the memo).
     # A union on counts builds no circuit at all, and grows the counts of
     # the reference with parts of its own.
     rng = random.Random(seed)
@@ -810,16 +818,17 @@ def test_search_finds_the_circuit_first_path(kind, seed, data):
     n = data.draw(st.integers(1, 3), label="n")
     elements = st.lists(st.integers(0, m.d - 1), max_size=m.d * n + 4)
     mine, theirs = counted(m), counted(m)
-    engine, reference = Recorded(mine, n), CircuitFirst(theirs, n)
-    if on_counts(engine):
+    union, reference = on_engine(mine, n, Recorded), CircuitFirst(theirs, n)
+    if on_counts(union):
         for sequence in (data.draw(elements, label="start"), data.draw(elements, label="elements")):
-            assert_grows_as_reference(engine, reference, sequence)
-        assert not mine.calls and not engine.searches
+            assert_grows_as_reference(union, reference, sequence)
+        assert not mine.calls
         return
     for sequence in (data.draw(elements, label="start"), data.draw(elements, label="elements")):
-        assert engine.grow(sequence) == reference.grow(sequence)
-    assert len(engine.searches) == len(reference.searches)
-    for (e, fit, parent), (e_ref, fit_ref, want) in zip(engine.searches, reference.searches):
+        assert union.grow(sequence) == reference.grow(sequence)
+    searches = union._engine.searches
+    assert len(searches) == len(reference.searches)
+    for (e, fit, parent), (e_ref, fit_ref, want) in zip(searches, reference.searches):
         assert (e, fit) == (e_ref, fit_ref)
         if fit is None:
             assert parent == want
@@ -855,7 +864,7 @@ def test_direct_step_ends_as_the_reference(kind, seed, data):
     if on_counts(engine):
         for sequence in (data.draw(elements, label="start"), data.draw(elements, label="elements")):
             assert_grows_as_reference(engine, reference, sequence)
-            assert engine._counts == reference._counts
+            assert engine._engine.counts == reference._counts
         assert not mine.calls
         return
     augment = engine._try_augment
@@ -869,8 +878,8 @@ def test_direct_step_ends_as_the_reference(kind, seed, data):
     engine._try_augment = once
     for sequence in (data.draw(elements, label="start"), data.draw(elements, label="elements")):
         assert engine.grow(sequence) == reference.grow(sequence)
-        assert engine._counts == reference._counts
-    for p, _, known in engine._slots:
+        assert engine._engine.counts == reference._counts
+    for p, _, known in engine._engine._slots:
         built = m._build(frozenset(p))
         assert p.isdisjoint(known)
         assert all(answer == m._circuit(built, frozenset(p), x) for x, answer in known.items())
@@ -883,24 +892,67 @@ def test_direct_fits_build_no_circuit_on_a_grid():
     # circuits than the circuit-first search does.  Recorded holds one
     # entry per copy, so the circuits are counted around _try_augment.
     grid, reference = counted(grid_graph(20, 20)), counted(grid_graph(20, 20))
-    engine = Recorded(grid, 3)
+    union = on_engine(grid, 3, Recorded)
     circuits_before = []  # circuits built before each copy is placed
-    augment = engine._try_augment
+    augment = union._try_augment
 
     def watched(e, refused):
         circuits_before.append(grid.calls["_circuit"])
         return augment(e, refused)
 
-    engine._try_augment = watched
+    union._try_augment = watched
     order = list(range(grid.d)) * 3
-    assert engine.grow(order) == CircuitFirst(reference, 3).grow(order)
-    assert len(circuits_before) == len(engine.searches)
+    assert union.grow(order) == CircuitFirst(reference, 3).grow(order)
+    searches = union._engine.searches
+    assert len(circuits_before) == len(searches)
     circuits_after = circuits_before[1:] + [grid.calls["_circuit"]]
     direct = [after - before for (e, fit, _), before, after
-              in zip(engine.searches, circuits_before, circuits_after) if fit and fit[0] == e]
-    assert len(direct) > len(engine.searches) // 2 and not any(direct)
+              in zip(searches, circuits_before, circuits_after) if fit and fit[0] == e]
+    assert len(direct) > len(searches) // 2 and not any(direct)
     assert grid.calls["_circuit"] < reference.calls["_circuit"]
     assert grid.calls["_fits"] > 0 and not reference.calls["_fits"]
+
+
+class FitsInSearch(SlotUnion):
+    """A slot engine that counts its searches, and the _fits calls its
+    counted part answers inside them."""
+
+    searches = fits_in_search = 0
+
+    def _search(self, e, refused):
+        before = self.part.calls["_fits"]
+        found = super()._search(e, refused)
+        self.searches += 1
+        self.fits_in_search += self.part.calls["_fits"] - before
+        return found
+
+
+def random_connected_graph(rng: random.Random, vertices: int, edges: int) -> GraphicMatroid:
+    """A random tree, each vertex joined to an earlier one, and random
+    further edges between distinct vertices, in shuffled order."""
+    ends = [(v, rng.randint(1, v - 1)) for v in range(2, vertices + 1)]
+    ends += [tuple(rng.sample(range(1, vertices + 1), 2)) for _ in range(edges - len(ends))]
+    rng.shuffle(ends)
+    return GraphicMatroid(vertices, ends)
+
+
+@pytest.mark.parametrize("graph", ["grid", "sparse"])
+def test_search_asks_no_part_whether_an_element_fits(graph):
+    # Three trees by the column-order greedy, on a 20x20 grid and on a
+    # sparse random connected graph, where most searches fail.  The direct
+    # step asks graphic parts _fits; the search reads every fit from a
+    # circuit (None), so it asks _fits nothing, and still grows the counts
+    # and parts of the circuit-first reference.
+    if graph == "grid":
+        g = grid_graph(20, 20)
+    else:
+        g = random_connected_graph(random.Random(5), 300, 900)
+    part = counted(g)
+    union = union_on(FitsInSearch(part, 3))
+    order = list(range(g.d)) * 3
+    assert union.grow(order) == CircuitFirst(g, 3).grow(order)
+    assert union._engine.searches > 0 and part.calls["_fits"] > 0
+    assert union._engine.fits_in_search == 0
 
 
 def greedy_rank(m: Matroid, elems) -> int:
