@@ -232,16 +232,16 @@ class UnionMatroid(Matroid):
         of j decomposes.  shared lists pairs (js, circuit): every row of js
         closes that circuit, the ascending rows i with r[i] > 0 for which r
         plus a copy of j less a copy of i decomposes; js is ascending.
-        Every row given (rows are distinct) lies in fits or in exactly one
-        js.  r itself must decompose; if it does not, an augmentation left
-        the union, and InternalError is raised.  Only block sums and the
-        flow answer; a slot union raises DisallowedKindError.  The
+        Every row given (rows must be distinct) lies in fits or in exactly
+        one js.  r itself must decompose; if it does not, an augmentation
+        left the union, and InternalError is raised.  Only block sums and
+        the flow answer; a slot union raises DisallowedKindError.  The
         arguments are checked here, once per call: the intersection, which
         makes its own, asks the engines directly.
         """
         r, rows = tuple(r), list(rows)
-        if rows and not 0 <= min(rows) <= max(rows) < self.d:
-            raise InputError(f"rows must lie in 0..{self.d - 1}")
+        if rows and not (0 <= min(rows) <= max(rows) < self.d and len(set(rows)) == len(rows)):
+            raise InputError(f"rows must lie in 0..{self.d - 1}, each once")
         if len(r) != self.d or min(r) < 0:
             raise InputError(f"count vector {list(r)} does not fit ground size {self.d}")
         return self._engine.circuits(r, rows)
@@ -301,20 +301,18 @@ class SlotUnion(CountUnion):
     The parts rest on one exchange graph.  Its arcs lead from x to the
     members of the circuit x closes in each part lacking it, whichever
     part holds x, so one node per element finds the same first path as
-    one node per copy.  add(e) puts e straight into the first part that
-    takes it.  Only when none does, it runs _search(e), a breadth-first
-    search from e that stops at the first element some part takes, and
-    replays its path, checking that the parts gain one copy of e and keep
-    every other count; when none fits, the elements the search reached
-    are the circuit, and none of them fits either.
+    one node per copy.  add(e) runs one _search(e) and replays the path it
+    finds, a copy of e that a part takes at once being the path of e
+    alone; when none fits, the elements the search reached are the
+    circuit, and none of them fits either.
 
     Each part is a slot [part, certificate, memo of circuit answers by
     element], and counts holds the multiplicities they sum to.  _replace
-    is the step that changes parts for a path augmentation and for a trim
-    (drop; a direct fit makes its checks inline): each part must hold what
-    it loses and lack what it gains; the set is changed in place, its
-    certificate is handed to Matroid._derive (which checks the part is
-    independent), and its memo is cleared.  It answers no circuits.
+    is the one step that changes parts, for a path augmentation and for a
+    trim (drop): each part must hold what it loses and lack what it gains;
+    the set is changed in place, its certificate is handed to
+    Matroid._derive (which checks the part is independent), and its memo
+    is cleared.  It answers no circuits.
     """
 
     def __init__(self, part: Matroid, n: int):
@@ -323,38 +321,14 @@ class SlotUnion(CountUnion):
         self.rank = full_rank(part)
         # One slot per part: [part, certificate, {element: circuit answer}].
         self._slots = [[set(), part._build(frozenset()), {}] for _ in range(n)]
-        # A family's own _fits answers the direct step without a circuit;
-        # by default _fits is the circuit, which add asks through the memo.
+        # A family's own _fits tells _search whether e fits without a
+        # circuit; by default _fits is the circuit, read through the memo.
         self._fits = None if type(part)._fits is Matroid._fits else part._fits
 
     def add(self, e: int, refused: set) -> bool:
-        """Add a copy of e to the parts; False, after adding every element
-        the search reached to refused, if none fits.  e goes straight into
-        the first part in slot order that lacks it and takes it, with the
-        checks _replace makes for that one gain; only when no part takes
-        it does _search look for a path.  Parts off the path keep their
-        slots as they are."""
-        fits, part = self._fits, self.part
-        for slot in self._slots:
-            p, cert, known = slot
-            if e in p:
-                continue
-            if fits is None:
-                members = known.get(e, False)
-                if members is False:
-                    members = known[e] = part._circuit(cert, p, e)
-                if members is not None:
-                    continue
-            elif not fits(cert, p, e):
-                continue
-            p.add(e)
-            cert = part._derive(cert, (), (e,), p)
-            if cert is None:
-                raise InternalError("augmentation left a dependent part")
-            slot[1] = cert
-            known.clear()
-            self.counts[e] += 1
-            return True
+        """Add a copy of e along the path _search finds, checking that the
+        parts gain one copy of e and keep every other count; False, after
+        adding every element the search reached to refused, if none fits."""
         fit, parent = self._search(e, refused)
         if fit is None:
             refused.update(parent)
@@ -378,26 +352,31 @@ class SlotUnion(CountUnion):
         return True
 
     def _search(self, e: int, refused: set) -> tuple[tuple[int, int] | None, dict]:
-        """Breadth-first search from a new copy of e, which fits no part
-        (add asked them all): (fit, parent).
+        """Breadth-first search from a new copy of e: (fit, parent).
 
-        Each element x taken from the queue, e first, asks the parts
-        lacking it, in slot order, for the circuit it closes there (from
-        the slot memo, where the direct step left e's).  No circuit means
-        x goes straight into that part: that is the fit, (x, k), or an
-        InternalError if x is e.  Otherwise the members of the circuit
-        not yet reached are queued.  parent maps e to None and every other
-        element v reached to (x, k): x displaced v from part k.  A part
-        holding x is skipped, since swapping parallel copies never
-        shortens a path.  A refused element is not entered: nothing it
-        reaches fits (see UnionMatroid.grow), so no element on a path to
-        a fit is reached through it, and the other elements keep their
-        order in the queue.  The fit and its path are those of the search
-        without the pruning.
+        A family with its own _fits (graphic) first asks it of each part
+        lacking e, in slot order, and the first that takes e is the fit,
+        (e, k), with parent {e: None}.  Then each element x taken from the
+        queue, e first, asks the parts lacking it, in slot order, for the
+        circuit it closes there, through the slot memo.  No circuit means
+        x goes straight into that part: that is the fit, (x, k).
+        Otherwise the members of the circuit not yet reached are queued.
+        parent maps e to None and every other element v reached to (x, k):
+        x displaced v from part k.  A part holding x is skipped, since
+        swapping parallel copies never shortens a path.  A refused element
+        is not entered: nothing it reaches fits (see UnionMatroid.grow),
+        so no element on a path to a fit is reached through it, and the
+        other elements keep their order in the queue.  The fit and its
+        path are those of the search without the pruning.
         """
         parent: dict[int, tuple[int, int] | None] = {e: None}
+        slots, fits = self._slots, self._fits
+        if fits is not None:
+            for k, (p, cert, _) in enumerate(slots):
+                if e not in p and fits(cert, p, e):
+                    return (e, k), parent
         queue = [e]  # the loop reads it in order while it grows
-        slots, circuit = self._slots, self.part._circuit
+        circuit = self.part._circuit
         for x in queue:
             for k, (p, cert, known) in enumerate(slots):
                 if x in p:
@@ -406,8 +385,6 @@ class SlotUnion(CountUnion):
                 if members is False:
                     members = known[x] = circuit(cert, p, x)
                 if members is None:
-                    if x == e:
-                        raise InternalError("a part takes a copy the direct step refused")
                     return (x, k), parent
                 for v in members:
                     if v not in parent and v not in refused:
@@ -491,6 +468,7 @@ class BlockSums(CountUnion):
     def add(self, e: int, refused: set) -> bool:
         b = self.blocks[e]
         if self.counts[e] == self.n or self.sums[b] == self.limits[b]:
+            refused.add(e)  # the counts only grow, so e stays refused
             return False
         self.counts[e] += 1
         self.sums[b] += 1

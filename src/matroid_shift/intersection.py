@@ -142,9 +142,9 @@ def weighted_matroid_intersection_max(m1: Matroid, m2: Matroid, w: Sequence[int]
         raise InputError(f"copy count must be >= 1, got {n}")
     if len(w) != d * n:
         raise InputError(f"weight vector length {len(w)} != ground size {d * n}")
+    check_weight_guard(w)  # first: the row-order check compares the weights
     if any(w[f] < w[f + 1] for f in range(d * n) if f % n != n - 1):
         raise InputError("weights must be nonincreasing along each row")
-    check_weight_guard(w)
 
     unions = (count_union(m1, n), count_union(m2, n))
     for m, union in zip((m1, m2), unions):

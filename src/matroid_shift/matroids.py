@@ -169,9 +169,9 @@ class Matroid:
     def _fits(self, cert, indep: frozenset, e: int) -> bool:
         """Whether indep + e is independent, given the certificate of indep:
         _circuit(cert, indep, e) is None.  A family overrides it only when
-        it answers without building the circuit; SlotUnion's direct step
-        asks such a family's _fits of each part, and reads the others'
-        answers from the circuits it memoizes."""
+        it answers without building the circuit; SlotUnion._search asks
+        such a family's _fits of each part before any circuit, and reads
+        the others' answers from the circuits it memoizes."""
         return self._circuit(cert, indep, e) is None
 
     def __repr__(self) -> str:
@@ -203,13 +203,16 @@ class GraphicMatroid(Matroid):
     every edge cut still share a root at the end, no class split (as in a
     swap along a circuit); otherwise comp is taken from a fresh build of
     the set.
+
     indep + e is independent exactly when the endpoints of e lie in
-    different trees, so _fits compares their classes in comp, with no
-    climb and no path.  The circuit of indep + e climbs indep's forest from
-    both endpoints of e in turn, marking the vertices passed, and stops at
-    the first vertex one side reaches that the other side marked: their
-    nearest common ancestor.  Then it collects the edges from each
-    endpoint up to it.
+    different trees, so _fits, which a slot union's search asks of each
+    part before any circuit, compares their classes in comp, with no
+    climb and no path: most copies of a spanning-tree greedy are placed
+    so and linked with no cut.  The circuit of indep + e climbs indep's
+    forest from both endpoints of e in turn, marking the vertices passed,
+    and stops at the first vertex one side reaches that the other side
+    marked: their nearest common ancestor.  Then it collects the edges
+    from each endpoint up to it.
     """
 
     kind = "graphic"

@@ -159,10 +159,10 @@ def test_union_augment_reuses_unchanged_parts():
 def test_circuit_memo_holds_only_the_union_parts(monkeypatch, side):
     # The memo once kept a table for every part any search saw: 7,499 of
     # them while the column-order greedy grew three trees on a 50x50 grid.
-    # Now the union holds n slots, and before every copy is placed, by a
-    # direct fit or a search, each slot's memo answers only elements
-    # outside its part (a changed part dropped its answers); at the end
-    # every answer is that of a fresh build.
+    # Now the union holds n slots, and before every copy's search each
+    # slot's memo answers only elements outside its part (a changed part
+    # dropped its answers); at the end every answer is that of a fresh
+    # build.
     n, searches, augment = 3, [], UnionMatroid._try_augment
 
     def checked(self, e, refused):
@@ -431,6 +431,10 @@ def test_union_refuses_elements_outside_the_ground_set():
         with pytest.raises(InputError, match="rows must lie"):
             u.circuits([1, 1, 0], rows)
     assert u.circuits([1, 1, 0], []) == ([], [])
+    # A row given twice once lay in two places of the answer.
+    for part in (UniformMatroid(2, 1), TRIANGLE_AGENTS):
+        with pytest.raises(InputError, match="each once"):
+            UnionMatroid(part, 2).circuits([1] + [0] * (part.d - 1), [1, 1])
     # The refusals leave the flow whole, at the counts circuits brought.
     assert u.grow([2, 0])[0] == [2, 1, 1]
 

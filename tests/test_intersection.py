@@ -220,6 +220,14 @@ def test_wmi_rejects_rows_that_rise():
         weighted_matroid_intersection_max(u, u, [1, 2, 3], 2)
 
 
+def test_wmi_checks_weight_types_before_their_order():
+    # The row-order check compares weights, so a weight that is not an
+    # integer once raised a bare TypeError there.
+    u = UniformMatroid(2, 1)
+    with pytest.raises(InputError, match="weights must be integers, got None"):
+        weighted_matroid_intersection_max(u, u, [1, None, 2, 1], 2)
+
+
 def reference_augmenting_path(m1, m2, cur, w):
     """The label-correcting search that the tight-arc walk replaced.
 

@@ -674,12 +674,12 @@ def test_pruned_search_skips_elements_on_a_grid():
 
 
 class CircuitFirst:
-    """The exchange search without the direct step, kept as the
-    reference for every family, on n parts of its own: every copy
-    is placed by its own search, in which each element taken from the
-    queue, e included, asks the parts, in slot order, for the circuit it
-    closes there (through a slot memo), and the first part where it closes
-    none takes it.  grow refuses elements and stops at the cap as
+    """The exchange search without a fit pass, kept as the reference
+    for every family, on n parts of its own: every copy is placed by its
+    own search, in which each element taken from the queue, e included,
+    asks the parts, in slot order, for the circuit it closes there
+    (through a slot memo), and the first part where it closes none takes
+    it.  grow refuses elements and stops at the cap as
     UnionMatroid.grow does.  Every search is recorded as (e, fit,
     parent)."""
 
@@ -754,21 +754,12 @@ class CircuitFirst:
 
 
 class Recorded(SlotUnion):
-    """A slot engine whose every copy is recorded as (e, fit, parent): a search
-    as it returned, and a copy that went straight into part k without one
-    as the search that finds it at once, (e, (e, k), {e: None})."""
+    """A slot engine whose every search, one per copy, is recorded as
+    (e, fit, parent)."""
 
     def __init__(self, part, n):
         super().__init__(part, n)
         self.searches = []
-
-    def add(self, e, refused):
-        searches, held = len(self.searches), [e in p for p, _, _ in self._slots]
-        placed = super().add(e, refused)
-        if placed and len(self.searches) == searches:
-            k = next(k for k, (p, _, _) in enumerate(self._slots) if e in p and not held[k])
-            self.searches.append((e, (e, k), {e: None}))
-        return placed
 
     def _search(self, e, refused):
         fit, parent = super()._search(e, refused)
@@ -802,15 +793,15 @@ def search_matroid_draw(rng: random.Random, kind: str) -> Matroid:
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_search_finds_the_circuit_first_path(kind, seed, data):
     # The engine and the circuit-first reference grow twin unions by the
-    # same elements, from empty parts or parts grown before.  Copy by copy
-    # (a direct fit recorded as a search that finds e at once, which the
-    # reference makes for every copy) they must find the same fit by the
-    # same chain, and a failed search must reach the same elements by the
-    # same arcs.  A direct fit is recorded without the arcs the reference
-    # takes from e's circuits in the parts before its own, so a fit may
-    # reach a subset of the elements, each by the same arc.  No family
-    # builds more circuits than the reference, and only graphic parts
-    # answer _fits at all (the others answer from the memo).
+    # same elements, from empty parts or parts grown before.  Search by
+    # search, one per copy on both sides, they must find the same fit by
+    # the same chain, and a failed search must reach the same elements by
+    # the same arcs.  A graphic search whose fit pass places e at once
+    # takes none of the arcs the reference takes from e's circuits in the
+    # parts before its own, so a fit may reach a subset of the elements,
+    # each by the same arc.  No family builds more circuits than the
+    # reference, and only graphic parts answer _fits at all (the others
+    # answer from the memo).
     # A union on counts builds no circuit at all, and grows the counts of
     # the reference with parts of its own.
     rng = random.Random(seed)
@@ -847,14 +838,13 @@ def test_search_finds_the_circuit_first_path(kind, seed, data):
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_direct_step_ends_as_the_reference(kind, seed, data):
-    # The engine puts a copy that fits straight into its part and searches
-    # only for the others; the circuit-first reference searches for every
-    # copy.  Both end with the same counts and parts, every memo answer
-    # left is that of a fresh build of its part, and within one
-    # _try_augment no part is asked twice whether one element fits, nor
-    # for its circuit: the direct step asks each part about e, and the
-    # search does not ask about e's fits again.  A union on counts asks
-    # no part anything, and ends with the reference's counts.
+    # The engine's search first asks graphic parts whether e fits and
+    # places it at once where it does; the circuit-first reference asks
+    # every part for circuits alone.  Both end with the same counts and
+    # parts, every memo answer left is that of a fresh build of its part,
+    # and within one _try_augment no part is asked twice whether one
+    # element fits, nor for its circuit.  A union on counts asks no part
+    # anything, and ends with the reference's counts.
     rng = random.Random(seed)
     m = search_matroid_draw(rng, kind)
     n = data.draw(st.integers(1, 3), label="n")
@@ -887,10 +877,11 @@ def test_direct_step_ends_as_the_reference(kind, seed, data):
 
 def test_direct_fits_build_no_circuit_on_a_grid():
     # Three trees on a 20x20 grid by the column-order greedy: a copy that
-    # fits a part straight away takes no search and builds no circuit,
-    # such copies are most of them, and the whole run builds fewer
-    # circuits than the circuit-first search does.  Recorded holds one
-    # entry per copy, so the circuits are counted around _try_augment.
+    # fits a part straight away is placed by the search's fit pass and
+    # builds no circuit, such copies are most of them, and the whole run
+    # builds fewer circuits than the circuit-first search does.  Recorded
+    # holds one entry per copy, so the circuits are counted around
+    # _try_augment.
     grid, reference = counted(grid_graph(20, 20)), counted(grid_graph(20, 20))
     union = on_engine(grid, 3, Recorded)
     circuits_before = []  # circuits built before each copy is placed
@@ -914,16 +905,18 @@ def test_direct_fits_build_no_circuit_on_a_grid():
 
 
 class FitsInSearch(SlotUnion):
-    """A slot engine that counts its searches, and the _fits calls its
-    counted part answers inside them."""
+    """A slot engine that counts its searches, and checks that within one
+    copy its counted part is asked _fits only about that copy's element,
+    at most once per part."""
 
-    searches = fits_in_search = 0
+    searches = 0
 
     def _search(self, e, refused):
-        before = self.part.calls["_fits"]
+        self.part.asked.clear()
         found = super()._search(e, refused)
         self.searches += 1
-        self.fits_in_search += self.part.calls["_fits"] - before
+        fits = [(key, times) for key, times in self.part.asked.items() if key[0] == "_fits"]
+        assert all(x == e and times == 1 for (_, _, x), times in fits)
         return found
 
 
@@ -937,12 +930,12 @@ def random_connected_graph(rng: random.Random, vertices: int, edges: int) -> Gra
 
 
 @pytest.mark.parametrize("graph", ["grid", "sparse"])
-def test_search_asks_no_part_whether_an_element_fits(graph):
+def test_search_asks_each_part_once_whether_its_element_fits(graph):
     # Three trees by the column-order greedy, on a 20x20 grid and on a
-    # sparse random connected graph, where most searches fail.  The direct
-    # step asks graphic parts _fits; the search reads every fit from a
-    # circuit (None), so it asks _fits nothing, and still grows the counts
-    # and parts of the circuit-first reference.
+    # sparse random connected graph, where most searches fail.  The fit
+    # pass asks graphic parts _fits about e alone, once per part lacking
+    # it; every other fit is read from a circuit (None).  The counts and
+    # parts are those of the circuit-first reference.
     if graph == "grid":
         g = grid_graph(20, 20)
     else:
@@ -952,9 +945,44 @@ def test_search_asks_no_part_whether_an_element_fits(graph):
     order = list(range(g.d)) * 3
     assert union.grow(order) == CircuitFirst(g, 3).grow(order)
     assert union._engine.searches > 0 and part.calls["_fits"] > 0
-    assert union._engine.fits_in_search == 0
 
 
+class OneStepPerCopy(Recorded):
+    """A recorded slot engine that checks each add runs one _search, and
+    each copy it places one _replace."""
+
+    replaces = 0
+
+    def add(self, e, refused):
+        searches, replaces = len(self.searches), self.replaces
+        placed = super().add(e, refused)
+        assert (len(self.searches) - searches, self.replaces - replaces) == (1, placed)
+        return placed
+
+    def _replace(self, changes):
+        self.replaces += 1
+        super()._replace(changes)
+
+
+@pytest.mark.parametrize("kind", ["grid", "linear_gf2"])
+def test_each_copy_takes_one_search_and_one_replace(kind):
+    # Three parts grown by a 20x20 grid's column-order greedy, or by a
+    # random order of a random GF(2) matroid's elements, repeated.  A copy
+    # that fits a part at once and one placed along a longer path both go
+    # through the search and the one step that changes parts, and the
+    # union grows as the circuit-first reference does.
+    rng = random.Random(7)
+    if kind == "grid":
+        m = grid_graph(20, 20)
+        order = list(range(m.d)) * 3
+    else:
+        m = LinearGf2Matroid([[rng.randint(0, 1) for _ in range(12)] for _ in range(60)])
+        order = [rng.randrange(m.d) for _ in range(3 * m.d)]
+    union = union_on(OneStepPerCopy(m, 3))
+    assert union.grow(order) == CircuitFirst(m, 3).grow(order)
+    searches = union._engine.searches
+    direct = sum(fit is not None and parent[fit[0]] is None for _, fit, parent in searches)
+    assert 0 < direct < union._engine.replaces
 def greedy_rank(m: Matroid, elems) -> int:
     """Size of a maximum independent subset of elems, by greedy insertion."""
     cur: frozenset = frozenset()

@@ -75,15 +75,15 @@ def test_tracer_counts_engine_spans_and_restores_the_package(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind, params, tries", [
-    ("partition", {"blocks": [1, 1, 2], "capacities": [1, 1]}, 6),
+    ("partition", {"blocks": [1, 1, 2], "capacities": [1, 1]}, 5),
     ("transversal", {"agents": 2, "adjacency": [[1], [1], [2]]}, 5),
 ])
 def test_tracer_counts_the_copies_of_a_count_union(tmp_path, capsys, kind, params, tries):
     # Rows 0 and 1 share one block or agent, which takes n = 2 copies, and
     # row 2 has its own; the greedy tries the cells by profit.  Row 0
-    # fills the block or agent and row 1 is refused: block sums refuse
-    # each copy, and the flow's failed search refuses row 1 for good, so
-    # its second copy is not tried.  Row 2 then fills the cap of 4.
+    # fills the block or agent and row 1 is refused for good, by the full
+    # block or by the flow's failed search, so its second copy is not
+    # tried.  Row 2 then fills the cap of 4.
     from matroid_shift import cli
 
     matroid = tmp_path / "m.json"
