@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .constructions import Matrix01
 from .errors import GuardError, InputError
-from .matroids import Matroid, Subset01
+from .matroids import Matroid, Subset01, copy_count
 from .solver import ProfitMatrix, check_multiset_guard
 
 POWERSET_GUARD = 2**20
@@ -101,9 +101,9 @@ def brute_shifted(sys: ExplicitSetSystem, n: int, c: ProfitMatrix) -> tuple[int,
     so the objective is the sum of prefix sums of the shifted profit rows at
     the member-multiplicity counts.  The witness is the first optimum found.
     """
-    if c.d != sys.d or c.n != int(n) or int(n) < 1:
+    n = copy_count(n)
+    if c.d != sys.d or c.n != n:
         raise InputError(f"profits {c.d}x{c.n} do not match d={sys.d}, n={n}")
-    n = int(n)
     if not sys.members:
         raise InputError("the set system has no members")
     check_multiset_guard(len(sys), n)
@@ -119,9 +119,7 @@ def brute_shifted(sys: ExplicitSetSystem, n: int, c: ProfitMatrix) -> tuple[int,
 def brute_lexmin(sys: ExplicitSetSystem, n: int) -> tuple[tuple[int, ...], Matrix01]:
     """Exact lexicographically minimal vulnerability vector over member
     multisets; the witness is the first optimum found."""
-    if int(n) < 1:
-        raise InputError(f"copy count must be >= 1, got {n}")
-    n = int(n)
+    n = copy_count(n)
     if not sys.members:
         raise InputError("the set system has no members")
     check_multiset_guard(len(sys), n)
@@ -142,9 +140,9 @@ def brute_lexmin(sys: ExplicitSetSystem, n: int) -> tuple[tuple[int, ...], Matri
 def brute_shuffle_membership(sys: ExplicitSetSystem, n: int, x: Matrix01) -> bool:
     """Membership in the shuffle set by definition: some multiset of n members
     has element multiplicities equal to the row sums of x."""
-    if x.d != sys.d or x.n != int(n) or int(n) < 1:
+    n = copy_count(n)
+    if x.d != sys.d or x.n != n:
         raise InputError(f"matrix {x.d}x{x.n} does not match d={sys.d}, n={n}")
-    n = int(n)
     check_multiset_guard(len(sys), n)
     target = list(x.row_sums())
     return any(counts == target for counts, _ in _multisets(sys.members, n, cap=target))

@@ -20,12 +20,12 @@ Matrices over [d] x [n] are flattened row-major: element (i, j) <-> i*n + j
 from __future__ import annotations
 
 from itertools import chain, compress
-from operator import ne
+from operator import gt, ne
 from typing import Iterable, Sequence
 
 from .errors import DisallowedKindError, InputError, InternalError
 from .matroids import (Matroid, PartitionMatroid, Subset01, TransversalMatroid, UniformMatroid,
-                       are_bits, full_rank)
+                       are_bits, are_ints, copy_count, full_rank)
 
 # UnionMatroid.circuits' answer: the rows that fit, and (rows, circuit)
 # for each circuit that rows close.
@@ -33,7 +33,7 @@ Circuits = tuple[list[int], list[tuple[list[int], tuple[int, ...]]]]
 
 
 class Matrix01:
-    """d x n matrix with 0/1 entries; column j is a Subset01 over [d]."""
+    """d x n matrix with 0/1 entries kept as ints; column j is a Subset01."""
 
     __slots__ = ("rows",)
 
@@ -49,6 +49,8 @@ class Matrix01:
                 for x in r:
                     if x not in (0, 1):
                         raise InputError(f"matrix entries must be 0 or 1, got {x!r}")
+        if not are_ints(chain.from_iterable(rows)):
+            rows = tuple(tuple(map(int, r)) for r in rows)
         self.rows = rows
 
     @classmethod
@@ -106,9 +108,7 @@ class LiftMatroid(Matroid):
     kind = "oracle_composite"
 
     def __init__(self, base: Matroid, n: int):
-        n = int(n)
-        if n < 1:
-            raise InputError(f"copy count must be >= 1, got {n}")
+        n = copy_count(n)
         super().__init__(base.d * n)
         self.base = base
         self.n = n
@@ -153,17 +153,16 @@ class UnionMatroid(Matroid):
     The union itself checks the arguments, runs grow's loop, which hands
     every copy to _try_augment (the engine's add), and memoizes
     decompose's answers by count tuple.  grow and decompose continue from
-    the state the engine holds, so an instance is mutable: use one per
-    run, on one thread.  After an InternalError its state is undefined.
-    The matroid it unites keeps no state and may be shared.
+    the state the engine holds (decompose starts afresh below it), so an
+    instance is mutable: use one per run, on one thread.  After an
+    InternalError its state is undefined.  The matroid it unites keeps no
+    state and may be shared.
     """
 
     kind = "oracle_composite"
 
     def __init__(self, part: Matroid, n: int):
-        n = int(n)
-        if n < 1:
-            raise InputError(f"copy count must be >= 1, got {n}")
+        n = copy_count(n)
         super().__init__(part.d)
         self.part = part
         self.n = n
@@ -179,25 +178,39 @@ class UnionMatroid(Matroid):
     def decompose(self, counts: Sequence[int]) -> tuple | None:
         """n frozensets holding element i in exactly counts[i] of them, or None.
 
-        The engine brings its state to counts (CountUnion.reach): each copy
-        fits exactly when the counts stay decomposable, so counts is
-        reached exactly when it decomposes.
+        A fresh engine replaces the one held unless counts holds all its
+        copies, so no answer depends on the queries before.  The copies
+        counts lacks are added in row order, and None is returned at the
+        first that does not fit: each fits exactly when the counts stay
+        decomposable.
         """
-        r = tuple(counts)
+        r = self._check_counts(counts)
         hit = self._indep_cache.get(r)
         if hit is not None:
             return hit
-        if r in self._dep_cache:
+        if r in self._dep_cache or sum(r) > self.cap:
             return None
+        engine = self._engine
+        if any(map(gt, engine.counts, r)):
+            engine = self._engine = count_union(self.part, self.n)
+        counts, refused = engine.counts, set()
+        for i, k in [(i, r[i] - counts[i]) for i in compress(range(self.d), map(ne, counts, r))]:
+            for _ in range(k):
+                if not engine.add(i, refused):
+                    self._dep_cache.add(r)
+                    return None
+        self._indep_cache[r] = parts = engine.parts()
+        return parts
+
+    def _check_counts(self, counts: Iterable[int]) -> tuple:
+        """counts as a tuple of d ints, none negative, or InputError."""
+        r = tuple(counts)
+        if not are_ints(r):
+            bad = next(c for c in r if type(c) is not int)
+            raise InputError(f"count entries must be integers, got {bad!r}")
         if len(r) != self.d or min(r) < 0:
             raise InputError(f"count vector {list(r)} does not fit ground size {self.d}")
-        if sum(r) > self.cap:
-            return None
-        if not self._engine.reach(r):
-            self._dep_cache.add(r)
-            return None
-        self._indep_cache[r] = parts = self._engine.parts()
-        return parts
+        return r
 
     def grow(self, elements: Iterable[int]) -> tuple[list[int], tuple]:
         """Add a copy of each element in turn where it fits, continuing from
@@ -233,23 +246,37 @@ class UnionMatroid(Matroid):
         closes that circuit, the ascending rows i with r[i] > 0 for which r
         plus a copy of j less a copy of i decomposes; js is ascending.
         Every row given (rows must be distinct) lies in fits or in exactly
-        one js.  r itself must decompose; if it does not, an augmentation
-        left the union, and InternalError is raised.  Only block sums and
-        the flow answer; a slot union raises DisallowedKindError.  The
-        arguments are checked here, once per call: the intersection, which
-        makes its own, asks the engines directly.
+        one js.  A row at n copies closes (j,) alone; those come first, and
+        the engine answers the rows below n.  r itself must decompose; if it
+        does not, an augmentation left the union, and InternalError is
+        raised.  Only block sums and the flow answer; a slot union raises
+        DisallowedKindError.  The arguments are checked here, once per call:
+        the intersection, which makes its own and asks only about rows
+        below n, asks the engines directly.
         """
-        r, rows = tuple(r), list(rows)
+        rows = list(rows)
         if rows and not (0 <= min(rows) <= max(rows) < self.d and len(set(rows)) == len(rows)):
             raise InputError(f"rows must lie in 0..{self.d - 1}, each once")
-        if len(r) != self.d or min(r) < 0:
-            raise InputError(f"count vector {list(r)} does not fit ground size {self.d}")
-        return self._engine.circuits(r, rows)
+        r, n = self._check_counts(r), self.n
+        fits, shared = self._engine.circuits(r, [j for j in rows if r[j] < n])
+        return fits, [([j], (j,)) for j in sorted(rows) if r[j] >= n] + shared
 
 
-def count_union(part: Matroid, n: int) -> CountUnion:
+def count_union(part: Matroid, n: int) -> SlotUnion | BlockSums | AgentFlow:
     """The engine of the n-union of part: block sums for a partition or
-    uniform part, one flow for a transversal part, slots for the rest."""
+    uniform part, one flow for a transversal part, slots for the rest.
+
+    Each engine holds a count vector and the steps that grow it.  counts
+    is the vector held.  add(e, refused) adds a copy of e if it fits; if
+    not, it returns False and may add to refused elements none of whose
+    copies can fit any more (see UnionMatroid.grow).  parts() splits
+    counts into n independent parts, and circuits(r, rows) answers as
+    UnionMatroid.circuits for rows below n copies, trusting its arguments.
+    rank is the rank of one part.  BlockSums and AgentFlow hold the counts
+    alone and make parts only when asked; SlotUnion holds n parts, and
+    counts is their sum.  Only the flow ever moves down, to the r its
+    circuits is asked about.
+    """
     if isinstance(part, UniformMatroid):
         return BlockSums((0,) * part.d, (part.r,), n)
     if isinstance(part, PartitionMatroid):
@@ -259,42 +286,7 @@ def count_union(part: Matroid, n: int) -> CountUnion:
     return SlotUnion(part, n)
 
 
-class CountUnion:
-    """An engine of the n-union: the count vector it holds and the steps
-    that change it.
-
-    counts is the vector held.  add(e, refused) adds a copy of e if it
-    fits; if not, it returns False and may add to refused elements none of
-    whose copies can fit any more (see UnionMatroid.grow).  drop(excess)
-    removes excess[i] copies of each row i it names, parts() splits counts
-    into n independent parts, and circuits(r, rows) answers as
-    UnionMatroid.circuits, trusting its arguments.  rank is the rank of
-    one part.  BlockSums and AgentFlow hold the counts alone and make
-    parts only when asked; SlotUnion holds n parts, and counts is their
-    sum.
-    """
-
-    counts: list
-    rank: int
-
-    def reach(self, r: Sequence[int]) -> bool:
-        """Bring counts to r: drop the copies r lacks, then add the ones it
-        holds, in row order; False, with counts short of r, if one does not
-        fit, that is, if r does not decompose."""
-        counts = self.counts
-        moves = [(i, r[i] - counts[i]) for i in compress(range(len(r)), map(ne, counts, r))]
-        excess = {i: -k for i, k in moves if k < 0}
-        if excess:
-            self.drop(excess)
-        refused: set = set()
-        for i, k in moves:
-            for _ in range(k):
-                if not self.add(i, refused):
-                    return False
-        return True
-
-
-class SlotUnion(CountUnion):
+class SlotUnion:
     """The n-union on n parts grown by matroid partitioning (Knuth, 1973),
     for any matroid; count_union gives it graphic, GF(2) and oracle parts.
 
@@ -308,11 +300,10 @@ class SlotUnion(CountUnion):
 
     Each part is a slot [part, certificate, memo of circuit answers by
     element], and counts holds the multiplicities they sum to.  _replace
-    is the one step that changes parts, for a path augmentation and for a
-    trim (drop): each part must hold what it loses and lack what it gains;
-    the set is changed in place, its certificate is handed to
-    Matroid._derive (which checks the part is independent), and its memo
-    is cleared.  It answers no circuits.
+    is the one step that changes parts: each part must hold what it loses
+    and lack what it gains; the set is changed in place, its certificate
+    is handed to Matroid._derive (which checks the part is independent),
+    and its memo is cleared.  It answers no circuits.
     """
 
     def __init__(self, part: Matroid, n: int):
@@ -416,18 +407,6 @@ class SlotUnion(CountUnion):
             for x in gained:
                 counts[x] += 1
 
-    def drop(self, excess: dict) -> None:
-        """Remove excess[i] copies of each row i, from the parts in slot
-        order, in one _replace."""
-        left, changes = dict(excess), {}
-        for k, (p, _, _) in enumerate(self._slots):
-            lost = [x for x, c in left.items() if c and x in p]
-            for x in lost:
-                left[x] -= 1
-            if lost:
-                changes[k] = (lost, ())
-        self._replace(changes)
-
     def parts(self) -> tuple:
         return tuple(frozenset(p) for p, _, _ in self._slots)
 
@@ -436,7 +415,7 @@ class SlotUnion(CountUnion):
                                   f"part, not {self.part.kind!r}")
 
 
-class BlockSums(CountUnion):
+class BlockSums:
     """The n-union of a partition matroid on counts, from block sums.
 
     r decomposes exactly when every r[i] <= n and every block sums to at
@@ -446,13 +425,13 @@ class BlockSums(CountUnion):
     reached.  The rank of a part is the sum over blocks of the block size
     or c_B, whichever is smaller.
 
-    circuits answers from the block sums of r: row j fits when r[j] < n
-    and its block sums below n * c_B; a row at n copies closes (j,) alone;
-    otherwise the circuit is the rows of j's block that r holds, shared by
-    all of that block's rows.  One pass over the rows r holds sums each
-    block and groups those rows by block, then one pass sorts the rows
-    given: rows that fit, rows at n copies, and rows of full blocks.  It
-    keeps nothing between calls, and does not touch counts.
+    circuits answers from the block sums of r: row j (below n copies)
+    fits when its block sums below n * c_B; otherwise the circuit is the
+    rows of j's block that r holds, shared by all of that block's rows.
+    One pass over the rows r holds sums each block and groups those rows
+    by block, then one pass sorts the rows given: rows that fit and rows
+    of full blocks.  It keeps nothing between calls, and does not touch
+    counts.
     """
 
     def __init__(self, blocks: Sequence[int], capacities: Sequence[int], n: int):
@@ -473,11 +452,6 @@ class BlockSums(CountUnion):
         self.counts[e] += 1
         self.sums[b] += 1
         return True
-
-    def drop(self, excess: dict) -> None:
-        for i, k in excess.items():
-            self.counts[i] -= k
-            self.sums[self.blocks[i]] -= k
 
     def parts(self) -> tuple:
         n, blocks, counts = self.n, self.blocks, self.counts
@@ -501,23 +475,19 @@ class BlockSums(CountUnion):
             if c > n or sums[b] > limits[b]:
                 raise InternalError("augmentation left the intersection")
             held[b].append(i)
-        fits, shared, full = [], [], {}  # full: block -> its rows given below n copies
+        fits, full = [], {}  # full: block -> its rows given
         for j in rows:
             b = blocks[j]
-            if r[j] == n:
-                shared.append(([j], (j,)))
-            elif sums[b] < limits[b]:
+            if sums[b] < limits[b]:
                 fits.append(j)
             elif b in full:
                 full[b].append(j)
             else:
                 full[b] = [j]
-        shared.sort()
-        shared += [(sorted(full[b]), tuple(held[b])) for b in sorted(full)]
-        return fits, shared
+        return fits, [(sorted(full[b]), tuple(held[b])) for b in sorted(full)]
 
 
-class AgentFlow(CountUnion):
+class AgentFlow:
     """The n-union of a transversal matroid on counts, as one kept flow.
 
     Element i sends counts[i] units to its agents, and agent a takes
@@ -537,15 +507,15 @@ class AgentFlow(CountUnion):
     (loads never fall) a search from any of them fails as well.  So a
     search does not enter a refused element, as in SlotUnion._search.
 
-    circuits brings the flow to r and answers every row from it in one
-    pass.  It marks every agent that leads to one below n: those agents,
-    each full agent with an element that has one of them, and then, in one
-    sweep back, the full agents of the elements that have a marked full
-    agent.  Row j fits when r[j] < n and one of its agents is marked; a
-    row at n copies closes (j,); any other row closes the elements that
-    send a unit to an agent its search reaches (j itself when r[j] > 0):
-    dropping such a unit frees an agent the search reaches, and dropping
-    any other leaves them all full.  The agents reached form a digraph,
+    circuits moves the flow to r (_move_to, the one step that removes
+    units) and answers every row from it in one pass.  It marks every
+    agent that leads to one below n: those agents, each full agent with an
+    element that has one of them, and then, in one sweep back, the full
+    agents of the elements that have a marked full agent.  Row j (below n
+    copies) fits when one of its agents is marked; any other row closes
+    the elements that send a unit to an agent its search reaches (j
+    itself when r[j] > 0): dropping such a unit frees an agent the search
+    reaches, and dropping any other leaves them all full.  The agents reached form a digraph,
     a -> b when an element sending to a also has agent b; its strongly
     connected components (Tarjan, 1972) give each agent the bitmask of the
     elements its closure serves, without a search per row, and rows with
@@ -606,21 +576,28 @@ class AgentFlow(CountUnion):
         flow[b][e] = flow[b].get(e, 0) + 1
         return True
 
-    def drop(self, excess: dict) -> None:
+    def _move_to(self, r: tuple) -> None:
+        """Bring counts to r: take the units r lacks off each row's agents
+        in adjacency order, then add the copies it holds with add, in row
+        order; InternalError if one does not fit, that is, if r does not
+        decompose."""
         flow, load, counts = self.flow, self.load, self.counts
-        for i, k in excess.items():
+        moves = [(i, r[i] - counts[i]) for i in compress(range(len(r)), map(ne, counts, r))]
+        for i, k in moves:
             for a in self.adjacency[i]:
-                units = flow[a].get(i, 0)
-                if units > k:
-                    flow[a][i] = units - k
-                    units = k
-                elif units:
-                    del flow[a][i]
-                load[a] -= units
-                counts[i] -= units
-                k -= units
-                if not k:
-                    break
+                units = min(flow[a].get(i, 0), -k)
+                if units > 0:
+                    flow[a][i] -= units
+                    if not flow[a][i]:
+                        del flow[a][i]
+                    load[a] -= units
+                    counts[i] -= units
+                    k += units
+        refused: set = set()
+        for i, k in moves:
+            for _ in range(k):
+                if not self.add(i, refused):
+                    raise InternalError("augmentation left the intersection")
 
     def parts(self) -> tuple:
         d, flow = len(self.counts), self.flow
@@ -632,8 +609,7 @@ class AgentFlow(CountUnion):
         return tuple(map(frozenset, parts))
 
     def circuits(self, r: tuple, rows: list[int]) -> Circuits:
-        if not self.reach(r):
-            raise InternalError("augmentation left the intersection")
+        self._move_to(r)
         n, adjacency, flow, counts, users = self.n, self.adjacency, self.flow, self.counts, self.users
         marked = [units < n for units in self.load]
         full = [a for a, room in enumerate(marked) if not room]
@@ -656,13 +632,10 @@ class AgentFlow(CountUnion):
                  if not any(marked[b] for b in adjacency[x])}
         fits, shared, closed = [], [], []
         for j in rows:
-            if r[j] == n:
-                shared.append(([j], (j,)))
-            elif j in stuck or not adjacency[j]:
+            if j in stuck or not adjacency[j]:
                 closed.append(j)
             else:
                 fits.append(j)
-        shared.sort()
         if closed:
             serves = self._closures(a for j in closed for a in adjacency[j])
             groups: dict[int, list[int]] = {}  # circuit bitmask -> the rows that close it
@@ -795,8 +768,8 @@ class ShuffleMatroid(Matroid):
     membership depends on the row-sum vector alone: x is a member iff its row
     sums are a sum of n independent sets of S.  The n-union of S decides that
     on counts.  The cells of a row are parallel elements, so the intersection
-    solver works on row counts and asks the count unions of its factors for
-    their row circuits directly (CountUnion.circuits, one pass for all
+    solver works on row counts and asks the count engines of its factors
+    for their row circuits directly (see count_union, one pass for all
     rows); circuit queries here certify the matrix by one decompose and ask
     the oracle once per member (the Matroid defaults).  Its union memoizes
     the decompositions and owns the state it changes in place, so an

@@ -7,14 +7,15 @@ shifted OPTIMAL VALUE is a weighted matroid intersection over the two shuffle
 matroids.  A row's cells are parallel in both of them and its shifted
 profits are nonincreasing, so the intersection runs on row counts: each
 stage has at most two nodes per row (its next copy and its last copy), and
-each factor's n-union gives every row's circuit from the row counts
-(CountUnion.circuits).  The n-union of a partition matroid with block
-capacities c_B is the partition matroid on counts with r[i] <= n and each
-block summing to at most n * c_B (deal a block's copies round-robin over
-the n parts), so a partition factor answers from block sums, taken afresh
-at each stage in one pass over the counts, and so does a uniform one (one
-block); a transversal factor keeps one flow, moves it to the counts, and
-answers every row from one pass over it (see constructions.AgentFlow).
+the engine of each factor's n-union gives every row below n copies its
+circuit from the row counts (see constructions.count_union).  The n-union
+of a partition matroid with block capacities c_B is the partition matroid
+on counts with r[i] <= n and each block summing to at most n * c_B (deal
+a block's copies round-robin over the n parts), so a partition factor
+answers from block sums, taken afresh at each stage in one pass over the
+counts, and so does a uniform one (one block); a transversal factor keeps
+one flow, moves it to the counts, and answers every row from one pass
+over it (see constructions.AgentFlow).
 The same call checks that the counts are still in the union, and reports
 a circuit that several rows close once: a full block, or the elements
 serving the agents that several rows reach.  The arcs come from those
@@ -35,9 +36,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .constructions import CountUnion, Matrix01, SlotUnion, count_union, edge_coloring
+from .constructions import AgentFlow, BlockSums, Matrix01, SlotUnion, count_union, edge_coloring
 from .errors import DisallowedKindError, InfeasibleError, InputError, InternalError
-from .matroids import Matroid, PartitionMatroid, Subset01, check_weight_guard, json_int
+from .matroids import Matroid, PartitionMatroid, Subset01, check_weight_guard, copy_count, json_int
 from .solver import ProfitMatrix, ShiftedSolution, _flat_weights, validate, vulnerability_vector
 
 SBO_KINDS = ("uniform", "partition", "transversal")
@@ -108,11 +109,10 @@ class IntersectionInstance:
             raise InputError(f"ground sizes differ: {m1.d} vs {m2.d}")
         if c.d != m1.d:
             raise InputError(f"profit matrix has {c.d} rows, ground size is {m1.d}")
-        if int(n) < 1:
-            raise InputError(f"copy count must be >= 1, got {n}")
-        if c.n != int(n):
+        n = copy_count(n)
+        if c.n != n:
             raise InputError(f"profit matrix has {c.n} columns, expected {n}")
-        self.m1, self.m2, self.n, self.c = m1, m2, int(n), c
+        self.m1, self.m2, self.n, self.c = m1, m2, n, c
 
 
 def weighted_matroid_intersection_max(m1: Matroid, m2: Matroid, w: Sequence[int], n: int = 1) -> Subset01:
@@ -137,9 +137,7 @@ def weighted_matroid_intersection_max(m1: Matroid, m2: Matroid, w: Sequence[int]
     """
     if m1.d != m2.d:
         raise InputError(f"ground sizes differ: {m1.d} vs {m2.d}")
-    n, d = int(n), m1.d
-    if n < 1:
-        raise InputError(f"copy count must be >= 1, got {n}")
+    n, d = copy_count(n), m1.d
     if len(w) != d * n:
         raise InputError(f"weight vector length {len(w)} != ground size {d * n}")
     check_weight_guard(w)  # first: the row-order check compares the weights
@@ -170,7 +168,8 @@ def weighted_matroid_intersection_max(m1: Matroid, m2: Matroid, w: Sequence[int]
     return Subset01.from_indices(d * n, [i * n + j for i, c in enumerate(r) for j in range(c)])
 
 
-def _augmenting_path(u1: CountUnion, u2: CountUnion, r: tuple, w: Sequence[int]) -> list[int] | None:
+def _augmenting_path(u1: BlockSums | AgentFlow, u2: BlockSums | AgentFlow, r: tuple,
+                     w: Sequence[int]) -> list[int] | None:
     # Node 2i is the next copy of row i (it exists when r[i] < n) and node
     # 2i + 1 its last copy (when r[i] > 0); the other copies of a row are
     # parallel to these and never cheaper.  A path alternates between the
@@ -314,9 +313,9 @@ def fiber_bipartite_matching(g: BipartiteGraph, n: int, x: Matrix01) -> Matrix01
     """
     if x.d != g.d:
         raise InputError(f"matrix has {x.d} rows, graph has {g.d} edges")
-    if x.n != int(n):
+    n = copy_count(n)
+    if x.n != n:
         raise InputError(f"matrix has {x.n} columns, expected {n}")
-    n = int(n)
 
     multiplicity = x.row_sums()
     degree: dict[int, int] = {}

@@ -27,6 +27,7 @@ from .errors import InputError, OverflowGuardError
 WEIGHT_GUARD = 2**61
 
 _BITS = frozenset((0, 1))
+_INT = frozenset((int,))
 
 
 def are_bits(values: Iterable) -> bool:
@@ -39,8 +40,13 @@ def are_bits(values: Iterable) -> bool:
         return False
 
 
+def are_ints(values: Iterable) -> bool:
+    """Whether every value is an int itself (no bool or float), at C speed."""
+    return _INT.issuperset(map(type, values))
+
+
 class Subset01:
-    """0/1 indicator vector over a ground set of size d."""
+    """0/1 indicator vector over a ground set of size d, kept as ints."""
 
     __slots__ = ("bits",)
 
@@ -50,7 +56,7 @@ class Subset01:
             for b in bits:
                 if b not in (0, 1):
                     raise InputError(f"subset entries must be 0 or 1, got {b!r}")
-        self.bits = bits
+        self.bits = bits if are_ints(bits) else tuple(map(int, bits))
 
     @classmethod
     def from_indices(cls, d: int, indices: Iterable[int]) -> "Subset01":
@@ -684,6 +690,15 @@ def json_int(v) -> int:
     if type(v) is not int:
         raise InputError(f"expected an integer, got {v!r}")
     return v
+
+
+def copy_count(n) -> int:
+    """n itself if it is an int >= 1: a float, bool or string is rejected."""
+    if type(n) is not int:
+        raise InputError(f"copy count must be an integer, got {n!r}")
+    if n < 1:
+        raise InputError(f"copy count must be >= 1, got {n}")
+    return n
 
 
 def matroid_from_json(obj: dict) -> Matroid:

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .constructions import Matrix01, UnionMatroid
 from .errors import GuardError, InfeasibleError, InputError, InternalError, OverflowGuardError
-from .matroids import WEIGHT_GUARD, Matroid, check_weight_guard
+from .matroids import WEIGHT_GUARD, Matroid, check_weight_guard, copy_count
 
 # Scans of all multisets of n out of m members (solve_shifted_small and the
 # brute-force oracles) are refused above this many multisets.
@@ -226,7 +226,7 @@ def lexmin_order(d: int, n: int) -> list[int]:
 
 def lexmin_shuffle_basis(S: Matroid, n: int) -> Matrix01:
     """The basis of the shuffle matroid picked by the column-order greedy."""
-    return _greedy(S, n, lexmin_order(S.d, int(n)))[0]
+    return _greedy(S, n, lexmin_order(S.d, copy_count(n)))[0]
 
 
 def solve_lexmin(S: Matroid, n: int) -> ShiftedSolution:
@@ -237,7 +237,7 @@ def solve_lexmin(S: Matroid, n: int) -> ShiftedSolution:
     so on.  No big-integer profits are built: the reduction's weights only
     matter through the greedy order, which is column-major.
     """
-    n = int(n)
+    n = copy_count(n)
     x, y, rank = _greedy(S, n, lexmin_order(S.d, n))
     validate(y, [S], rank=rank, x=x)
     return ShiftedSolution(y, None, vulnerability_vector(y))
@@ -259,9 +259,7 @@ def solve_shifted_small(vectors: Sequence[Sequence[int]], n: int, c: ProfitMatri
     d = c.d
     if any(len(z) != d for z in members):
         raise InputError("vector length differs from profit row count")
-    if int(n) < 1:
-        raise InputError(f"copy count must be >= 1, got {n}")
-    n = int(n)
+    n = copy_count(n)
     if c.n != n:
         raise InputError(f"profit matrix has {c.n} columns, expected {n}")
     biggest = max((abs(v) for z in members for v in z), default=0)
@@ -298,9 +296,8 @@ def check_multiset_guard(count: int, n: int) -> None:
 
 
 def _check_dims(S: Matroid, n: int, c: ProfitMatrix) -> None:
-    if int(n) < 1:
-        raise InputError(f"copy count must be >= 1, got {n}")
+    n = copy_count(n)
     if c.d != S.d:
         raise InputError(f"profit matrix has {c.d} rows, ground size is {S.d}")
-    if c.n != int(n):
+    if c.n != n:
         raise InputError(f"profit matrix has {c.n} columns, expected {n}")

@@ -455,6 +455,21 @@ def test_union_circuits_refuse_counts_that_do_not_fit():
         assert u.circuits([1, 1, 0], [2]) == ([2], [])
 
 
+def test_union_refuses_count_entries_that_are_not_ints():
+    # A float once crashed decompose with a bare TypeError while circuits
+    # answered it, and a string raised TypeError in both.  Every engine
+    # refuses them with InputError, also when the memo holds the equal
+    # int vector, and answers as before afterwards.
+    for part in (TRIANGLE, TRIANGLE_AGENTS, PartitionMatroid([0, 0, 1], [1, 1])):
+        u = UnionMatroid(part, 2)
+        parts = u.decompose([1, 0, 1])
+        for r in ([1.0, 0, 1], ["1", 0, 0], [True, 0, 1]):
+            for query in (u.decompose, lambda r: u.circuits(r, [1])):
+                with pytest.raises(InputError, match=re.escape(f"must be integers, got {r[0]!r}")):
+                    query(r)
+        assert u.decompose([1, 0, 1]) == parts
+
+
 def test_lift_dimension_mismatch():
     with pytest.raises(InputError):
         LiftMatroid(UniformMatroid(2, 1), 2).is_independent_matrix(Matrix01([[1, 0, 0], [0, 0, 0]]))

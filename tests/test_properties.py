@@ -137,6 +137,39 @@ def test_decompose_agrees_with_grow_from_zero(kind, seed, data):
 @pytest.mark.parametrize("kind", FAMILIES)
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_decompose_below_the_held_counts_answers_as_a_fresh_union(kind, seed, data):
+    # A union grown from drawn elements is asked for a vector that lacks a
+    # copy it holds, often one below its counts, and must answer exactly
+    # as a fresh union does, parts included: it starts on a fresh engine
+    # instead of trimming the one it holds, so the answer does not depend
+    # on the queries before.  A vector that holds every copy held goes on
+    # from the same engine, and the grown counts are such a vector.
+    m = union_matroid_draw(random.Random(seed), kind)
+    n = data.draw(st.integers(1, 3), label="n")
+    union = UnionMatroid(m, n)
+    elements = st.lists(st.integers(0, m.d - 1), min_size=1, max_size=m.d * n)
+    held, _ = union.grow(data.draw(elements, label="elements"))
+    engine = union._engine
+    assert union.decompose(held) is not None and union._engine is engine
+    rows = [i for i, c in enumerate(held) if c]
+    if not rows:
+        return  # nothing held: every vector covers it
+    r = [data.draw(st.integers(0, c + data.draw(st.booleans(), label="above")), label="count")
+         for c in held]
+    row = data.draw(st.sampled_from(rows), label="row")
+    r[row] = min(r[row], held[row] - 1)
+    parts = union.decompose(r)
+    assert parts == UnionMatroid(m, n).decompose(r)
+    asked = any(r) and sum(r) <= union.cap  # else the memo or the cap answers
+    assert (union._engine is not engine) == asked
+    if parts is not None:
+        assert_parts(m, n, r, parts)
+    assert_held_state(union)
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_circuit_matches_oracle_fallback(kind, seed, data):
     m = random_matroid(random.Random(seed), dmax=6, kind=kind)
     order = data.draw(st.permutations(range(m.d)), label="order")

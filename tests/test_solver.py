@@ -10,19 +10,26 @@ import re
 import pytest
 
 from matroid_shift import (
+    BipartiteGraph,
     GraphicMatroid,
     GuardError,
     InfeasibleError,
     InputError,
+    IntersectionInstance,
+    LiftMatroid,
     Matrix01,
     OverflowGuardError,
     PartitionMatroid,
     ProfitMatrix,
     ShuffleMatroid,
+    Subset01,
+    UnionMatroid,
     UniformMatroid,
     brute_lexmin,
     brute_shifted,
+    brute_shuffle_membership,
     enumerate_members,
+    fiber_bipartite_matching,
     equivalent,
     full_rank,
     greedy_max,
@@ -34,8 +41,10 @@ from matroid_shift import (
     solve_shifted,
     solve_shifted_small,
     solve_shuffling,
+    union_is_independent,
     validate,
     vulnerability_vector,
+    weighted_matroid_intersection_max,
 )
 from matroid_shift import solver
 from corpora import (FAMILIES, K4, PATH3_EDGES, TRIANGLE, family_corpus, grid_graph,
@@ -161,6 +170,19 @@ def test_solve_fiber_examples():
 
     with pytest.raises(InfeasibleError):
         solve_fiber(TRIANGLE, 2, Matrix01([[1, 1], [1, 1], [1, 1]]))
+
+
+def test_whole_float_entries_answer_as_ints():
+    # Matrix01 and Subset01 accept whole floats, yet a fiber of one once
+    # crashed the union's count loop with a bare TypeError: the row sums
+    # were floats.  Both keep their entries as the ints 0 and 1 now.
+    u32 = UniformMatroid(3, 2)
+    x = Matrix01([[1.0, 0], [0, 1], [True, 0]])
+    assert all(type(v) is int for row in x.rows for v in row)
+    assert solve_fiber(u32, 2, x) == solve_fiber(u32, 2, Matrix01([[1, 0], [0, 1], [1, 0]]))
+    s = Subset01([1.0, 0, True])
+    assert all(type(b) is int for b in s.bits)
+    assert union_is_independent(u32, 2, s) == union_is_independent(u32, 2, Subset01([1, 0, 1]))
 
 
 def test_fiber_contract_random():
@@ -440,3 +462,42 @@ def test_solver_input_errors():
         ProfitMatrix([[2**61, 1]])
     with pytest.raises(OverflowGuardError):
         solve_shifted_small([(2**40,)], 1, ProfitMatrix([[2**40]]))
+
+
+# --- copy counts ---------------------------------------------------------------
+
+P3 = PartitionMatroid([0, 1, 1], [1, 1])  # three elements, as TRIANGLE
+C2 = ProfitMatrix([[3, 1], [2, 2], [1, 0]])  # 3 x 2 profits
+X2 = Matrix01([[1, 0], [0, 1], [0, 0]])
+COPY_COUNT_SITES = {
+    "LiftMatroid": lambda n: LiftMatroid(TRIANGLE, n),
+    "UnionMatroid": lambda n: UnionMatroid(TRIANGLE, n),
+    "solve_lexmin": lambda n: solve_lexmin(TRIANGLE, n),
+    "lexmin_shuffle_basis": lambda n: lexmin_shuffle_basis(TRIANGLE, n),
+    "solve_shifted": lambda n: solve_shifted(TRIANGLE, n, C2),
+    "solve_shifted_small": lambda n: solve_shifted_small([(1, 0, 1)], n, C2),
+    "IntersectionInstance": lambda n: IntersectionInstance(P3, P3, n, C2),
+    "weighted_matroid_intersection_max": lambda n: weighted_matroid_intersection_max(
+        P3, P3, [1] * 6, n),
+    "fiber_bipartite_matching": lambda n: fiber_bipartite_matching(
+        BipartiteGraph(2, 2, [(1, 1), (1, 2), (2, 2)]), n, X2),
+    "brute_shifted": lambda n: brute_shifted(enumerate_members(TRIANGLE), n, C2),
+    "brute_lexmin": lambda n: brute_lexmin(enumerate_members(TRIANGLE), n),
+    "brute_shuffle_membership": lambda n: brute_shuffle_membership(enumerate_members(TRIANGLE), n, X2),
+}
+
+
+@pytest.mark.parametrize("site", COPY_COUNT_SITES)
+def test_copy_counts_are_ints_never_rounded(site):
+    # Every site that takes a copy count once coerced it with int(): 2.9
+    # ran as 2, 2.0 and "2" ran, and None raised TypeError.  Each now
+    # takes an int of at least 1 and refuses anything else with
+    # InputError, and still runs with n = 2.
+    call = COPY_COUNT_SITES[site]
+    call(2)
+    for bad in (2.0, 2.9, True, "2", None):
+        with pytest.raises(InputError, match=re.escape(f"copy count must be an integer, got {bad!r}")):
+            call(bad)
+    for bad in (0, -1):
+        with pytest.raises(InputError, match=f"copy count must be >= 1, got {bad}"):
+            call(bad)
