@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .constructions import Matrix01
 from .errors import GuardError, InputError
-from .matroids import Matroid, Subset01, copy_count
+from .matroids import Matroid, Subset01, checked_ints, copy_count
 from .solver import ProfitMatrix, check_multiset_guard
 
 POWERSET_GUARD = 2**20
@@ -27,7 +27,7 @@ class ExplicitSetSystem:
     __slots__ = ("d", "members")
 
     def __init__(self, d: int, members: Sequence[Sequence[int]]):
-        self.d = int(d)
+        (self.d,) = checked_ints("ground size", d)
         members = tuple(tuple(m) for m in members)
         for m in members:
             if len(m) != self.d or any(b not in (0, 1) for b in m):

@@ -169,7 +169,7 @@ class UnionMatroid(Matroid):
         self._indep_cache: dict[tuple, tuple] = {(0,) * part.d: (frozenset(),) * n}
         self._dep_cache: set = set()
         self._engine = count_union(part, n)
-        self.part_rank = self._engine.rank
+        self.part_rank = full_rank(part)
         self.cap = n * self.part_rank  # no decomposable vector sums to more
 
     def _indep(self, elems: frozenset) -> bool:
@@ -272,10 +272,10 @@ def count_union(part: Matroid, n: int) -> SlotUnion | BlockSums | AgentFlow:
     copies can fit any more (see UnionMatroid.grow).  parts() splits
     counts into n independent parts, and circuits(r, rows) answers as
     UnionMatroid.circuits for rows below n copies, trusting its arguments.
-    rank is the rank of one part.  BlockSums and AgentFlow hold the counts
-    alone and make parts only when asked; SlotUnion holds n parts, and
-    counts is their sum.  Only the flow ever moves down, to the r its
-    circuits is asked about.
+    No engine reads the rank of a part: UnionMatroid computes it once, for
+    its cap.  BlockSums and AgentFlow hold the counts alone and make parts
+    only when asked; SlotUnion holds n parts, and counts is their sum.
+    Only the flow ever moves down, to the r its circuits is asked about.
     """
     if isinstance(part, UniformMatroid):
         return BlockSums((0,) * part.d, (part.r,), n)
@@ -309,7 +309,6 @@ class SlotUnion:
     def __init__(self, part: Matroid, n: int):
         self.part, self.n = part, n
         self.counts = [0] * part.d
-        self.rank = full_rank(part)
         # One slot per part: [part, certificate, {element: circuit answer}].
         self._slots = [[set(), part._build(frozenset()), {}] for _ in range(n)]
         # A family's own _fits tells _search whether e fits without a
@@ -422,8 +421,7 @@ class BlockSums:
     most n * c_B: deal each block's copies round-robin over the n parts,
     row by row, and no part gets two copies of one row (a row has at most
     n) or more than c_B of the block.  A copy fits when neither bound is
-    reached.  The rank of a part is the sum over blocks of the block size
-    or c_B, whichever is smaller.
+    reached.
 
     circuits answers from the block sums of r: row j (below n copies)
     fits when its block sums below n * c_B; otherwise the circuit is the
@@ -439,10 +437,6 @@ class BlockSums:
         self.limits = [n * c for c in capacities]
         self.counts = [0] * len(blocks)
         self.sums = [0] * len(capacities)
-        sizes = [0] * len(capacities)
-        for b in blocks:
-            sizes[b] += 1
-        self.rank = sum(map(min, sizes, capacities))
 
     def add(self, e: int, refused: set) -> bool:
         b = self.blocks[e]
@@ -497,15 +491,9 @@ class AgentFlow:
     one, a bipartite multigraph of degree at most n, into n matchings
     (edge_coloring), the parts.
 
-    A copy of e fits when counts[e] < n and one breadth-first search from
-    e reaches an agent below n: from a full agent it goes on through each
-    element that sends it a unit, which could send that unit to another
-    of its agents instead.  The path found moves one unit of each element
-    on it on to the next agent.  A failed search refuses every element it
-    saw: the agents it reached are all full, only those elements send them
-    units, and none of those has another agent, so while the counts grow
-    (loads never fall) a search from any of them fails as well.  So a
-    search does not enter a refused element, as in SlotUnion._search.
+    A copy of e fits when counts[e] < n and the part's own _place finds
+    it a path (TransversalMatroid._search): the same search and path flip
+    that certify a matching, which is this flow at n = 1.
 
     circuits moves the flow to r (_move_to, the one step that removes
     units) and answers every row from it in one pass.  It marks every
@@ -523,57 +511,19 @@ class AgentFlow:
     """
 
     def __init__(self, part: TransversalMatroid, n: int):
-        self.adjacency, self.n = part.adjacency, n
+        self.part, self.adjacency, self.n = part, part.adjacency, n
         self.counts = [0] * part.d
-        self.load = [0] * part.num_agents
-        self.flow: list[dict[int, int]] = [{} for _ in range(part.num_agents)]
+        self.load, self.flow = part._empty_flow()
         self.users: list[list[int]] = [[] for _ in range(part.num_agents)]  # agent -> its elements
         for i, agents in enumerate(part.adjacency):
             for a in agents:
                 self.users[a].append(i)
-        self.rank = full_rank(part)
 
     def add(self, e: int, refused: set) -> bool:
-        n, adjacency, load, flow = self.n, self.adjacency, self.load, self.flow
-        if self.counts[e] == n:  # not refused: its units may still move on
+        # At n copies e is not refused: its units may still move on.
+        if self.counts[e] == self.n or not self.part._place(self.load, self.flow, self.n, e, refused):
             return False
-        parent: dict[int, tuple[int, int] | None] = {}  # agent -> (agent before it, element moved)
-        queue = []  # full agents, read in order while it grows
-        seen = {e}
-        for a in adjacency[e]:
-            parent[a] = None
-            if load[a] < n:
-                return self._augment(e, a, parent)
-            queue.append(a)
-        for a in queue:
-            for x in flow[a]:
-                if x in seen or x in refused:
-                    continue
-                seen.add(x)
-                for b in adjacency[x]:
-                    if b not in parent:
-                        parent[b] = (a, x)
-                        if load[b] < n:
-                            return self._augment(e, b, parent)
-                        queue.append(b)
-        refused.update(seen)
-        return False
-
-    def _augment(self, e: int, b: int, parent: dict) -> bool:
-        """Add a unit of e along the path that parent records to agent b."""
-        flow = self.flow
-        self.load[b] += 1
         self.counts[e] += 1
-        step = parent[b]
-        while step is not None:
-            a, x = step
-            flow[b][x] = flow[b].get(x, 0) + 1
-            if flow[a][x] == 1:
-                del flow[a][x]
-            else:
-                flow[a][x] -= 1
-            b, step = a, parent[a]
-        flow[b][e] = flow[b].get(e, 0) + 1
         return True
 
     def _move_to(self, r: tuple) -> None:

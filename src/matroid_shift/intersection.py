@@ -38,7 +38,8 @@ from typing import Sequence
 
 from .constructions import AgentFlow, BlockSums, Matrix01, SlotUnion, count_union, edge_coloring
 from .errors import DisallowedKindError, InfeasibleError, InputError, InternalError
-from .matroids import Matroid, PartitionMatroid, Subset01, check_weight_guard, copy_count, json_int
+from .matroids import (Matroid, PartitionMatroid, Subset01, check_weight_guard, checked_ints,
+                       copy_count, json_int)
 from .solver import ProfitMatrix, ShiftedSolution, _flat_weights, validate, vulnerability_vector
 
 SBO_KINDS = ("uniform", "partition", "transversal")
@@ -50,14 +51,13 @@ class BipartiteGraph:
     __slots__ = ("left", "right", "edges")
 
     def __init__(self, left: int, right: int, edges: Sequence[tuple[int, int]]):
-        self.left = int(left)
-        self.right = int(right)
+        self.left, self.right = checked_ints("side size", left, right)
         if self.left < 1 or self.right < 1:
             raise InputError("both sides need at least one vertex")
-        for l, r in edges:
+        self.edges = tuple(checked_ints("edge endpoint", l, r) for l, r in edges)
+        for l, r in self.edges:
             if not (1 <= l <= self.left and 1 <= r <= self.right):
                 raise InputError(f"edge ({l},{r}) outside {self.left}x{self.right} bipartition")
-        self.edges = tuple((int(l), int(r)) for l, r in edges)
         if not self.edges:
             raise InputError("graph needs at least one edge")
 

@@ -8,16 +8,16 @@ the classic primitives: rank of a subset and the max-weight greedy algorithm.
 The descriptions never change and keep no other state.  A circuit query
 certifies its set independent and answers from that certificate, which the
 graphic, transversal and GF(2) families make (a spanning forest with its
-trees as union-find classes, a matching, an echelon basis) per call; the
-slot engine of the union matroid (SlotUnion) holds one per part and hands
-it to _derive when the part changes.
+trees as union-find classes, a matching as the n-union's flow at n = 1,
+an echelon basis) per call; the slot engine of the union matroid
+(SlotUnion) holds one per part and hands it to _derive when the part
+changes.
 
 Elements are 0-based internally; JSON files use 1-based indices throughout.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import compress
 from typing import Callable, Collection, Iterable, Sequence
 
@@ -109,7 +109,7 @@ class Matroid:
     kind = "abstract"
 
     def __init__(self, d: int):
-        d = int(d)
+        (d,) = checked_ints("ground size", d)
         if d < 1:
             raise InputError(f"ground size must be >= 1, got {d}")
         self.d = d
@@ -225,13 +225,13 @@ class GraphicMatroid(Matroid):
 
     def __init__(self, vertices: int, edges: Sequence[tuple[int, int]]):
         super().__init__(len(edges))
-        self.vertices = int(vertices)
+        (self.vertices,) = checked_ints("vertex count", vertices)
         if self.vertices < 1:
             raise InputError("graph needs at least one vertex")
-        for u, v in edges:
+        self.edges = tuple(checked_ints("edge endpoint", u, v) for u, v in edges)
+        for u, v in self.edges:
             if not (1 <= u <= self.vertices and 1 <= v <= self.vertices):
                 raise InputError(f"edge ({u},{v}) has an endpoint outside 1..{self.vertices}")
-        self.edges = tuple((int(u), int(v)) for u, v in edges)
         # The oracle's union-find and the forests run over the vertices that
         # edges touch, numbered 0.. in order of appearance, so their memory
         # follows the edges and not the declared vertex count.
@@ -404,7 +404,7 @@ class UniformMatroid(Matroid):
 
     def __init__(self, d: int, r: int):
         super().__init__(d)
-        r = int(r)
+        (r,) = checked_ints("uniform rank", r)
         if not 0 <= r <= d:
             raise InputError(f"uniform rank must satisfy 0 <= r <= d, got r={r}, d={d}")
         self.r = r
@@ -426,14 +426,14 @@ class PartitionMatroid(Matroid):
 
     def __init__(self, blocks: Sequence[int], capacities: Sequence[int]):
         super().__init__(len(blocks))
-        self.capacities = tuple(int(c) for c in capacities)
+        self.capacities = checked_ints("block capacity", *capacities)
         if any(c < 0 for c in self.capacities):
             raise InputError("block capacities must be nonnegative")
         nb = len(self.capacities)
-        for b in blocks:
+        self.blocks = checked_ints("block id", *blocks)
+        for b in self.blocks:
             if not 0 <= b < nb:
                 raise InputError(f"block id {b} out of range for {nb} blocks")
-        self.blocks = tuple(int(b) for b in blocks)
 
     def _indep(self, elems: frozenset) -> bool:
         used = [0] * len(self.capacities)
@@ -472,21 +472,14 @@ class LinearGf2Matroid(Matroid):
 
     def __init__(self, columns: Sequence[Sequence[int]]):
         super().__init__(len(columns))
-        lengths = {len(c) for c in columns}
+        self.columns = tuple(checked_ints("GF(2) column entry", *c) for c in columns)
+        lengths = {len(c) for c in self.columns}
         if len(lengths) != 1:
             raise InputError("all GF(2) columns must have the same length")
         self.num_rows = lengths.pop()
-        masks = []
-        for col in columns:
-            mask = 0
-            for k, bit in enumerate(col):
-                if bit not in (0, 1):
-                    raise InputError("GF(2) column entries must be 0 or 1")
-                if bit:
-                    mask |= 1 << k
-            masks.append(mask)
-        self.columns = tuple(tuple(int(b) for b in c) for c in columns)
-        self._masks = tuple(masks)
+        if not all(map(are_bits, self.columns)):
+            raise InputError("GF(2) column entries must be 0 or 1")
+        self._masks = tuple(sum(bit << k for k, bit in enumerate(col)) for col in self.columns)
 
     def _indep(self, elems: frozenset) -> bool:
         return self._build(elems) is not None
@@ -530,77 +523,107 @@ class TransversalMatroid(Matroid):
     """Independent sets admit a system of distinct representatives.
 
     Element i may be represented by any agent in adjacency[i] (0-based agent
-    ids).  The certificate of an independent set is a matching of it, a map
-    from agent to member, found by augmenting paths (_augment).  The rank
-    is one augmenting pass: a member that finds no free agent never will
-    once more are matched.  The circuit of indep + e takes indep's
-    matching and one alternating search from e: a free agent reached means
-    indep + e is independent, and otherwise the elements reached are the
-    circuit, since together with e they have too few agents (Hall's
-    condition) and each of them can hand its agent down the path to e.
+    ids).  One search over agents (_search) and one path flip (_place)
+    serve this matroid and its n-union (constructions.AgentFlow): the
+    certificate of an independent set is the union's flow at n = 1, a pair
+    (load, flow) that matches it.  _build places the members in turn, and
+    the rank is one placing pass sharing one refused set.  The circuit of
+    indep + e is what one failed search from e saw besides e: with e those
+    elements have too few agents (Hall's condition), and each of them can
+    hand its agent down the path to e.
     """
 
     kind = "transversal"
 
     def __init__(self, adjacency: Sequence[Sequence[int]], num_agents: int):
         super().__init__(len(adjacency))
-        self.num_agents = int(num_agents)
+        (self.num_agents,) = checked_ints("agent count", num_agents)
         if self.num_agents < 0:
             raise InputError("agent count must be nonnegative")
-        for row in adjacency:
+        rows = [checked_ints("agent id", *row) for row in adjacency]
+        for row in rows:
             for a in row:
                 if not 0 <= a < self.num_agents:
                     raise InputError(f"agent id {a} out of range for {self.num_agents} agents")
-        self.adjacency = tuple(tuple(sorted(set(int(a) for a in row))) for row in adjacency)
+        self.adjacency = tuple(tuple(sorted(set(row))) for row in rows)
 
     def _indep(self, elems: frozenset) -> bool:
         return self._build(elems) is not None
 
     def _rank(self, elems: Collection[int]) -> int:
-        match: dict[int, int] = {}
-        return sum(self._augment(match, e) for e in elems)
+        load, flow = self._empty_flow()
+        refused: set = set()
+        return sum(e not in refused and self._place(load, flow, 1, e, refused) for e in elems)
 
-    def _circuit(self, match: dict, indep: frozenset, e: int) -> tuple[int, ...] | None:
-        reached, free = self._alternating_search(match, e)
-        if free is not None:
-            return None
-        return tuple(sorted(match[a] for a in reached))
+    def _circuit(self, cert: tuple, indep: frozenset, e: int) -> tuple[int, ...] | None:
+        agent, _, seen = self._search(*cert, 1, e, ())
+        return None if agent is not None else tuple(sorted(seen - {e}))
 
-    def _build(self, part: frozenset) -> dict | None:
-        match: dict[int, int] = {}
-        return match if all(self._augment(match, e) for e in part) else None
+    def _build(self, part: frozenset) -> tuple | None:
+        load, flow = self._empty_flow()
+        return (load, flow) if all(self._place(load, flow, 1, e, set()) for e in part) else None
 
-    def _augment(self, match: dict, e: int) -> bool:
-        """Match e as well, flipping the path of one alternating search;
-        False, with match unchanged, if the search finds no free agent."""
-        reached, a = self._alternating_search(match, e)
-        if a is None:
+    def _empty_flow(self) -> tuple[list[int], list[dict[int, int]]]:
+        return [0] * self.num_agents, [{} for _ in range(self.num_agents)]
+
+    def _search(self, load: list, flow: list, n: int, e: int,
+                refused: Collection[int]) -> tuple[int | None, dict, set]:
+        """Breadth-first search from a new unit of e for an agent below n:
+        (that agent or None, parent, seen).
+
+        load[a] counts the units agent a takes, and flow[a] maps each
+        element to the units it sends a.  From a full agent the search goes
+        on through each element that sends it a unit, which could send it
+        to another of its agents instead.  parent maps each agent reached
+        to None (e's own) or to (agent before it, element moved); seen holds
+        e and every element entered.  A failed search reached only full
+        agents, which only the elements seen serve, and none of those has
+        another agent: while loads grow, a search from any of them fails as
+        well.  So _place refuses them, and no search enters a refused
+        element, as in SlotUnion._search.
+        """
+        adjacency = self.adjacency
+        parent: dict[int, tuple[int, int] | None] = {}
+        queue = []  # full agents, read in order while it grows
+        seen = {e}
+        for a in adjacency[e]:
+            parent[a] = None
+            if load[a] < n:
+                return a, parent, seen
+            queue.append(a)
+        for a in queue:
+            for x in flow[a]:
+                if x in seen or x in refused:
+                    continue
+                seen.add(x)
+                for b in adjacency[x]:
+                    if b not in parent:
+                        parent[b] = (a, x)
+                        if load[b] < n:
+                            return b, parent, seen
+                        queue.append(b)
+        return None, parent, seen
+
+    def _place(self, load: list, flow: list, n: int, e: int, refused: set) -> bool:
+        """Add a unit of e along the path _search finds, each element on it
+        moving one unit on to the next agent; False, after adding every
+        element the search saw to refused, if it finds no agent below n."""
+        b, parent, seen = self._search(load, flow, n, e, refused)
+        if b is None:
+            refused.update(seen)
             return False
-        while a is not None:  # each agent on the path takes the element of the one before
-            before = reached[a]
-            match[a] = e if before is None else match[before]
-            a = before
+        load[b] += 1
+        step = parent[b]
+        while step is not None:
+            a, x = step
+            flow[b][x] = flow[b].get(x, 0) + 1
+            if flow[a][x] == 1:
+                del flow[a][x]
+            else:
+                flow[a][x] -= 1
+            b, step = a, parent[a]
+        flow[b][e] = flow[b].get(e, 0) + 1
         return True
-
-    def _alternating_search(self, match: dict, e: int) -> tuple[dict, int | None]:
-        # Breadth-first search from the unmatched e for a free agent; returns
-        # (agent -> the matched agent whose element reached it, None for e's
-        # own agents; the free agent or None).  No recursion, so long paths
-        # cannot overflow.
-        reached: dict[int, int | None] = {}
-        queue: deque = deque()
-        x, via = e, None
-        while True:
-            for a in self.adjacency[x]:
-                if a not in reached:
-                    reached[a] = via
-                    if a not in match:
-                        return reached, a
-                    queue.append(a)
-            if not queue:
-                return reached, None
-            via = queue.popleft()
-            x = match[via]
 
 
 class OracleMatroid(Matroid):
@@ -692,10 +715,19 @@ def json_int(v) -> int:
     return v
 
 
+def checked_ints(what: str, *values) -> tuple[int, ...]:
+    """The values, if each is an int itself: a float, bool or string is
+    rejected, never rounded, by an InputError naming what it is and the
+    first bad value."""
+    if not are_ints(values):
+        bad = next(v for v in values if type(v) is not int)
+        raise InputError(f"{what} must be an integer, got {bad!r}")
+    return values
+
+
 def copy_count(n) -> int:
     """n itself if it is an int >= 1: a float, bool or string is rejected."""
-    if type(n) is not int:
-        raise InputError(f"copy count must be an integer, got {n!r}")
+    (n,) = checked_ints("copy count", n)
     if n < 1:
         raise InputError(f"copy count must be >= 1, got {n}")
     return n

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .constructions import Matrix01, UnionMatroid
 from .errors import GuardError, InfeasibleError, InputError, InternalError, OverflowGuardError
-from .matroids import WEIGHT_GUARD, Matroid, check_weight_guard, copy_count
+from .matroids import WEIGHT_GUARD, Matroid, check_weight_guard, checked_ints, copy_count
 
 # Scans of all multisets of n out of m members (solve_shifted_small and the
 # brute-force oracles) are refused above this many multisets.
@@ -253,7 +253,7 @@ def solve_shifted_small(vectors: Sequence[Sequence[int]], n: int, c: ProfitMatri
     (n_1, .., n_m), which is the last one in the scan.  More than
     MULTISET_GUARD multisets raise GuardError before the scan.
     """
-    members = tuple(tuple(int(v) for v in z) for z in vectors)
+    members = tuple(checked_ints("vector entry", *z) for z in vectors)
     if not members:
         raise InputError("the explicit vector list is empty")
     d = c.d

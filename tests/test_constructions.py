@@ -403,9 +403,13 @@ def test_shuffle_agrees_with_bruteforce_definition():
 
 
 def test_rank_identities():
-    for m in family_corpus(max_d=4):
+    # Also the rank of one part that the union keeps for its cap, on the
+    # corpus and on random matroids of every family.
+    rng = random.Random(12)
+    for m in family_corpus(max_d=4) + [random_matroid(rng, kind=k) for k in FAMILIES for _ in range(4)]:
         r = full_rank(m)
         for n in (1, 2, 3):
+            assert UnionMatroid(m, n).part_rank == r
             lift_rank, shuffle_rank = union_rank_check(m, n)
             assert lift_rank == r
             assert shuffle_rank == n * r

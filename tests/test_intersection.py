@@ -26,6 +26,7 @@ from matroid_shift import (
     common_members,
     degree_matroids,
     equivalent,
+    full_rank,
     fiber_bipartite_matching,
     shifted_value_intersection,
     solve_shifted,
@@ -767,6 +768,7 @@ def test_transversal_intersections_match_min_cost_flow(family):
 
 
 @pytest.mark.parametrize("family, d, value", [("transversal", 2000, 18406),
+                                               ("transversal", 8000, 74240),
                                                ("partition", 500, 4015),
                                                ("uniform", 500, 4658)])
 def test_count_union_recipes_pin_values(family, d, value):
@@ -786,3 +788,41 @@ def test_count_union_recipes_pin_values(family, d, value):
         assert solve_shifted(t, n, c).value == value
     else:
         assert shifted_value_intersection(IntersectionInstance(other, t, n, c)) == value
+
+
+def test_transversal_rank_enters_each_element_once_in_failed_searches(monkeypatch):
+    # The transversal recipe above at d = 8000, ranked by one placing pass:
+    # every failed search refuses all it saw, and no later search enters a
+    # refused element or starts from one, so the failed searches enter at
+    # most d elements in all.  A pass that kept nothing was quadratic.
+    d = 8000
+    rng = random.Random(0)
+    t = TransversalMatroid([rng.sample(range(d // 2), 3) for _ in range(d)], d // 2)
+    failed, search = [], TransversalMatroid._search
+
+    def counted(self, *args):
+        found = search(self, *args)
+        if found[0] is None:
+            failed.append(len(found[2]))
+        return found
+
+    monkeypatch.setattr(TransversalMatroid, "_search", counted)
+    assert full_rank(t) == 3992
+    assert failed and sum(failed) <= d
+
+
+def test_intersection_asks_no_rank(monkeypatch):
+    # The intersection's engines never read the rank of a part, so no
+    # family's _rank runs, for any pair of the three kinds.
+    small = (UniformMatroid(4, 2), PartitionMatroid([0, 0, 1, 1], [1, 2]),
+             TransversalMatroid([[0], [0, 1], [1], []], 2))
+    c = ProfitMatrix([[5, 2], [4, -1], [3, 3], [1, 0]])
+    pairs = [IntersectionInstance(m1, m2, 2, c) for m1 in small for m2 in small]
+    want = list(map(shifted_value_intersection, pairs))
+
+    def no_rank(self, elems):
+        raise AssertionError(f"{type(self).__name__}._rank was asked")
+
+    for m in small:
+        monkeypatch.setattr(type(m), "_rank", no_rank)
+    assert list(map(shifted_value_intersection, pairs)) == want

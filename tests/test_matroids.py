@@ -9,6 +9,8 @@ import pytest
 
 import matroid_shift
 from matroid_shift import (
+    BipartiteGraph,
+    ExplicitSetSystem,
     GraphicMatroid,
     InputError,
     LiftMatroid,
@@ -17,6 +19,7 @@ from matroid_shift import (
     OracleMatroid,
     OverflowGuardError,
     PartitionMatroid,
+    ProfitMatrix,
     ShuffleMatroid,
     Subset01,
     TransversalMatroid,
@@ -27,6 +30,7 @@ from matroid_shift import (
     matroid_from_json,
     matroid_to_json,
     rank,
+    solve_shifted_small,
 )
 from matroid_shift.matroids import check_weight_guard
 from corpora import TRIANGLE, family_corpus, random_matroid
@@ -343,6 +347,35 @@ def test_invalid_descriptions_rejected():
         TransversalMatroid([[0], [1]], 1)
     with pytest.raises(InputError):
         LinearGf2Matroid([[1, 0], [1]])
+
+
+# Each constructor parameter that once went through int(), which rounded a
+# float or took a bool: (the call, the bad value the error must name).
+NON_INT_PARAMETERS = {
+    "ground size": (lambda: UniformMatroid(3.7, 2), 3.7),
+    "uniform rank": (lambda: UniformMatroid(3, 2.5), 2.5),
+    "block id": (lambda: PartitionMatroid([0, 1.9], [1, 1]), 1.9),
+    "block capacity": (lambda: PartitionMatroid([0, 1], [1, 0.5]), 0.5),
+    "vertex count": (lambda: GraphicMatroid(3.5, [(1, 2)]), 3.5),
+    "edge endpoint": (lambda: GraphicMatroid(3, [(1, 2), (2.0, 3)]), 2.0),
+    "GF(2) column entry": (lambda: LinearGf2Matroid([[1, 0], [True, 1]]), True),
+    "agent id": (lambda: TransversalMatroid([[0], [1.5]], 2), 1.5),
+    "agent count": (lambda: TransversalMatroid([[0], [1]], 2.9), 2.9),
+    "side size": (lambda: BipartiteGraph(2.9, 2, [(1, 1)]), 2.9),
+    "bipartite edge endpoint": (lambda: BipartiteGraph(2, 2, [(1, 1), (2, 1.0)]), 1.0),
+    "vector entry": (lambda: solve_shifted_small([(1.5, 0), (0, 1)], 1, ProfitMatrix([[1], [1]])),
+                     1.5),
+    "explicit ground size": (lambda: ExplicitSetSystem(2.0, [(0, 0)]), 2.0),
+}
+
+
+@pytest.mark.parametrize("site", NON_INT_PARAMETERS)
+def test_constructors_refuse_non_int_parameters(site):
+    # solve_shifted_small once scored (1.5, 0) as (1, 0): value 1 with the
+    # column (0, 1), where the true optimum is 1.5.
+    call, bad = NON_INT_PARAMETERS[site]
+    with pytest.raises(InputError, match=re.escape(f"must be an integer, got {bad!r}")):
+        call()
 
 
 def test_json_round_trip():

@@ -204,7 +204,7 @@ def wide_matroid(rng: random.Random, kind: str):
     if kind == "linear_gf2":
         nrows = rng.randint(1, 8)
         return LinearGf2Matroid([[rng.randint(0, 1) for _ in range(nrows)] for _ in range(d)])
-    agents = rng.randint(1, 8)
+    agents = rng.randint(0, 8)  # no agent at all, too
     return TransversalMatroid([rng.sample(range(agents), rng.randint(0, min(3, agents)))
                                for _ in range(d)], agents)
 
@@ -1025,15 +1025,23 @@ def greedy_rank(m: Matroid, elems) -> int:
     return len(cur)
 
 
-@pytest.mark.parametrize("kind", FAMILIES + ("multigraph", "two_multigraphs", "huge_labels"))
+@pytest.mark.parametrize("kind", FAMILIES + ("multigraph", "two_multigraphs", "huge_labels",
+                                             "few_agents", "wide_transversal"))
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_rank_equals_greedy_rank(kind, seed, data):
     # Multigraphs with parallel edges and self-loops, often disconnected;
-    # two of them side by side; and one whose vertices carry labels up to a
-    # declared count of 10**9.
+    # two of them side by side; one whose vertices carry labels up to a
+    # declared count of 10**9; transversal matroids with 0 to 8 agents,
+    # and with long alternating paths.  The rank of a subset in any order
+    # is the oracle greedy's: a transversal pass refuses what each failed
+    # search saw, whatever the order.
     rng = random.Random(seed)
-    if kind == "multigraph":
+    if kind == "few_agents":
+        m = wide_matroid(rng, "transversal")
+    elif kind == "wide_transversal":
+        m = wide_transversal(rng)
+    elif kind == "multigraph":
         m = random_multigraph(rng, rng.randint(1, 14))
     elif kind == "two_multigraphs":
         a, b = random_multigraph(rng, rng.randint(1, 7)), random_multigraph(rng, rng.randint(1, 7))
@@ -1047,6 +1055,8 @@ def test_rank_equals_greedy_rank(kind, seed, data):
     assert full_rank(m) == greedy_rank(m, range(m.d))
     s = data.draw(st.sets(st.integers(0, m.d - 1)), label="s")
     assert rank(m, Subset01.from_indices(m.d, s)) == greedy_rank(m, sorted(s))
+    order = data.draw(st.permutations(sorted(s)), label="order")
+    assert m._rank(order) == Matroid._rank(m, order)
 
 
 def wide_transversal(rng: random.Random) -> TransversalMatroid:
