@@ -298,21 +298,19 @@ class SlotUnion:
     alone; when none fits, the elements the search reached are the
     circuit, and none of them fits either.
 
-    Each part is a slot [part, certificate, memo of circuit answers by
-    element], and counts holds the multiplicities they sum to.  _replace
-    is the one step that changes parts: each part must hold what it loses
-    and lack what it gains; the set is changed in place, its certificate
-    is handed to Matroid._derive (which checks the part is independent),
-    and its memo is cleared.  It answers no circuits.
+    Each part is a slot [part, certificate], and counts holds the
+    multiplicities they sum to; no circuit answer is kept.  _replace is
+    the one step that changes parts: each part must hold what it loses and
+    lack what it gains; the set is changed in place and its certificate
+    handed to Matroid._derive (which checks the part is independent).  It
+    answers no circuits.
     """
 
     def __init__(self, part: Matroid, n: int):
         self.part, self.n = part, n
         self.counts = [0] * part.d
-        # One slot per part: [part, certificate, {element: circuit answer}].
-        self._slots = [[set(), part._build(frozenset()), {}] for _ in range(n)]
-        # A family's own _fits tells _search whether e fits without a
-        # circuit; by default _fits is the circuit, read through the memo.
+        self._slots = [[set(), part._build(frozenset())] for _ in range(n)]
+        # A family's own _fits lets _search place e without a circuit.
         self._fits = None if type(part)._fits is Matroid._fits else part._fits
 
     def add(self, e: int, refused: set) -> bool:
@@ -348,9 +346,9 @@ class SlotUnion:
         lacking e, in slot order, and the first that takes e is the fit,
         (e, k), with parent {e: None}.  Then each element x taken from the
         queue, e first, asks the parts lacking it, in slot order, for the
-        circuit it closes there, through the slot memo.  No circuit means
-        x goes straight into that part: that is the fit, (x, k).
-        Otherwise the members of the circuit not yet reached are queued.
+        circuit it closes there.  No circuit means x goes straight into
+        that part: that is the fit, (x, k).  Otherwise the members of the
+        circuit not yet reached are queued.
         parent maps e to None and every other element v reached to (x, k):
         x displaced v from part k.  A part holding x is skipped, since
         swapping parallel copies never shortens a path.  A refused element
@@ -362,18 +360,16 @@ class SlotUnion:
         parent: dict[int, tuple[int, int] | None] = {e: None}
         slots, fits = self._slots, self._fits
         if fits is not None:
-            for k, (p, cert, _) in enumerate(slots):
+            for k, (p, cert) in enumerate(slots):
                 if e not in p and fits(cert, p, e):
                     return (e, k), parent
         queue = [e]  # the loop reads it in order while it grows
         circuit = self.part._circuit
         for x in queue:
-            for k, (p, cert, known) in enumerate(slots):
+            for k, (p, cert) in enumerate(slots):
                 if x in p:
                     continue
-                members = known.get(x, False)
-                if members is False:
-                    members = known[x] = circuit(cert, p, x)
+                members = circuit(cert, p, x)
                 if members is None:
                     return (x, k), parent
                 for v in members:
@@ -386,8 +382,8 @@ class SlotUnion:
         """Change part k by (lost, gained) for each k: (lost, gained) in
         changes; it must hold each element it loses and lack each one it
         gains.  Its set is changed in place and its certificate handed to
-        _derive; a dependent part raises InternalError.  Its memo is
-        cleared, and the counts follow.  Other slots stay as they are."""
+        _derive; a dependent part raises InternalError.  The counts
+        follow.  Other slots stay as they are."""
         slots, counts, part = self._slots, self.counts, self.part
         for k, (lost, gained) in changes.items():
             slot = slots[k]
@@ -400,14 +396,13 @@ class SlotUnion:
             if cert is None:
                 raise InternalError("augmentation left a dependent part")
             slot[1] = cert
-            slot[2].clear()
             for x in lost:
                 counts[x] -= 1
             for x in gained:
                 counts[x] += 1
 
     def parts(self) -> tuple:
-        return tuple(frozenset(p) for p, _, _ in self._slots)
+        return tuple(frozenset(p) for p, _ in self._slots)
 
     def circuits(self, r: tuple, rows: list[int]) -> Circuits:
         raise DisallowedKindError(f"circuits needs a uniform, partition or transversal "
@@ -511,11 +506,11 @@ class AgentFlow:
     """
 
     def __init__(self, part: TransversalMatroid, n: int):
-        self.part, self.adjacency, self.n = part, part.adjacency, n
+        self.part, self.adjacency, self.n = part, part._agents, n  # agents as the part numbers them
         self.counts = [0] * part.d
         self.load, self.flow = part._empty_flow()
-        self.users: list[list[int]] = [[] for _ in range(part.num_agents)]  # agent -> its elements
-        for i, agents in enumerate(part.adjacency):
+        self.users: list[list[int]] = [[] for _ in range(part._named)]  # agent -> its elements
+        for i, agents in enumerate(self.adjacency):
             for a in agents:
                 self.users[a].append(i)
 

@@ -175,9 +175,8 @@ class Matroid:
     def _fits(self, cert, indep: frozenset, e: int) -> bool:
         """Whether indep + e is independent, given the certificate of indep:
         _circuit(cert, indep, e) is None.  A family overrides it only when
-        it answers without building the circuit; SlotUnion._search asks
-        such a family's _fits of each part before any circuit, and reads
-        the others' answers from the circuits it memoizes."""
+        it answers without building the circuit, as SlotUnion._search asks
+        such a family's _fits of each part before any circuit."""
         return self._circuit(cert, indep, e) is None
 
     def __repr__(self) -> str:
@@ -546,6 +545,11 @@ class TransversalMatroid(Matroid):
                 if not 0 <= a < self.num_agents:
                     raise InputError(f"agent id {a} out of range for {self.num_agents} agents")
         self.adjacency = tuple(tuple(sorted(set(row))) for row in rows)
+        # The flows run over the agents rows name, numbered 0.. in id order
+        # (_agents), so their memory follows the rows, not num_agents.
+        label = {a: k for k, a in enumerate(sorted({a for row in self.adjacency for a in row}))}
+        self._agents = tuple(tuple(map(label.__getitem__, row)) for row in self.adjacency)
+        self._named = len(label)
 
     def _indep(self, elems: frozenset) -> bool:
         return self._build(elems) is not None
@@ -564,7 +568,7 @@ class TransversalMatroid(Matroid):
         return (load, flow) if all(self._place(load, flow, 1, e, set()) for e in part) else None
 
     def _empty_flow(self) -> tuple[list[int], list[dict[int, int]]]:
-        return [0] * self.num_agents, [{} for _ in range(self.num_agents)]
+        return [0] * self._named, [{} for _ in range(self._named)]
 
     def _search(self, load: list, flow: list, n: int, e: int,
                 refused: Collection[int]) -> tuple[int | None, dict, set]:
@@ -582,7 +586,7 @@ class TransversalMatroid(Matroid):
         well.  So _place refuses them, and no search enters a refused
         element, as in SlotUnion._search.
         """
-        adjacency = self.adjacency
+        adjacency = self._agents
         parent: dict[int, tuple[int, int] | None] = {}
         queue = []  # full agents, read in order while it grows
         seen = {e}

@@ -33,6 +33,18 @@ def grid_graph(a: int, b: int) -> GraphicMatroid:
     return GraphicMatroid(a * b, edges)
 
 
+def sparse_random_graph(vertices: int = 1000, edges: int = 3000) -> GraphicMatroid:
+    """A connected sparse random graph from random.Random(0): a random tree,
+    vertex v joined to an earlier one for v = 2..vertices, then random
+    edges between distinct vertices until there are edges of them."""
+    rng = random.Random(0)
+    ends = [(v, rng.randint(1, v - 1)) for v in range(2, vertices + 1)]
+    while len(ends) < edges:
+        u, v = rng.sample(range(1, vertices + 1), 2)
+        ends.append((u, v))
+    return GraphicMatroid(vertices, ends)
+
+
 def family_corpus(max_d: int = 4):
     """Hand-picked instances covering all five families plus degenerate cases."""
     out = [

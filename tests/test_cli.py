@@ -15,7 +15,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from matroid_shift import Matrix01, cli, solver
+from matroid_shift import Matrix01, ProfitMatrix, TransversalMatroid, cli, solver
 from matroid_shift.cli import main
 
 TRIANGLE_GRAPH = "p 3 3\ne 1 2\ne 2 3\ne 1 3\n"
@@ -155,11 +155,37 @@ def test_shifted_graphic_memory_follows_edges(files, capsys):
     assert peak < 5
 
 
+def test_shifted_transversal_memory_follows_rows():
+    # Two elements sharing the last of a million declared agents: the flows
+    # cover the one agent the rows name, and each column takes one element.
+    m = TransversalMatroid([[10**6 - 1], [10**6 - 1]], 10**6)
+    c = ProfitMatrix([[3, 1], [2, 0]])
+    solution, peak = peak_alloc_mb(lambda: solver.solve_shifted(m, 2, c))
+    assert (solution.value, solution.vuln) == (5, (2, 0))
+    assert peak < 1
+
+
 def test_lexmin_trees_parse_error(files, capsys):
     graph = files("bad.graph", "p 3\ne 1 2\n")
     code, report, _ = run_main(capsys, ["lexmin-trees", graph, "--n", "2"])
     assert code == 3
     assert report is None
+
+
+def test_graph_file_skips_comment_and_blank_lines(files, capsys):
+    graph = files("tri.graph", "c a triangle\n\np 3 3\ne 1 2\n  \nc next\ne 2 3\ne 1 3\n")
+    code, report, _ = run_main(capsys, ["lexmin-trees", graph, "--n", "2", "--verify"])
+    assert code == 0
+    assert report["vulnerability"] == [3, 1] and report["verification"] == "ok"
+
+
+@pytest.mark.parametrize("text", ["", "c no problem line\n\n"], ids=["empty", "comments-only"])
+def test_graph_file_needs_a_problem_line(files, capsys, text):
+    graph = files("bad.graph", text)
+    code, report, err = run_main(capsys, ["lexmin-trees", graph, "--n", "2"])
+    assert code == 3
+    assert report is None
+    assert "first line must be" in err
 
 
 @pytest.mark.parametrize("text", ["p 2 1\ne 1 5\n", "p 2 1\ne 0 1\n"])
@@ -474,6 +500,30 @@ def test_corrupt_witness_exits_4(files, capsys, monkeypatch, command):
     assert code == 4
     assert report is None
     assert "self-check failed" in err
+
+
+@pytest.mark.parametrize("command, oracle, wrong", [
+    ("lexmin-trees", "brute_lexmin", ((3, 0), None)),
+    ("shifted", "brute_shifted", (5, None)),
+])
+def test_verify_mismatch_exits_4(files, capsys, monkeypatch, command, oracle, wrong):
+    # A brute-force oracle that disagrees with the solver: the report is
+    # still printed, marked as a mismatch.
+    monkeypatch.setattr(cli, oracle, lambda *args: wrong)
+    code, report, err = run_main(capsys, checked_argv(files, command) + ["--verify"])
+    assert code == 4
+    assert report["verification"] == "mismatch"
+    assert "verification mismatch" in err
+
+
+def test_verify_skipped_past_the_power_set_guard(files, capsys):
+    # 2^21 subsets are more than the brute-force oracle enumerates.
+    matroid = files("u.json", {"kind": "uniform", "d": 21, "params": {"r": 2}})
+    profits = files("c.json", {"d": 21, "n": 1, "rows": [[1]] * 21})
+    code, report, err = run_main(capsys, ["shifted", matroid, profits, "--verify"])
+    assert code == 0
+    assert report["value"] == 2 and report["verification"] == "skipped"
+    assert "verification skipped" in err
 
 
 @pytest.mark.parametrize("command", sorted(CHECKED_ARGV))

@@ -30,8 +30,7 @@ from matroid_shift import (
 )
 from matroid_shift import intersection
 from matroid_shift.constructions import AgentFlow, BlockSums, SlotUnion
-from corpora import (FAMILIES, K4, TRIANGLE, family_corpus, grid_graph, random_matroid,
-                     random_sbo_matroid)
+from corpora import FAMILIES, K4, TRIANGLE, family_corpus, random_matroid, random_sbo_matroid
 from test_matroids import assert_matroid_axioms
 
 TRIANGLE_AGENTS = TransversalMatroid([[0, 1]] * 3, 2)  # U(2, 3), as TRIANGLE
@@ -142,43 +141,16 @@ def test_union_augment_reuses_unchanged_parts():
         took.setdefault(k, set()).add(y)
         x = y
     assert sorted(took) == [0, 2]
-    before = [(cert, known, dict(known)) for _, cert, known in slots._slots]
+    before = [cert for _, cert in slots._slots]
     _, grown = u.grow([2])
     assert grown == (frozenset({1, 2}), parts[1], frozenset({0, 2}))
     assert slots.counts == [1, 2, 2, 1]
     for k, (p, q) in enumerate(zip(grown, parts)):
-        _, cert, known = slots._slots[k]
-        if k in took:  # changed in place, its memo cleared
-            assert p == q - gave.get(k, set()) | took[k] and not known
-        else:  # the same certificate and memo, with every answer kept
-            assert cert is before[k][0] and known is before[k][1]
-            assert known == before[k][2] and known
-
-
-@pytest.mark.parametrize("side", [4, 8, 12])
-def test_circuit_memo_holds_only_the_union_parts(monkeypatch, side):
-    # The memo once kept a table for every part any search saw: 7,499 of
-    # them while the column-order greedy grew three trees on a 50x50 grid.
-    # Now the union holds n slots, and before every copy's search each
-    # slot's memo answers only elements outside its part (a changed part
-    # dropped its answers); at the end every answer is that of a fresh
-    # build.
-    n, searches, augment = 3, [], UnionMatroid._try_augment
-
-    def checked(self, e, refused):
-        assert len(self._engine._slots) == n
-        assert all(p.isdisjoint(known) for p, _, known in self._engine._slots)
-        searches.append(e)
-        return augment(self, e, refused)
-
-    monkeypatch.setattr(UnionMatroid, "_try_augment", checked)
-    grid = grid_graph(side, side)
-    union = UnionMatroid(grid, n)
-    counts, _ = union.grow(list(range(grid.d)) * n)
-    assert sum(counts) == n * (side * side - 1) and searches
-    for p, _, known in union._engine._slots:
-        built = grid._build(frozenset(p))
-        assert all(answer == grid._circuit(built, p, x) for x, answer in known.items())
+        _, cert = slots._slots[k]
+        if k in took:  # changed in place
+            assert p == q - gave.get(k, set()) | took[k]
+        else:  # the same certificate
+            assert cert is before[k]
 
 
 @pytest.mark.parametrize("kind", FAMILIES)
@@ -245,7 +217,7 @@ class MiscountingSlots(SlotUnion):
         if self.drops_e:
             z = min(set(range(self.part.d)) - self._slots[k][0] - {e})
             return (z, k), {z: None}
-        k = next((j for j, (p, _, _) in enumerate(self._slots) if x in p), k)
+        k = next((j for j, (p, _) in enumerate(self._slots) if x in p), k)
         return (x, k), parent
 
 
@@ -273,7 +245,7 @@ def test_union_replace_refuses_bad_changes():
     engine._replace({})
     assert engine._slots == slots
     engine._replace({0: ([0], [1]), 1: ([], [0])})
-    assert [p for p, _, _ in engine._slots] == [{1}, {0}] and engine.counts == [1, 1, 0]
+    assert [p for p, _ in engine._slots] == [{1}, {0}] and engine.counts == [1, 1, 0]
     for changes in ({0: ([0], [])},   # a lost element the part lacks
                     {1: ([], [0])}):  # a gained element the part holds
         with pytest.raises(InternalError, match="multiplicities differ"):

@@ -65,8 +65,8 @@ def assert_held_state(union: UnionMatroid):
     agents, and no agent takes more than n."""
     m, n, engine = union.part, union.n, union._engine
     if not on_counts(union):
-        assert engine.counts == [sum(i in p for p, _, _ in engine._slots) for i in range(m.d)]
-        for p, cert, _ in engine._slots:
+        assert engine.counts == [sum(i in p for p, _ in engine._slots) for i in range(m.d)]
+        for p, cert in engine._slots:
             built = m._build(frozenset(p))
             assert built is not None
             for e in set(range(m.d)) - p:
@@ -81,7 +81,7 @@ def assert_held_state(union: UnionMatroid):
         for a, served in enumerate(engine.flow):
             assert engine.load[a] == sum(served.values()) <= n
             for x, units in served.items():
-                assert units > 0 and a in m.adjacency[x]
+                assert units > 0 and a in m._agents[x]
                 sent[x] += units
         assert sent == engine.counts and max(sent) <= n
 
@@ -601,15 +601,15 @@ def reference_grow(union: UnionMatroid, elements):
     distinct element is searched until it fails itself, and every step
     recounts all parts against the counts and checks each changed one."""
     slots = union._engine._slots
-    counts, refused = [sum(x in p for p, _, _ in slots) for x in range(union.d)], set()
+    counts, refused = [sum(x in p for p, _ in slots) for x in range(union.d)], set()
     for e in elements:
-        before = [set(p) for p, _, _ in slots]
+        before = [set(p) for p, _ in slots]
         if e in refused or not union._try_augment(e, set()):
             refused.add(e)
             continue
         counts[e] += 1
         recount = [0] * union.d
-        for (p, _, _), q in zip(slots, before):
+        for (p, _), q in zip(slots, before):
             if p != q and not union.part._indep(frozenset(p)):
                 raise InternalError("augmentation left a dependent part")
             for x in p:
@@ -618,7 +618,7 @@ def reference_grow(union: UnionMatroid, elements):
             raise InternalError("part multiplicities differ from the requested counts")
         if sum(counts) == union.cap:
             break
-    return counts, tuple(frozenset(p) for p, _, _ in slots)
+    return counts, tuple(frozenset(p) for p, _ in slots)
 
 
 def reference_for(union: UnionMatroid, data, elements):
@@ -710,17 +710,16 @@ class CircuitFirst:
     """The exchange search without a fit pass, kept as the reference
     for every family, on n parts of its own: every copy is placed by its
     own search, in which each element taken from the queue, e included,
-    asks the parts, in slot order, for the circuit it closes there
-    (through a slot memo), and the first part where it closes none takes
-    it.  grow refuses elements and stops at the cap as
-    UnionMatroid.grow does.  Every search is recorded as (e, fit,
-    parent)."""
+    asks the parts, in slot order, for the circuit it closes there, and
+    the first part where it closes none takes it.  grow refuses elements
+    and stops at the cap as UnionMatroid.grow does.  Every search is
+    recorded as (e, fit, parent)."""
 
     def __init__(self, part, n):
         self.part, self.n = part, n
         self.cap = n * full_rank(part)
         self._counts = [0] * part.d
-        self._slots = [[set(), part._build(frozenset()), {}] for _ in range(n)]
+        self._slots = [[set(), part._build(frozenset())] for _ in range(n)]
         self.searches = []
 
     def grow(self, elements):
@@ -731,7 +730,7 @@ class CircuitFirst:
             total += 1
             if total == self.cap:
                 break
-        return self._counts[:], tuple(frozenset(p) for p, _, _ in self._slots)
+        return self._counts[:], tuple(frozenset(p) for p, _ in self._slots)
 
     def _try_augment(self, e, refused):
         fit, parent = self._search(e, refused)
@@ -754,12 +753,10 @@ class CircuitFirst:
         parent = {e: None}
         queue = [e]
         for x in queue:
-            for k, (p, cert, known) in enumerate(self._slots):
+            for k, (p, cert) in enumerate(self._slots):
                 if x in p:
                     continue
-                members = known.get(x, False)
-                if members is False:
-                    members = known[x] = self.part._circuit(cert, p, x)
+                members = self.part._circuit(cert, p, x)
                 if members is None:
                     self.searches.append((e, (x, k), parent))
                     return (x, k), parent
@@ -779,7 +776,6 @@ class CircuitFirst:
             p.update(gained)
             slot[1] = self.part._derive(slot[1], lost, gained, p)
             assert slot[1] is not None
-            slot[2].clear()
             for x in lost:
                 self._counts[x] -= 1
             for x in gained:
@@ -834,7 +830,7 @@ def test_search_finds_the_circuit_first_path(kind, seed, data):
     # parts before its own, so a fit may reach a subset of the elements,
     # each by the same arc.  No family builds more circuits than the
     # reference, and only graphic parts answer _fits at all (the others
-    # answer from the memo).
+    # read it from the circuit).
     # A union on counts builds no circuit at all, and grows the counts of
     # the reference with parts of its own.
     rng = random.Random(seed)
@@ -874,10 +870,9 @@ def test_direct_step_ends_as_the_reference(kind, seed, data):
     # The engine's search first asks graphic parts whether e fits and
     # places it at once where it does; the circuit-first reference asks
     # every part for circuits alone.  Both end with the same counts and
-    # parts, every memo answer left is that of a fresh build of its part,
-    # and within one _try_augment no part is asked twice whether one
-    # element fits, nor for its circuit.  A union on counts asks no part
-    # anything, and ends with the reference's counts.
+    # parts, and within one _try_augment no part is asked twice whether
+    # one element fits, nor for its circuit.  A union on counts asks no
+    # part anything, and ends with the reference's counts.
     rng = random.Random(seed)
     m = search_matroid_draw(rng, kind)
     n = data.draw(st.integers(1, 3), label="n")
@@ -902,19 +897,16 @@ def test_direct_step_ends_as_the_reference(kind, seed, data):
     for sequence in (data.draw(elements, label="start"), data.draw(elements, label="elements")):
         assert engine.grow(sequence) == reference.grow(sequence)
         assert engine._engine.counts == reference._counts
-    for p, _, known in engine._engine._slots:
-        built = m._build(frozenset(p))
-        assert p.isdisjoint(known)
-        assert all(answer == m._circuit(built, frozenset(p), x) for x, answer in known.items())
 
 
 def test_direct_fits_build_no_circuit_on_a_grid():
     # Three trees on a 20x20 grid by the column-order greedy: a copy that
     # fits a part straight away is placed by the search's fit pass and
     # builds no circuit, such copies are most of them, and the whole run
-    # builds fewer circuits than the circuit-first search does.  Recorded
-    # holds one entry per copy, so the circuits are counted around
-    # _try_augment.
+    # builds fewer circuits than the circuit-first search does: exactly
+    # 1,035, pinned so that no change to the search builds more on grids.
+    # Recorded holds one entry per copy, so the circuits are counted
+    # around _try_augment.
     grid, reference = counted(grid_graph(20, 20)), counted(grid_graph(20, 20))
     union = on_engine(grid, 3, Recorded)
     circuits_before = []  # circuits built before each copy is placed
@@ -933,7 +925,7 @@ def test_direct_fits_build_no_circuit_on_a_grid():
     direct = [after - before for (e, fit, _), before, after
               in zip(searches, circuits_before, circuits_after) if fit and fit[0] == e]
     assert len(direct) > len(searches) // 2 and not any(direct)
-    assert grid.calls["_circuit"] < reference.calls["_circuit"]
+    assert grid.calls["_circuit"] == 1035 < reference.calls["_circuit"]
     assert grid.calls["_fits"] > 0 and not reference.calls["_fits"]
 
 

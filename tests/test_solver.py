@@ -15,6 +15,7 @@ from matroid_shift import (
     GuardError,
     InfeasibleError,
     InputError,
+    InternalError,
     IntersectionInstance,
     LiftMatroid,
     Matrix01,
@@ -48,7 +49,7 @@ from matroid_shift import (
 )
 from matroid_shift import solver
 from corpora import (FAMILIES, K4, PATH3_EDGES, TRIANGLE, family_corpus, grid_graph,
-                     random_matroid)
+                     random_matroid, sparse_random_graph)
 
 
 def random_matrix(rng, d, n):
@@ -347,6 +348,14 @@ def test_lexmin_three_trees_on_grids(side, vuln, digest):
     assert hashlib.sha256(json.dumps(cols).encode()).hexdigest()[:16] == digest
 
 
+def test_lexmin_three_trees_on_a_sparse_random_graph():
+    # V=1000, E=3000, where most searches fail; digest as on the grids.
+    sol = solve_lexmin(sparse_random_graph(), 3)
+    assert sol.vuln == (2929, 57, 11)
+    cols = [list(col.indices()) for col in sol.y.columns()]
+    assert hashlib.sha256(json.dumps(cols).encode()).hexdigest()[:16] == "b03b3540617b5581"
+
+
 def test_lexmin_big_weight_equivalence():
     # column-order greedy equals explicit-weight greedy with weights
     # -(d+1)^(j-1) under the bases transform, as exact sets
@@ -449,6 +458,20 @@ def test_validate_refuses_a_value_without_profits():
     with pytest.raises(InputError, match="needs cbar"):
         validate(y, [TRIANGLE], value=3)
     validate(y, [TRIANGLE], cbar=ProfitMatrix([[1], [2], [3]]), value=3)
+
+
+@pytest.mark.parametrize("claim, match", [
+    ({"cbar": ProfitMatrix([[1], [2], [3]]), "value": 4}, r"worth 3, not 4"),
+    ({"vuln": (1,)}, r"vector is \[2\], not \[1\]"),
+    ({"x": Matrix01([[1], [0], [1]])}, "not equivalent"),
+], ids=["value", "vulnerability", "not-equivalent"])
+def test_validate_refuses_a_wrong_claim(claim, match):
+    # Two edges of the triangle, worth 3, with vulnerability (2,) and the
+    # row sums (1, 1, 0): each claim is checked, and a wrong one raises.
+    y = Matrix01([[1], [1], [0]])
+    validate(y, [TRIANGLE], rank=2, cbar=ProfitMatrix([[1], [2], [3]]), value=3, vuln=(2,), x=y)
+    with pytest.raises(InternalError, match=match):
+        validate(y, [TRIANGLE], **claim)
 
 
 def test_solver_input_errors():
